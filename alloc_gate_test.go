@@ -73,6 +73,22 @@ func TestAllocGateUnicastFloodingRound(t *testing.T) {
 	}, 100, 200)
 }
 
+// TestAllocGateMultiSourceRound: Multi-Source-Unicast — also the
+// dissemination phase of Algorithm 2 — under the registered static
+// adversary must run its steady-state rounds with zero allocations. Its
+// per-node state is dense (source-indexed records, round-stamped request
+// slots, reused Send buffers); the trial completes at round 442, so rounds
+// 100→200 are mid-dissemination with announcements, answers and requests
+// all live.
+func TestAllocGateMultiSourceRound(t *testing.T) {
+	gate(t, "multi-source", dynspread.Config{
+		N: 8, K: 512, Sources: 4,
+		Algorithm: dynspread.AlgMultiSource,
+		Adversary: dynspread.AdvStatic,
+		Seed:      7,
+	}, 100, 200)
+}
+
 // TestAllocGateBroadcastFloodingRound: the paper's flooding algorithm under
 // the registered static adversary must run its steady-state local-broadcast
 // rounds with zero allocations.

@@ -2,7 +2,7 @@ package dynspread_test
 
 // Distributed merge-equivalence suite: a grid sharded across two in-process
 // spreadd workers must merge back bit-identical to the single-node sweep —
-// per trial and in aggregate — on the same 112 golden rows that pin the
+// per trial and in aggregate — on every golden row that pins the
 // engine itself (golden_test.go). Combined with the golden suite this
 // chains the guarantee end to end: seed engine ≡ unified engine ≡ service
 // schema ≡ distributed execution.

@@ -72,6 +72,18 @@ var goldenRows = []goldenRow{
 	{"multi-source", "mobility", 3, 7, true, 28, 279, 0, 90, 31, 13},
 	{"multi-source", "request-cutter", 3, 1, true, 49, 496, 0, 90, 167, 144},
 	{"multi-source", "request-cutter", 3, 7, true, 62, 496, 0, 90, 182, 158},
+	// The many-source regime (s = n, so I_v grows to n sources), generated
+	// from the map-based MultiSource before its dense rewrite. Under the
+	// request cutter, which reads LastSent, these rows also pin message
+	// contents and order.
+	{"multi-source", "static", 10, 1, true, 21, 469, 0, 90, 20, 0},
+	{"multi-source", "static", 10, 7, true, 21, 482, 0, 90, 20, 0},
+	{"multi-source", "churn", 10, 1, true, 25, 635, 0, 90, 41, 21},
+	{"multi-source", "churn", 10, 7, true, 27, 633, 0, 90, 44, 24},
+	{"multi-source", "regular", 10, 1, true, 42, 1038, 0, 90, 477, 452},
+	{"multi-source", "regular", 10, 7, true, 44, 1041, 0, 90, 500, 476},
+	{"multi-source", "request-cutter", 10, 1, true, 59, 1020, 0, 90, 176, 154},
+	{"multi-source", "request-cutter", 10, 7, true, 54, 944, 0, 90, 159, 138},
 	{"oblivious", "static", 10, 1, true, 21, 469, 0, 90, 20, 0},
 	{"oblivious", "static", 10, 7, true, 21, 482, 0, 90, 20, 0},
 	{"oblivious", "churn", 10, 1, true, 25, 635, 0, 90, 41, 21},

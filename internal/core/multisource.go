@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/bits"
+
+	"dynspread/internal/bitset"
 	"dynspread/internal/graph"
 	"dynspread/internal/sim"
 	"dynspread/internal/token"
@@ -24,27 +27,64 @@ type OwnedToken struct {
 // requests for the minimum-ID source x ∉ I_v with S_v(x) ≠ ∅, using
 // Algorithm 1's new > idle > contributive edge priority. All three tasks
 // may share a single message per edge (constant tokens + O(log n) bits).
+//
+// All state is dense, and steady-state rounds allocate nothing. A source's
+// record (k_x, its token slots, and R_v(x) and S_v(x) as n-bit sets) is
+// indexed by source ID and carved from per-node slabs, sized for s sources
+// and k tokens, when the source is first learned; announcement bookkeeping
+// is therefore 2·s·n bits per node. I_v and the set of sources with
+// S_v(x) ≠ ∅ are n-bit sets, so the request target is one FirstNotIn.
+// Requests to answer and requests in flight sit in NodeID-indexed slots
+// stamped with the round they are due, so nothing is cleared between
+// rounds, and Send fills one message slot per neighbor in a reused buffer.
 type MultiSource struct {
 	env sim.NodeEnv
 
-	// Per-source progress. countOf[x] is k_x once learned (0 = unknown);
-	// have[x][i] marks held indices; haveCount[x] counts them;
-	// globals[x][i] maps to global IDs.
-	countOf   map[graph.NodeID]int
-	have      map[graph.NodeID][]bool
-	haveCount map[graph.NodeID]int
-	globals   map[graph.NodeID][]token.ID
+	src          []*msSource // by source ID; nil until the source is learned
+	iv           bitset.Set  // I_v: sources we are complete w.r.t.
+	heardSources bitset.Set  // sources x with S_v(x) ≠ ∅
+	// ivSize is |I_v|. toldAll[u] == ivSize records that u ∈ R_v(x) for
+	// every x ∈ I_v; both sets only grow, so that holds until I_v does.
+	ivSize  int
+	toldAll []int
 
-	iv       map[graph.NodeID]bool                  // I_v: sources we are complete w.r.t.
-	informed map[graph.NodeID]map[graph.NodeID]bool // R_v(x): x -> nodes informed
-	heard    map[graph.NodeID]map[graph.NodeID]bool // S_v(x): x -> nodes that announced
+	// answers[u] is u's token request, due to be answered in round due.
+	// requests[u] is our request to u; its token is in flight in round due
+	// if the edge to u survived.
+	answers  []dueRequest
+	requests []dueRequest
 
-	// answer[u] is the (owner, index) requested by u last round.
-	answer map[graph.NodeID]sim.RequestPayload
+	edges *edgeTracker
+	// arriveRound[i] == r marks index i of the round-r request target as
+	// already arriving (requested last round over a surviving edge).
+	arriveRound []int
+	// cands is the request-candidate scratch: positions in the neighbor
+	// list (which are also Send's slot indices), capacity n so it never
+	// grows. out is the reused Send buffer (the engine copies it before
+	// the next Send; see the Protocol buffer contract).
+	cands []int
+	out   []sim.Message
 
-	edges    *edgeTracker
-	inFlight map[graph.NodeID]sim.RequestPayload
-	sentNow  map[graph.NodeID]sim.RequestPayload
+	// Storage not yet handed out (see take) for source records, their sets
+	// and their token slots.
+	recSlab  []msSource
+	wordSlab []uint64
+	idSlab   []token.ID
+}
+
+// msSource is a node's state for one source x.
+type msSource struct {
+	count    int        // k_x; 0 until learned
+	held     int        // number of x's tokens held
+	globals  []token.ID // globals[i] is x's i-th token (1-based); token.None = not held
+	informed bitset.Set // R_v(x)
+	heard    bitset.Set // S_v(x)
+}
+
+// dueRequest is a request that is live only in round due.
+type dueRequest struct {
+	due int
+	req sim.RequestPayload
 }
 
 // NewMultiSource returns the Multi-Source-Unicast factory for tokens
@@ -68,217 +108,220 @@ func NewMultiSource() sim.Factory {
 // given explicitly — this is how Algorithm 2's phase 2 runs MultiSource with
 // the centers as sources and freshly labeled token sets.
 func NewMultiSourceWith(env sim.NodeEnv, owned []OwnedToken) *MultiSource {
+	n, s := env.N, env.NumSources
 	p := &MultiSource{
-		env:       env,
-		countOf:   make(map[graph.NodeID]int),
-		have:      make(map[graph.NodeID][]bool),
-		haveCount: make(map[graph.NodeID]int),
-		globals:   make(map[graph.NodeID][]token.ID),
-		iv:        make(map[graph.NodeID]bool),
-		informed:  make(map[graph.NodeID]map[graph.NodeID]bool),
-		heard:     make(map[graph.NodeID]map[graph.NodeID]bool),
-		answer:    make(map[graph.NodeID]sim.RequestPayload),
-		edges:     newEdgeTracker(env.N),
-		inFlight:  make(map[graph.NodeID]sim.RequestPayload),
-		sentNow:   make(map[graph.NodeID]sim.RequestPayload),
+		env:          env,
+		src:          make([]*msSource, n),
+		iv:           *bitset.New(n),
+		heardSources: *bitset.New(n),
+		answers:      make([]dueRequest, n),
+		requests:     make([]dueRequest, n),
+		toldAll:      make([]int, n),
+		edges:        newEdgeTracker(n),
+		arriveRound:  make([]int, env.K+1),
+		cands:        make([]int, 0, n),
+		recSlab:      make([]msSource, s),
+		wordSlab:     make([]uint64, 2*s*bitset.WordsFor(n)),
+		idSlab:       make([]token.ID, env.K+s),
 	}
 	if len(owned) > 0 {
 		me := env.ID
-		p.ensureSource(me, len(owned))
+		src := p.ensureSource(me, len(owned))
 		for _, o := range owned {
-			if o.Index >= 1 && o.Index <= len(owned) && !p.have[me][o.Index] {
-				p.have[me][o.Index] = true
-				p.globals[me][o.Index] = o.Global
-				p.haveCount[me]++
+			if o.Index >= 1 && o.Index <= src.count && src.globals[o.Index] == token.None {
+				src.globals[o.Index] = o.Global
+				src.held++
 			}
 		}
 		// A source is complete with respect to itself at time 0.
-		p.iv[me] = true
-		p.informed[me] = make(map[graph.NodeID]bool)
+		p.markComplete(me)
 	}
 	return p
 }
 
-// ensureSource sizes the per-source slices once k_x is known.
-func (p *MultiSource) ensureSource(x graph.NodeID, count int) {
-	if p.countOf[x] != 0 || count <= 0 {
-		return
+// take returns the next n elements of *slab, or fresh storage once the
+// slab runs short (more sources or tokens than the slabs were sized for).
+func take[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		return make([]T, n)
 	}
-	p.countOf[x] = count
-	p.have[x] = make([]bool, count+1)
-	g := make([]token.ID, count+1)
-	for i := range g {
-		g[i] = token.None
-	}
-	p.globals[x] = g
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
-// BeginRound implements sim.Protocol.
+// ensureSource returns x's record, creating it (with R_v(x) and S_v(x))
+// when x is first learned and sizing its token slots once k_x is known.
+// Both happen at most once per source, and take from the slabs.
+//
+//dynspread:hotpath
+func (p *MultiSource) ensureSource(x graph.NodeID, count int) *msSource {
+	s := p.src[x]
+	if s == nil {
+		n := p.env.N
+		w := bitset.WordsFor(n)
+		words := take(&p.wordSlab, 2*w)
+		s = &take(&p.recSlab, 1)[0]
+		s.informed = bitset.Wrap(n, words[:w:w])
+		s.heard = bitset.Wrap(n, words[w:])
+		p.src[x] = s
+	}
+	if s.count == 0 && count > 0 {
+		s.count = count
+		s.globals = take(&p.idSlab, count+1)
+		for i := range s.globals {
+			s.globals[i] = token.None
+		}
+		if len(p.arriveRound) <= count {
+			p.arriveRound = make([]int, count+1)
+		}
+	}
+	return s
+}
+
+// markComplete adds x to I_v.
+//
+//dynspread:hotpath
+func (p *MultiSource) markComplete(x graph.NodeID) {
+	if p.iv.Insert(x) {
+		p.ivSize++
+	}
+}
+
+// BeginRound implements sim.Protocol. Last round's requests need no
+// promotion: a request is in flight exactly when its due round is this
+// round and its edge survived, and only current neighbors are consulted.
+//
+//dynspread:hotpath
 func (p *MultiSource) BeginRound(r int, neighbors []graph.NodeID) {
 	p.edges.beginRound(r, neighbors)
-	for u := range p.inFlight {
-		delete(p.inFlight, u)
-	}
-	for u, req := range p.sentNow {
-		if p.edges.adjacent(u) {
-			p.inFlight[u] = req
-		}
-		delete(p.sentNow, u)
-	}
 }
 
 // Send implements sim.Protocol: the three parallel tasks of Section 3.2.1,
 // merged into at most one message per neighbor.
+//
+//dynspread:hotpath
 func (p *MultiSource) Send(r int) []sim.Message {
-	drafts := make(map[graph.NodeID]*sim.Message)
-	draft := func(u graph.NodeID) *sim.Message {
-		if m, ok := drafts[u]; ok {
-			return m
-		}
-		m := &sim.Message{From: p.env.ID, To: u}
-		drafts[u] = m
-		return m
+	nbrs := p.edges.nbrs
+	if cap(p.out) < len(nbrs) {
+		// Grow with headroom: under a dynamic adversary the degree creeps up.
+		p.out = make([]sim.Message, 0, 2*len(nbrs))
+	}
+	out := p.out[:len(nbrs)]
+	for i, u := range nbrs {
+		out[i] = sim.Message{From: p.env.ID, To: u}
 	}
 
 	// Task 1: per neighbor, announce completeness w.r.t. the minimum source
 	// x ∈ I_v with u ∉ R_v(x).
-	for _, u := range p.edges.nbrs {
-		x := p.minUnannounced(u)
-		if x >= 0 {
-			p.informed[x][u] = true
-			draft(u).SetCompleteness(sim.CompletenessAnn{Source: x, Count: p.countOf[x]})
+	for i, u := range nbrs {
+		if x := p.minUnannounced(u); x >= 0 {
+			s := p.src[x]
+			s.informed.Add(u)
+			out[i].SetCompleteness(sim.CompletenessAnn{Source: x, Count: s.count})
 		}
 	}
 
 	// Task 2: answer the previous round's requests (only for sources we are
 	// complete with respect to, which is the only way u could have asked).
-	for _, u := range p.edges.nbrs {
-		req, ok := p.answer[u]
-		if !ok {
+	// Requests from nodes no longer adjacent lapse with their due round.
+	for i, u := range nbrs {
+		a := p.answers[u]
+		if a.due != r || !p.iv.Contains(a.req.Owner) {
 			continue
 		}
-		delete(p.answer, u)
-		g := p.lookupGlobal(req.Owner, req.Index)
-		if g == token.None || !p.iv[req.Owner] {
+		s := p.src[a.req.Owner]
+		if a.req.Index < 1 || a.req.Index > s.count || s.globals[a.req.Index] == token.None {
 			continue
 		}
-		draft(u).SetToken(sim.TokenPayload{
-			ID: g, Owner: req.Owner, Index: req.Index, Count: p.countOf[req.Owner],
+		out[i].SetToken(sim.TokenPayload{
+			ID: s.globals[a.req.Index], Owner: a.req.Owner, Index: a.req.Index, Count: s.count,
 		})
-	}
-	for u := range p.answer {
-		if !p.edges.adjacent(u) {
-			delete(p.answer, u)
-		}
 	}
 
 	// Task 3: requests for the minimum-ID incomplete source with a known
 	// complete node, using Algorithm 1's edge priority.
-	p.sendRequests(draft)
+	p.sendRequests(r, out)
 
-	out := make([]sim.Message, 0, len(drafts))
-	for _, u := range p.edges.nbrs {
-		if m, ok := drafts[u]; ok && !m.Empty() {
-			out = append(out, *m)
+	// Keep the non-empty slots, in neighbor order.
+	j := 0
+	for i := range out {
+		if !out[i].Empty() {
+			out[j] = out[i]
+			j++
 		}
 	}
-	return out
+	return out[:j]
 }
 
 // minUnannounced returns the minimum source x ∈ I_v with u ∉ R_v(x), or -1.
+//
+//dynspread:hotpath
 func (p *MultiSource) minUnannounced(u graph.NodeID) graph.NodeID {
-	best := -1
-	for x := range p.iv {
-		if p.informed[x] == nil {
-			p.informed[x] = make(map[graph.NodeID]bool)
-		}
-		if !p.informed[x][u] && (best == -1 || x < best) {
-			best = x
+	if p.toldAll[u] == p.ivSize {
+		return -1
+	}
+	for wi, w := range p.iv.Words() {
+		for ; w != 0; w &= w - 1 {
+			x := wi*64 + bits.TrailingZeros64(w)
+			if !p.src[x].informed.Contains(u) {
+				return x
+			}
 		}
 	}
-	return best
-}
-
-// target returns the minimum source x ∉ I_v with S_v(x) ≠ ∅, or -1.
-func (p *MultiSource) target() graph.NodeID {
-	best := -1
-	for x, nodes := range p.heard {
-		if p.iv[x] || len(nodes) == 0 {
-			continue
-		}
-		if best == -1 || x < best {
-			best = x
-		}
-	}
-	return best
+	p.toldAll[u] = p.ivSize
+	return -1
 }
 
 // sendRequests runs Algorithm 1's request assignment against the target
-// source.
-func (p *MultiSource) sendRequests(draft func(graph.NodeID) *sim.Message) {
-	x := p.target()
-	if x < 0 || p.countOf[x] == 0 {
+// source — the minimum x ∉ I_v with S_v(x) ≠ ∅ — writing each request into
+// its neighbor's slot of out.
+//
+//dynspread:hotpath
+func (p *MultiSource) sendRequests(r int, out []sim.Message) {
+	x := p.heardSources.FirstNotIn(&p.iv)
+	if x < 0 || p.src[x].count == 0 {
 		return
 	}
-	arriving := make(map[int]bool, len(p.inFlight))
-	for _, req := range p.inFlight {
-		if req.Owner == x {
-			arriving[req.Index] = true
+	s := p.src[x]
+	nbrs := p.edges.nbrs
+	for _, u := range nbrs {
+		if q := p.requests[u]; q.due == r && q.req.Owner == x {
+			p.arriveRound[q.req.Index] = r
 		}
 	}
-	var missing []int
-	for i := 1; i <= p.countOf[x]; i++ {
-		if !p.have[x][i] && !arriving[i] {
-			missing = append(missing, i)
+	// Candidate edges: neighbors known complete w.r.t. x, new before idle
+	// before contributive, each class in neighbor order.
+	cands := p.cands[:0]
+	for c := edgeNew; c <= edgeContributive; c++ {
+		for i, u := range nbrs {
+			if s.heard.Contains(u) && p.edges.class(u, p.requests[u].due == r) == c {
+				//dynspread:allow hotpath -- never grows: cands has capacity n and holds at most one entry per neighbor
+				cands = append(cands, i)
+			}
 		}
 	}
-	if len(missing) == 0 {
-		return
-	}
-	var newE, idleE, contribE []graph.NodeID
-	for _, u := range p.edges.nbrs {
-		if !p.heard[x][u] {
-			continue // u is not known-complete w.r.t. x
+	p.cands = cands
+	// The j-th candidate asks for the j-th missing index: neither held nor
+	// already arriving.
+	idx := 1
+	for _, i := range cands {
+		for idx <= s.count && (s.globals[idx] != token.None || p.arriveRound[idx] == r) {
+			idx++
 		}
-		if _, busy := p.sentNow[u]; busy {
-			continue
+		if idx > s.count {
+			return
 		}
-		_, pending := p.inFlight[u]
-		switch p.edges.class(u, pending) {
-		case edgeNew:
-			newE = append(newE, u)
-		case edgeIdle:
-			idleE = append(idleE, u)
-		case edgeContributive:
-			contribE = append(contribE, u)
-		}
+		req := sim.RequestPayload{Owner: x, Index: idx}
+		idx++
+		p.requests[nbrs[i]] = dueRequest{due: r + 1, req: req}
+		out[i].SetRequest(req)
 	}
-	ordered := make([]graph.NodeID, 0, len(newE)+len(idleE)+len(contribE))
-	ordered = append(ordered, newE...)
-	ordered = append(ordered, idleE...)
-	ordered = append(ordered, contribE...)
-	j := 0
-	for _, u := range ordered {
-		if j >= len(missing) {
-			break
-		}
-		req := sim.RequestPayload{Owner: x, Index: missing[j]}
-		j++
-		p.sentNow[u] = req
-		draft(u).SetRequest(req)
-	}
-}
-
-// lookupGlobal returns the global ID of (owner, index) if held.
-func (p *MultiSource) lookupGlobal(x graph.NodeID, index int) token.ID {
-	g := p.globals[x]
-	if index < 1 || index >= len(g) {
-		return token.None
-	}
-	return g[index]
 }
 
 // Deliver implements sim.Protocol.
+//
+//dynspread:hotpath
 func (p *MultiSource) Deliver(r int, in []sim.Message) {
 	// Inboxes arrive already sorted by sender — the engine's (To, From)
 	// delivery-order invariant, pinned by TestDeliveryOrderInvariant in sim.
@@ -286,14 +329,11 @@ func (p *MultiSource) Deliver(r int, in []sim.Message) {
 		m := &in[i]
 		if m.Has(sim.KindCompleteness) {
 			x := m.Completeness.Source
-			p.ensureSource(x, m.Completeness.Count)
-			if p.heard[x] == nil {
-				p.heard[x] = make(map[graph.NodeID]bool)
-			}
-			p.heard[x][m.From] = true
+			p.ensureSource(x, m.Completeness.Count).heard.Add(m.From)
+			p.heardSources.Add(x)
 		}
 		if m.Has(sim.KindRequest) {
-			p.answer[m.From] = m.Request
+			p.answers[m.From] = dueRequest{due: r + 1, req: m.Request}
 		}
 		if m.Has(sim.KindToken) {
 			p.acceptToken(m.From, m.Token)
@@ -302,26 +342,18 @@ func (p *MultiSource) Deliver(r int, in []sim.Message) {
 }
 
 // acceptToken records a received token and updates per-source completeness.
+//
+//dynspread:hotpath
 func (p *MultiSource) acceptToken(from graph.NodeID, t sim.TokenPayload) {
 	x := t.Owner
-	p.ensureSource(x, t.Count)
-	if p.countOf[x] == 0 || t.Index < 1 || t.Index > p.countOf[x] {
+	s := p.ensureSource(x, t.Count)
+	if s.count == 0 || t.Index < 1 || t.Index > s.count || s.globals[t.Index] != token.None {
 		return
 	}
-	if p.have[x][t.Index] {
-		return
-	}
-	p.have[x][t.Index] = true
-	p.globals[x][t.Index] = t.ID
-	p.haveCount[x]++
+	s.globals[t.Index] = t.ID
+	s.held++
 	p.edges.markContributive(from)
-	if _, ok := p.inFlight[from]; ok && p.inFlight[from].Owner == x && p.inFlight[from].Index == t.Index {
-		delete(p.inFlight, from)
-	}
-	if p.haveCount[x] == p.countOf[x] && !p.iv[x] {
-		p.iv[x] = true
-		if p.informed[x] == nil {
-			p.informed[x] = make(map[graph.NodeID]bool)
-		}
+	if s.held == s.count {
+		p.markComplete(x)
 	}
 }

@@ -173,11 +173,15 @@ type Oblivious struct {
 // are common knowledge (Section 3.2.2); both are read from the node
 // environment. When s is at most the threshold s0, the factory degrades to
 // plain MultiSource exactly as the algorithm prescribes.
+//
+// The factory may be reused across executions: the engine builds nodes
+// 0..n−1 in order at the start of each one (see sim.Factory), so node 0
+// starts a fresh shared state.
 func NewOblivious(opts ObliviousOpts) sim.Factory {
 	var shared *obliviousShared
 	multi := NewMultiSource()
 	return func(env sim.NodeEnv) sim.Protocol {
-		if shared == nil {
+		if env.ID == 0 || shared == nil {
 			shared = newObliviousShared(env.N, env.K, env.NumSources, opts)
 		}
 		if !shared.params.TwoPhase {

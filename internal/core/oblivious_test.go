@@ -244,3 +244,47 @@ func TestObliviousRespectsK1(t *testing.T) {
 		t.Fatal("incomplete")
 	}
 }
+
+// TestObliviousFactoryReuse: the engine builds every node from the factory
+// at the start of each execution, so running a factory a second time must
+// give exactly a fresh factory's run. Phase 1's shared state (the centers,
+// the parked count, the switch flag) belongs to one execution; reusing it
+// would skip phase 1, and reusing it at a larger n would index past its
+// centers.
+func TestObliviousFactoryReuse(t *testing.T) {
+	opts := ObliviousOpts{Seed: 3, ForceTwoPhase: true, CF: 0.08}
+	run := func(f sim.Factory, n int) *sim.Result {
+		t.Helper()
+		assign, err := token.Gossip(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, err := adversary.NewRegular(n, 4, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.RunUnicast(sim.UnicastConfig{
+			Assign:    assign,
+			Factory:   f,
+			Adversary: adversary.Oblivious(reg),
+			Seed:      4,
+			MaxRounds: 400000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	reused := NewOblivious(opts)
+	first := run(reused, 16)
+	if first.Metrics.WalkPayloads == 0 {
+		t.Fatal("two-phase run performed no walk steps")
+	}
+	if again := run(reused, 16); *again != *first {
+		t.Fatalf("reused factory diverged from its first run:\n got  %+v\n want %+v", *again, *first)
+	}
+	fresh := run(NewOblivious(opts), 24)
+	if larger := run(reused, 24); *larger != *fresh {
+		t.Fatalf("reused factory at n=24 diverged from a fresh one:\n got  %+v\n want %+v", *larger, *fresh)
+	}
+}

@@ -154,7 +154,10 @@ type Protocol interface {
 	Deliver(r int, in []Message)
 }
 
-// Factory builds the protocol instance for one node.
+// Factory builds the protocol instance for one node. At the start of each
+// execution the engine calls it once per node, for IDs 0..n−1 in order, so
+// a factory that keeps state shared by the nodes of one execution can start
+// it afresh at node 0 and be reused across executions.
 type Factory func(env NodeEnv) Protocol
 
 // TokenArriver is the optional interface of protocols (unicast or broadcast)
