@@ -12,7 +12,7 @@
 //	  "trials": [{"n": 32, "k": 32, "algorithm": "single-source",
 //	              "adversary": "churn", "seed": 1}]
 //	}'
-//	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/v1/metrics | grep cache
 //
 // With -peers the daemon becomes a cluster COORDINATOR instead: the API is
 // unchanged, but POST /v1/runs jobs are planned into deterministic shards

@@ -34,8 +34,10 @@ type DistributedConfig struct {
 // RunDistributed executes req's trials across cfg.Workers and returns their
 // results in input order — bit-identical to RunSpecs over the same request
 // on one machine, because every trial is a deterministic function of its
-// spec no matter where it runs. The first permanent error (bad spec, shard
-// out of retries, every worker dead, cancellation) fails the run.
+// spec no matter where it runs. A request with Record set gets a round
+// series on every result and neither reads nor writes the store. The first
+// permanent error (bad spec, shard out of retries, every worker dead,
+// cancellation) fails the run.
 func RunDistributed(ctx context.Context, req RunRequest, cfg DistributedConfig) ([]TrialResult, error) {
 	specs, err := req.Specs()
 	if err != nil {
@@ -54,5 +56,5 @@ func RunDistributed(ctx context.Context, req RunRequest, cfg DistributedConfig) 
 	if err != nil {
 		return nil, err
 	}
-	return coord.Run(ctx, specs, cfg.OnResult)
+	return coord.RunSpecs(ctx, specs, req.Record, cfg.OnResult)
 }

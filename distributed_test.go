@@ -16,6 +16,8 @@ import (
 	"dynspread"
 	"dynspread/internal/cluster"
 	"dynspread/internal/service"
+	"dynspread/internal/stats"
+	"dynspread/internal/store"
 	"dynspread/internal/sweep"
 	"dynspread/internal/wire"
 )
@@ -94,9 +96,9 @@ func TestDistributedGoldenMergeEquivalence(t *testing.T) {
 		}
 	}
 
-	// Aggregate merge-equivalence against the sweep layer (sweep.Run is
-	// what RunGrid executes; the golden rows are not grid-expressible, so
-	// the trial-list entry point is the apples-to-apples comparison).
+	// Aggregate merge-equivalence against the sweep layer (the golden rows
+	// are not grid-expressible, so the trial-list entry point is the
+	// apples-to-apples comparison).
 	trials := make([]sweep.Trial, len(specs))
 	for i, s := range specs {
 		trials[i] = sweep.Trial{
@@ -114,12 +116,16 @@ func TestDistributedGoldenMergeEquivalence(t *testing.T) {
 		local func(sweep.Result) float64
 	}
 	for name, p := range map[string]pair{
-		"messages":  {cluster.Messages, sweep.Messages},
-		"rounds":    {cluster.Rounds, sweep.Rounds},
-		"tc":        {cluster.TC, sweep.TC},
-		"amortized": {cluster.AmortizedPerToken, sweep.AmortizedPerToken},
+		"messages":  {cluster.Messages, func(r sweep.Result) float64 { return float64(r.Res.Metrics.Messages) }},
+		"rounds":    {cluster.Rounds, func(r sweep.Result) float64 { return float64(r.Res.Rounds) }},
+		"tc":        {cluster.TC, func(r sweep.Result) float64 { return float64(r.Res.Metrics.TC) }},
+		"amortized": {cluster.AmortizedPerToken, func(r sweep.Result) float64 { return r.Res.Metrics.AmortizedPerToken(r.Trial.K) }},
 	} {
-		got, want := cluster.Aggregate(dist, p.dist), sweep.Aggregate(sweepResults, p.local)
+		xs := make([]float64, len(sweepResults))
+		for i, r := range sweepResults {
+			xs[i] = p.local(r)
+		}
+		got, want := cluster.Aggregate(dist, p.dist), stats.Summarize(xs)
 		if got != want {
 			t.Errorf("%s aggregates diverged:\n dist  %+v\n sweep %+v", name, got, want)
 		}
@@ -152,5 +158,50 @@ func TestRunDistributedStoreWarmRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("warm run results diverged")
+	}
+}
+
+// TestRunDistributedHonorsRecord: a recorded request through RunDistributed
+// gets a round series on every result, like the local runner, and none of
+// its results lands in the store.
+func TestRunDistributedHonorsRecord(t *testing.T) {
+	w := newGoldenWorker(t)
+	dir := t.TempDir()
+	req := dynspread.RunRequest{
+		Grid: &dynspread.GridSpec{
+			Ns: []int{12}, Ks: []int{8},
+			Algorithms:  []string{"single-source", "topkis"},
+			Adversaries: []string{"static", "churn"},
+			Seeds:       []int64{1},
+		},
+		Record: &wire.RecordSpec{Stride: 2},
+	}
+	res, err := dynspread.RunDistributed(context.Background(), req,
+		dynspread.DistributedConfig{Workers: []string{w.URL}, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 4 {
+		t.Fatalf("%d results, want 4", len(res))
+	}
+	for i, r := range res {
+		if r.RoundSeries.Len() == 0 || r.RoundSeries.Stride != 2 {
+			t.Fatalf("result %d has no stride-2 round series: %+v", i, r.RoundSeries)
+		}
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 0 {
+		t.Fatalf("recorded run persisted %d results into the store", st.Len())
+	}
+
+	// An invalid recorder shape is refused before any dispatch.
+	req.Record = &wire.RecordSpec{Capacity: -1}
+	if _, err := dynspread.RunDistributed(context.Background(), req,
+		dynspread.DistributedConfig{Workers: []string{w.URL}}); err == nil {
+		t.Fatal("RunDistributed accepted a negative recorder capacity")
 	}
 }

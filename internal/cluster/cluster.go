@@ -229,24 +229,6 @@ func (c *Coordinator) recordSuccess(w int) {
 	c.metrics.healthy(w)
 }
 
-// RunGrid expands a grid and runs it distributed; see Run.
-func (c *Coordinator) RunGrid(ctx context.Context, g wire.GridSpec, onResult func(i int, r wire.TrialResult)) ([]wire.TrialResult, error) {
-	specs, err := g.Trials()
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(ctx, specs, onResult)
-}
-
-// RunSpecs adapts the coordinator to the service layer's Runner signature,
-// which is how a coordinator-mode spreadd shards POST /v1/runs jobs
-// transparently: the service's queueing/caching/progress machinery calls
-// this instead of the in-process sweep pool. parallelism is the workers'
-// concern and is ignored.
-func (c *Coordinator) RunSpecs(ctx context.Context, specs []wire.TrialSpec, _ int, onResult func(i int, r wire.TrialResult)) ([]wire.TrialResult, error) {
-	return c.Run(ctx, specs, onResult)
-}
-
 // Run executes wire-form trials across the worker pool and returns their
 // results in input order, bit-identical to a local sweep over the same
 // specs. onResult, when non-nil, streams each trial's result as soon as it
@@ -255,6 +237,16 @@ func (c *Coordinator) RunSpecs(ctx context.Context, specs []wire.TrialSpec, _ in
 // The first permanent error (bad spec, exhausted retries, every worker
 // dead, cancellation) fails the run and no results are returned.
 func (c *Coordinator) Run(ctx context.Context, specs []wire.TrialSpec, onResult func(i int, r wire.TrialResult)) ([]wire.TrialResult, error) {
+	return c.RunSpecs(ctx, specs, nil, onResult)
+}
+
+// RunSpecs is Run with an optional flight recorder: a non-nil rec goes out
+// on every shard so each result carries its round series, and store.Lookup
+// keeps the run away from the store. Its signature is the service layer's
+// Runner, which is how a coordinator-mode spreadd shards POST /v1/runs jobs
+// transparently: the service's queueing/caching/progress machinery calls
+// this instead of the in-process sweep pool.
+func (c *Coordinator) RunSpecs(ctx context.Context, specs []wire.TrialSpec, rec *wire.RecordSpec, onResult func(i int, r wire.TrialResult)) ([]wire.TrialResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -274,24 +266,6 @@ func (c *Coordinator) Run(ctx context.Context, specs []wire.TrialSpec, onResult 
 		return results, err
 	}
 	c.stats.trials.Add(int64(len(specs)))
-	// A recording run (wire.WithRecord on ctx — a coordinator-mode spreadd's
-	// service layer puts it there) wants flight-recorder series on every
-	// result, which stored results do not carry and MUST not acquire: the
-	// series' ring parameters are request-scoped, so a recorded run both
-	// skips the store read (a hit would lack its series) and the store write
-	// (a recorded result would leak this request's series into future runs).
-	// Every shard carries the spec onward so workers opt in uniformly.
-	record := wire.RecordFromContext(ctx)
-	results := make([]wire.TrialResult, len(specs))
-	// indexByKey maps each unique content address to every input index
-	// holding it; one execution serves them all. The store is consulted
-	// exactly once per unique key, and the snapshot taken here is what gets
-	// served — a concurrent writer adding a key after this pass cannot make
-	// a trial both store-served and dispatched (delivery dedups on the
-	// store, so each index still gets exactly one result).
-	indexByKey := make(map[string][]int, len(specs))
-	hits := make(map[string]wire.TrialResult)
-	var missing []keyedSpec
 	for i, s := range specs {
 		if s.Replay {
 			return finish(nil, fmt.Errorf("cluster: spec %d replays a recorded trace, which is not part of the wire schema", i))
@@ -299,59 +273,38 @@ func (c *Coordinator) Run(ctx context.Context, specs []wire.TrialSpec, onResult 
 		if err := s.Validate(); err != nil {
 			return finish(nil, fmt.Errorf("%w (spec %d)", err, i))
 		}
-		s = s.Normalized()
-		k := wire.Key(s)
-		if prev, dup := indexByKey[k]; dup {
-			c.stats.deduped.Add(1)
-			indexByKey[k] = append(prev, i)
-			continue
-		}
-		indexByKey[k] = []int{i}
-		if c.cfg.Store != nil && record == nil {
-			if res, ok := c.cfg.Store.Get(k); ok {
-				hits[k] = res // served below, once indexByKey is complete
-				continue
-			}
-		}
-		missing = append(missing, keyedSpec{key: k, spec: s})
 	}
-	for k, res := range hits {
-		for _, i := range indexByKey[k] {
-			results[i] = res
-			c.stats.storeHits.Add(1)
-			if onResult != nil {
-				onResult(i, res)
-			}
-		}
+	results := make([]wire.TrialResult, len(specs))
+	// A nil *store.Store must reach Lookup as a nil Results, not a typed nil.
+	var stored store.Results
+	if c.cfg.Store != nil {
+		stored = c.cfg.Store
 	}
+	// The store is consulted once per unique key, and the snapshot taken
+	// here is what gets served — a concurrent writer adding a key after this
+	// pass cannot make a trial both store-served and dispatched.
+	b := store.Lookup(specs, stored, rec, func(i int, r wire.TrialResult) {
+		results[i] = r
+		if onResult != nil {
+			onResult(i, r)
+		}
+	})
+	c.stats.deduped.Add(int64(len(specs) - b.Unique))
+	c.stats.storeHits.Add(int64(b.Hits))
+	storeHits := b.Unique - len(b.Misses)
 
-	plan := planKeyed(missing, c.cfg.ShardSize)
-	if record != nil {
-		for i := range plan {
-			plan[i].Record = record
-		}
+	plan := planBatch(b, c.cfg.ShardSize)
+	for i := range plan {
+		plan[i].Record = rec
 	}
-	runSpan.SetAttrInt("store_hits", int64(len(hits)))
+	runSpan.SetAttrInt("store_hits", int64(storeHits))
 	runSpan.SetAttrInt("shards", int64(len(plan)))
 	if len(plan) == 0 {
 		return finish(results, nil)
 	}
-	lg.Info("cluster run started", "trials", len(specs), "shards", len(plan), "store_hits", len(hits))
+	lg.Info("cluster run started", "trials", len(specs), "shards", len(plan), "store_hits", storeHits)
 	c.stats.shards.Add(int64(len(plan)))
-	if err := c.dispatch(ctx, plan, func(key string, res wire.TrialResult) error {
-		if c.cfg.Store != nil && record == nil {
-			if err := c.cfg.Store.Put(key, res); err != nil {
-				return err
-			}
-		}
-		for _, i := range indexByKey[key] {
-			results[i] = res
-			if onResult != nil {
-				onResult(i, res)
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := c.dispatch(ctx, plan, b.Deliver); err != nil {
 		return finish(nil, err)
 	}
 	return finish(results, nil)
@@ -568,9 +521,9 @@ type deliveryError struct{ err error }
 func (e *deliveryError) Error() string { return e.err.Error() }
 func (e *deliveryError) Unwrap() error { return e.err }
 
-// Aggregate summarizes one metric over wire-form results — the distributed
-// counterpart of sweep.Aggregate, producing bit-identical summaries for
-// identical result sequences.
+// Aggregate summarizes one metric over wire-form results, producing
+// summaries bit-identical to stats.Summarize over the same metric of the
+// equivalent local sweep results.
 func Aggregate(results []wire.TrialResult, metric func(wire.TrialResult) float64) stats.Summary {
 	xs := make([]float64, 0, len(results))
 	for _, r := range results {
@@ -579,7 +532,7 @@ func Aggregate(results []wire.TrialResult, metric func(wire.TrialResult) float64
 	return stats.Summarize(xs)
 }
 
-// Common metric extractors for Aggregate, mirroring the sweep layer's.
+// Common metric extractors for Aggregate.
 var (
 	// Messages extracts the trial's total message count.
 	Messages = func(r wire.TrialResult) float64 { return float64(r.Metrics.Messages) }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dynspread/internal/service"
+	"dynspread/internal/stats"
 	"dynspread/internal/store"
 	"dynspread/internal/sweep"
 	"dynspread/internal/wire"
@@ -341,12 +342,13 @@ func TestClusterDedupAcrossDuplicates(t *testing.T) {
 	}
 }
 
-// TestClusterRunGridMatchesSweepRunGrid: the grid entry point merges
-// bit-identical to sweep.RunGrid over the equivalent grid.
+// TestClusterRunGridMatchesSweepRunGrid: a wire grid run through the
+// coordinator merges bit-identical to sweep.RunGrid over the equivalent
+// grid.
 func TestClusterRunGridMatchesSweepRunGrid(t *testing.T) {
 	w1, w2 := newWorker(t), newWorker(t)
 	coord, _ := New(Config{Workers: []string{w1.URL, w2.URL}, ShardSize: 4, Poll: 5 * time.Millisecond})
-	dist, err := coord.RunGrid(context.Background(), testGrid, nil)
+	dist, err := coord.Run(context.Background(), testSpecs(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +369,16 @@ func TestClusterRunGridMatchesSweepRunGrid(t *testing.T) {
 			t.Fatalf("trial %d diverged:\n dist  %+v\n local %+v", i, dist[i], wire.ResultFromSweep(r))
 		}
 	}
-	// The sweep-shaped aggregates are bit-identical as well.
-	if got, want := Aggregate(dist, Messages), sweep.Aggregate(sweepResults, sweep.Messages); got != want {
+	// The aggregates are bit-identical to summaries of the sweep results.
+	messages := make([]float64, len(sweepResults))
+	rounds := make([]float64, len(sweepResults))
+	for i, r := range sweepResults {
+		messages[i], rounds[i] = float64(r.Res.Metrics.Messages), float64(r.Res.Rounds)
+	}
+	if got, want := Aggregate(dist, Messages), stats.Summarize(messages); got != want {
 		t.Fatalf("message aggregate diverged: %+v vs %+v", got, want)
 	}
-	if got, want := Aggregate(dist, Rounds), sweep.Aggregate(sweepResults, sweep.Rounds); got != want {
+	if got, want := Aggregate(dist, Rounds), stats.Summarize(rounds); got != want {
 		t.Fatalf("rounds aggregate diverged: %+v vs %+v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"sort"
 
+	"dynspread/internal/store"
 	"dynspread/internal/wire"
 )
 
@@ -23,40 +24,22 @@ const DefaultShardSize = 16
 // with its predecessor's shard boundaries, so progress accounting and
 // result logs from different attempts compose.
 func Plan(specs []wire.TrialSpec, shardSize int) []wire.ShardRequest {
-	seen := make(map[string]bool, len(specs))
-	unique := make([]keyedSpec, 0, len(specs))
-	for _, s := range specs {
-		s = s.Normalized()
-		k := wire.Key(s)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		unique = append(unique, keyedSpec{key: k, spec: s})
-	}
-	return planKeyed(unique, shardSize)
+	return planBatch(store.Lookup(specs, nil, nil, nil), shardSize)
 }
 
-// keyedSpec pairs a normalized spec with its content address, so callers
-// that already computed keys (the coordinator's store/dedup pass) never
-// hash a spec twice.
-type keyedSpec struct {
-	key  string
-	spec wire.TrialSpec
-}
-
-// planKeyed is Plan over already-deduplicated (key, spec) pairs.
-func planKeyed(unique []keyedSpec, shardSize int) []wire.ShardRequest {
+// planBatch is Plan over the misses of a Lookup, whose keys are already
+// computed, so the coordinator never hashes a spec twice. It sorts b's
+// misses by key in place, and the shards share their backing arrays.
+func planBatch(b *store.Batch, shardSize int) []wire.ShardRequest {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
-	unique = append([]keyedSpec(nil), unique...)
-	sort.Slice(unique, func(a, b int) bool { return unique[a].key < unique[b].key })
-
-	n := len(unique)
+	n := len(b.Misses)
 	if n == 0 {
 		return nil
 	}
+	sort.Sort(byKey{b})
+
 	shards := (n + shardSize - 1) / shardSize
 	base, extra := n/shards, n%shards // first `extra` shards get base+1
 	plan := make([]wire.ShardRequest, 0, shards)
@@ -66,18 +49,23 @@ func planKeyed(unique []keyedSpec, shardSize int) []wire.ShardRequest {
 		if i < extra {
 			size++
 		}
-		sh := wire.ShardRequest{
+		plan = append(plan, wire.ShardRequest{
 			Shard:  i,
 			Shards: shards,
-			Keys:   make([]string, size),
-			Trials: make([]wire.TrialSpec, size),
-		}
-		for j := 0; j < size; j++ {
-			sh.Keys[j] = unique[at].key
-			sh.Trials[j] = unique[at].spec
-			at++
-		}
-		plan = append(plan, sh)
+			Keys:   b.Keys[at : at+size : at+size],
+			Trials: b.Misses[at : at+size : at+size],
+		})
+		at += size
 	}
 	return plan
+}
+
+// byKey sorts a batch's misses by content address.
+type byKey struct{ b *store.Batch }
+
+func (s byKey) Len() int           { return len(s.b.Keys) }
+func (s byKey) Less(i, j int) bool { return s.b.Keys[i] < s.b.Keys[j] }
+func (s byKey) Swap(i, j int) {
+	s.b.Keys[i], s.b.Keys[j] = s.b.Keys[j], s.b.Keys[i]
+	s.b.Misses[i], s.b.Misses[j] = s.b.Misses[j], s.b.Misses[i]
 }

@@ -3,33 +3,15 @@ package service
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"dynspread/internal/wire"
 )
 
-// Key returns the content address of one trial (wire.Key): the SHA-256 of
-// the normalized spec's canonical JSON encoding. The key is a deterministic
-// function of the spec, and every execution is a deterministic function of
-// its spec (ROADMAP's "same inputs, same metrics"), which is what makes
-// cached results safe to serve verbatim — and what the cluster coordinator
-// and the persistent store key on too.
-func Key(spec wire.TrialSpec) string { return wire.Key(spec) }
-
-// CacheStats is the wire form of the cache counters in /v1/stats.
-type CacheStats struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Size     int   `json:"size"`
-	Capacity int   `json:"capacity"`
-}
-
-// Cache is the content-addressed run cache: canonical-spec key → completed
-// trial result, LRU-bounded, safe for concurrent use. Repeated requests for
-// a spec already served cost a map lookup instead of a simulation.
+// Cache is the content-addressed run cache: canonical-spec key (wire.Key) →
+// completed trial result, LRU-bounded, safe for concurrent use. Repeated
+// requests for a spec already served cost a map lookup instead of a
+// simulation. It is a store.Results, consulted only through store.Lookup.
 type Cache struct {
-	hits, misses atomic.Int64
-
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
@@ -54,30 +36,28 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get looks the key up, marking the entry most recently used and counting a
-// hit or a miss.
+// Get looks the key up, marking the entry most recently used.
 func (c *Cache) Get(key string) (wire.TrialResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses.Add(1)
 		return wire.TrialResult{}, false
 	}
-	c.hits.Add(1)
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).res, true
 }
 
 // Put stores res under key, evicting the least recently used entry when the
-// cache is full. Storing an existing key refreshes its recency.
-func (c *Cache) Put(key string, res wire.TrialResult) {
+// cache is full. Storing an existing key refreshes its recency. The error is
+// always nil; it is there to satisfy store.Results.
+func (c *Cache) Put(key string, res wire.TrialResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*cacheEntry).res = res
 		c.ll.MoveToFront(el)
-		return
+		return nil
 	}
 	for c.ll.Len() >= c.cap {
 		oldest := c.ll.Back()
@@ -85,6 +65,7 @@ func (c *Cache) Put(key string, res wire.TrialResult) {
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	return nil
 }
 
 // Len returns the number of cached results.
@@ -92,18 +73,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats snapshots the counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	size := c.ll.Len()
-	capacity := c.cap
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Size:     size,
-		Capacity: capacity,
-	}
 }

@@ -388,13 +388,6 @@ func (c *Client) Catalog(ctx context.Context) (Catalog, error) {
 	return cat, err
 }
 
-// Stats fetches the server counters.
-func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	var st Stats
-	_, err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
-	return st, err
-}
-
 // Health checks /v1/healthz (liveness: the process answers requests).
 func (c *Client) Health(ctx context.Context) error {
 	_, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)

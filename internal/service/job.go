@@ -45,7 +45,7 @@ type job struct {
 	seq   int // submission order; the sort key of GET /v1/jobs
 	specs []wire.TrialSpec
 	// record, when non-nil, asks every trial for a flight-recorder round
-	// series (and routes the job around the result cache — see runJob).
+	// series (and routes the job around the result cache — see store.Lookup).
 	// Written once in submit before the job is published, so no lock.
 	record *wire.RecordSpec
 

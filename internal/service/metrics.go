@@ -7,15 +7,17 @@ import (
 	"dynspread/internal/obs"
 )
 
-// serverMetrics is the service layer's metric set. Counters the server
-// already maintains for /v1/stats (cache hits, queue depth, busy workers)
-// are re-exported as func-backed metrics sampled at scrape time rather than
-// double-counted; genuinely new signals (per-endpoint request counts and
-// latencies, stream health) get their own instruments. Jobs-by-state is a
-// gauge vector refreshed by an OnScrape hook — every state's series is
-// pre-created so a scrape always shows all five, zeros included.
+// serverMetrics is the service layer's metric set. State the server already
+// holds (queue depth, busy workers, cache size) is exported as func-backed
+// metrics sampled at scrape time; events (cache outcomes, per-endpoint
+// request counts and latencies, stream health) get their own instruments.
+// Jobs-by-state is a gauge vector refreshed by an OnScrape hook — every
+// state's series is pre-created so a scrape always shows all five, zeros
+// included.
 type serverMetrics struct {
 	jobsSubmitted   *obs.Counter
+	cacheHits       *obs.Counter
+	cacheMisses     *obs.Counter
 	streamsActive   *obs.Gauge
 	streamOverflows *obs.Counter
 	requests        *obs.CounterVec
@@ -26,6 +28,10 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	m := &serverMetrics{
 		jobsSubmitted: reg.Counter("dynspread_service_jobs_submitted_total",
 			"Jobs accepted by POST /v1/runs (before queue admission)."),
+		cacheHits: reg.Counter("dynspread_service_cache_hits_total",
+			"Run-cache hits: trials answered without simulation."),
+		cacheMisses: reg.Counter("dynspread_service_cache_misses_total",
+			"Run-cache misses: trials that required simulation."),
 		streamsActive: reg.Gauge("dynspread_service_streams_active",
 			"JSONL result streams currently open."),
 		streamOverflows: reg.Counter("dynspread_service_stream_overflows_total",
@@ -45,18 +51,12 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	reg.GaugeFunc("dynspread_service_busy_workers",
 		"Jobs executing right now (queued and inline).",
 		func() float64 { return float64(s.busy.Load()) })
-	reg.CounterFunc("dynspread_service_cache_hits_total",
-		"Run-cache hits: trials answered without simulation.",
-		func() float64 { return float64(s.cache.Stats().Hits) })
-	reg.CounterFunc("dynspread_service_cache_misses_total",
-		"Run-cache misses: trials that required simulation.",
-		func() float64 { return float64(s.cache.Stats().Misses) })
 	reg.GaugeFunc("dynspread_service_cache_size",
 		"Run-cache entries resident.",
-		func() float64 { return float64(s.cache.Stats().Size) })
+		func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("dynspread_service_cache_capacity",
 		"Run-cache capacity in entries.",
-		func() float64 { return float64(s.cache.Stats().Capacity) })
+		func() float64 { return float64(s.cfg.CacheSize) })
 
 	jobsByState := reg.GaugeVec("dynspread_service_jobs",
 		"Addressable jobs by lifecycle state.", "state")

@@ -6,8 +6,8 @@
 // whose workers execute trials on the context-cancellable sweep pool, and
 // return wire.TrialResult values. Because every run is a deterministic
 // function of its resolved spec, results are kept in a content-addressed
-// LRU cache (canonical-JSON key, see Key) so repeated requests cost zero
-// simulation work.
+// LRU cache (canonical-JSON key, see wire.Key) so repeated requests cost
+// zero simulation work.
 //
 // Endpoints (all under /v1):
 //
@@ -27,7 +27,6 @@
 //	GET  /v1/healthz   pure liveness: 200 whenever the process can answer
 //	GET  /v1/readyz    readiness: 503 while submissions would be refused
 //	                   (shutdown begun or queue full), 200 otherwise
-//	GET  /v1/stats     queue depth, busy workers, job counts, cache counters
 //	GET  /v1/metrics   Prometheus text exposition (internal/obs registry)
 //
 // Shutdown drains in-flight jobs via context cancellation: the sweep pool
@@ -59,7 +58,7 @@ import (
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
 	// Parallelism is the sweep-pool worker count per job (<= 0 selects
-	// GOMAXPROCS).
+	// GOMAXPROCS) of the default in-process Runner.
 	Parallelism int
 	// QueueDepth bounds the number of queued-but-not-running jobs; a full
 	// queue refuses submissions with 503 (default 64).
@@ -76,13 +75,13 @@ type Config struct {
 	// JobHistory bounds how many finished jobs stay addressable via
 	// GET /v1/jobs/{id}; older terminal jobs are forgotten (default 1024).
 	JobHistory int
-	// Runner executes a job's trial specs, streaming each completed result
-	// through onResult (under the sweep layer's OnResult contract). Nil
-	// selects in-process execution on the sweep pool (wire.RunSpecs). A
-	// coordinator-mode spreadd installs internal/cluster's runner here, which
-	// is what makes POST /v1/runs shard transparently across peers: the
-	// service layer — queueing, caching, progress, shutdown — is identical
-	// either way.
+	// Runner executes the trial specs the cache could not serve, streaming
+	// each completed result through onResult (under the sweep layer's
+	// OnResult contract). Nil selects in-process execution on the sweep pool
+	// (wire.RunSpecsWith, Parallelism workers). A coordinator-mode spreadd
+	// installs internal/cluster's runner here, which is what makes POST
+	// /v1/runs shard transparently across peers: the service layer —
+	// queueing, caching, progress, shutdown — is identical either way.
 	Runner Runner
 	// Registry receives the server's metrics (exposed on GET /v1/metrics).
 	// Nil creates a private registry. Pass a shared one so a daemon can merge
@@ -121,8 +120,9 @@ type Config struct {
 	Profiles *store.Store
 }
 
-// Runner is the execution backend of a server: wire.RunSpecs's signature.
-type Runner func(ctx context.Context, specs []wire.TrialSpec, parallelism int, onResult func(i int, r wire.TrialResult)) ([]wire.TrialResult, error)
+// Runner is the execution backend of a server. rec, when non-nil, is the
+// job's flight-recorder request: every result must carry its round series.
+type Runner func(ctx context.Context, specs []wire.TrialSpec, rec *wire.RecordSpec, onResult func(i int, r wire.TrialResult)) ([]wire.TrialResult, error)
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
@@ -150,16 +150,6 @@ func (c Config) withDefaults() Config {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
-}
-
-// Stats is the body of GET /v1/stats.
-type Stats struct {
-	QueueDepth    int              `json:"queue_depth"`
-	QueueCapacity int              `json:"queue_capacity"`
-	JobWorkers    int              `json:"job_workers"`
-	BusyWorkers   int              `json:"busy_workers"`
-	JobsByState   map[JobState]int `json:"jobs_by_state"`
-	Cache         CacheStats       `json:"cache"`
 }
 
 // Server is the simulation service.
@@ -211,7 +201,7 @@ func New(cfg Config) *Server {
 		// injected runner (coordinator mode, tests) reports through its own
 		// instruments, and registering unused families here would make
 		// /v1/metrics lie about a pool that never runs.
-		runner = wire.RunSpecsWith(sweep.NewPoolMetrics(reg), cfg.Tracer)
+		runner = wire.RunSpecsWith(sweep.NewPoolMetrics(reg), cfg.Tracer, cfg.Parallelism)
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -247,17 +237,12 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job: cached specs complete instantly, the rest run on
-// the sweep pool, each completion streamed into the job's progress counter
-// and stored in the cache. Duplicate specs within one job are simulated
-// once — every instance of a key shares the single execution's result (each
-// instance still counts as its own cache miss, since none was served from
-// the cache).
-//
-// A recorded job (RunRequest.Record set) bypasses the cache entirely — no
-// Get, because cached results lack round series, and no Put, because the
-// series' ring parameters are request-scoped, not spec-scoped, and a cached
-// recorded result would leak one request's series into another's answer.
+// runJob executes one job: store.Lookup serves cached specs instantly and
+// collapses duplicates, the distinct misses run on the runner, and each
+// completion is cached and streamed into every index holding its key (each
+// duplicate instance still counts as its own cache miss, since none was
+// served from the cache). A recorded job (RunRequest.Record set) passes the
+// cache by entirely — see store.Lookup.
 func (s *Server) runJob(j *job) {
 	defer s.release(j)
 	j.queueSpan.End()
@@ -270,47 +255,25 @@ func (s *Server) runJob(j *job) {
 	if j.span != nil {
 		ctx, runSpan = s.cfg.Tracer.Start(tracing.ContextWithRemote(s.ctx, j.span.Context()), "run")
 	}
-	record := j.record
-	if record != nil {
-		ctx = wire.WithRecord(ctx, record)
-	}
-	var (
-		missSpecs []wire.TrialSpec
-		missKeys  []string
-		missByKey = map[string][]int{}
-	)
-	for i, spec := range j.specs {
-		key := Key(spec)
-		if record == nil {
-			if res, ok := s.cache.Get(key); ok {
-				j.deliver(i, res)
-				j.cacheHits.Add(1)
-				continue
-			}
-		}
-		j.cacheMisses.Add(1)
-		if _, dup := missByKey[key]; !dup {
-			missSpecs = append(missSpecs, spec)
-			missKeys = append(missKeys, key)
-		}
-		missByKey[key] = append(missByKey[key], i)
+	b := store.Lookup(j.specs, s.cache, j.record, j.deliver)
+	misses := int64(len(j.specs) - b.Hits)
+	j.cacheHits.Store(int64(b.Hits))
+	j.cacheMisses.Store(misses)
+	s.metrics.cacheHits.Add(int64(b.Hits))
+	if j.record == nil {
+		// A recorded job looks nothing up, so its trials miss for the job
+		// but not for the cache.
+		s.metrics.cacheMisses.Add(misses)
 	}
 	if runSpan != nil {
-		runSpan.SetAttrInt("cache_hits", j.cacheHits.Load())
-		runSpan.SetAttrInt("cache_misses", j.cacheMisses.Load())
-		runSpan.SetAttrInt("unique_misses", int64(len(missSpecs)))
+		runSpan.SetAttrInt("cache_hits", int64(b.Hits))
+		runSpan.SetAttrInt("cache_misses", misses)
+		runSpan.SetAttrInt("unique_misses", int64(len(b.Misses)))
 	}
-	if len(missSpecs) > 0 {
-		_, err := s.runner(ctx, missSpecs, s.cfg.Parallelism,
-			func(mi int, r wire.TrialResult) {
-				key := missKeys[mi]
-				if record == nil {
-					s.cache.Put(key, r)
-				}
-				for _, i := range missByKey[key] {
-					j.deliver(i, r)
-				}
-			})
+	if len(b.Misses) > 0 {
+		_, err := s.runner(ctx, b.Misses, j.record, func(mi int, r wire.TrialResult) {
+			b.Deliver(b.Keys[mi], r) // the cache's Put never fails
+		})
 		if err != nil {
 			runSpan.EndErr(err)
 			j.finish(err)
@@ -456,24 +419,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Stats snapshots the server counters.
-func (s *Server) Stats() Stats {
-	byState := map[JobState]int{}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		byState[j.Status().State]++
-	}
-	s.mu.Unlock()
-	return Stats{
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-		JobWorkers:    s.cfg.JobWorkers,
-		BusyWorkers:   int(s.busy.Load()),
-		JobsByState:   byState,
-		Cache:         s.cache.Stats(),
-	}
-}
-
 // Handler returns the /v1 API mux. Every route is instrumented with
 // request-count and latency metrics keyed by its pattern (see route).
 func (s *Server) Handler() http.Handler {
@@ -486,7 +431,6 @@ func (s *Server) Handler() http.Handler {
 	s.route(mux, "GET /v1/catalog", "/v1/catalog", s.handleCatalog)
 	s.route(mux, "GET /v1/healthz", "/v1/healthz", s.handleHealthz)
 	s.route(mux, "GET /v1/readyz", "/v1/readyz", s.handleReadyz)
-	s.route(mux, "GET /v1/stats", "/v1/stats", s.handleStats)
 	s.route(mux, "GET /v1/metrics", "/v1/metrics", s.handleMetrics)
 	s.route(mux, "GET /v1/traces/{id}", "/v1/traces/{id}", s.handleTrace)
 	s.route(mux, "POST /v1/debug/profile", "/v1/debug/profile", s.handleProfileCapture)
@@ -569,12 +513,6 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	if req.Record != nil {
-		if err := req.Record.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
 	}
 	// Join the caller's trace when the request carries a valid traceparent;
 	// a malformed header is ignored (the job roots a fresh trace), never 4xx —
@@ -714,10 +652,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	default:
 		writeJSON(w, http.StatusOK, readyBody{Status: "ready"})
 	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 // Catalog is the body of GET /v1/catalog: every registered component, each

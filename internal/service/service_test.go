@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dynspread/internal/obs"
 	"dynspread/internal/wire"
 )
 
@@ -28,6 +30,28 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		hs:     hs,
 		client: &Client{BaseURL: hs.URL, HTTPClient: hs.Client()},
 	}
+}
+
+// metric scrapes /v1/metrics and returns the value of one series.
+func (h *harness) metric(t *testing.T, name string, labels map[string]string) float64 {
+	t.Helper()
+	raw, err := h.client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := obs.Find(fams, name)
+	if f == nil {
+		t.Fatalf("family %s missing from /v1/metrics", name)
+	}
+	v, ok := f.Value(labels)
+	if !ok {
+		t.Fatalf("series %s%v missing from /v1/metrics", name, labels)
+	}
+	return v
 }
 
 // close tears the harness down in the order a process would: HTTP listener
@@ -66,7 +90,7 @@ var e2eGrid = wire.GridSpec{
 
 // TestServiceE2E is the acceptance flow: the same sweep submitted twice
 // returns identical results with the second response served from the cache
-// (verified via the response counters and /v1/stats), and shutdown drains
+// (verified via the response counters and /v1/metrics), and shutdown drains
 // without leaking goroutines.
 func TestServiceE2E(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -116,15 +140,12 @@ func TestServiceE2E(t *testing.T) {
 	if !reflect.DeepEqual(firstDone.Results, secondDone.Results) {
 		t.Fatal("second sweep's results differ from the first")
 	}
-	stats, err := h.client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	hits, size := h.metric(t, "dynspread_service_cache_hits_total", nil), h.metric(t, "dynspread_service_cache_size", nil)
+	if hits < float64(total) || size != float64(total) {
+		t.Fatalf("metrics disagree with the cache hit: hits %v size %v", hits, size)
 	}
-	if stats.Cache.Hits < int64(total) || stats.Cache.Size != total {
-		t.Fatalf("stats disagree with the cache hit: %+v", stats.Cache)
-	}
-	if stats.JobsByState[JobDone] != 2 {
-		t.Fatalf("jobs by state: %+v", stats.JobsByState)
+	if done := h.metric(t, "dynspread_service_jobs", map[string]string{"state": string(JobDone)}); done != 2 {
+		t.Fatalf("done jobs = %v, want 2", done)
 	}
 
 	h.close(t, ctx)
@@ -274,12 +295,8 @@ func TestServiceDeduplicatesWithinJob(t *testing.T) {
 	if !reflect.DeepEqual(st.Results[0], st.Results[1]) || !reflect.DeepEqual(st.Results[0], st.Results[2]) {
 		t.Fatal("duplicate specs got different results")
 	}
-	stats, err := h.client.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Cache.Size != 1 {
-		t.Fatalf("3 duplicate specs filled %d cache entries, want 1", stats.Cache.Size)
+	if size := h.metric(t, "dynspread_service_cache_size", nil); size != 1 {
+		t.Fatalf("3 duplicate specs filled %v cache entries, want 1", size)
 	}
 }
 

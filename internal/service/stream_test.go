@@ -238,7 +238,7 @@ func TestStreamSlowConsumerFallback(t *testing.T) {
 // throughout.
 func TestReadyz(t *testing.T) {
 	block := make(chan struct{})
-	runner := func(ctx context.Context, specs []wire.TrialSpec, _ int, _ func(int, wire.TrialResult)) ([]wire.TrialResult, error) {
+	runner := func(ctx context.Context, specs []wire.TrialSpec, _ *wire.RecordSpec, _ func(int, wire.TrialResult)) ([]wire.TrialResult, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():

@@ -1,20 +1,14 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Trial produces one independent execution result. Implementations must
-// construct their own engine inputs (fresh adversary and factory instances —
-// adversaries are stateful and must never be shared across trials).
-type Trial func() (*Result, error)
-
-// ForEach is the shared worker-pool primitive under RunParallel and the
-// sweep layer: it runs a job for every index in [0, n) on up to `workers`
-// goroutines (<= 0 selects runtime.GOMAXPROCS(0)). Each goroutine calls
+// ForEach is the worker-pool primitive under the sweep layer: it runs a
+// job for every index in [0, n) on up to `workers` goroutines (<= 0
+// selects runtime.GOMAXPROCS(0)). Each goroutine calls
 // newWorker once and feeds every index it claims to the returned job
 // function, so workers can hold per-worker state (the sweep layer's
 // buffer Workspace) without synchronization. Indices are claimed in order;
@@ -58,34 +52,4 @@ func ForEach(n, workers int, newWorker func() func(i int) error) (int, error) {
 		}
 	}
 	return -1, nil
-}
-
-// RunParallel executes independent trials on up to parallelism workers and
-// returns their results in input order; parallelism <= 0 selects
-// runtime.GOMAXPROCS(0). The first error (by trial index) wins, and workers
-// stop picking up new trials as soon as any trial fails.
-//
-// This is the low-level escape hatch for trials the declarative sweep layer
-// cannot express (custom instrumented factories or adversaries); plain
-// algorithm×adversary grids should use the sweep package, which adds
-// registry resolution and per-worker buffer reuse on top of the same pool.
-//
-// The engines themselves are single-threaded; this helper only parallelizes
-// across executions.
-func RunParallel(trials []Trial, parallelism int) ([]*Result, error) {
-	results := make([]*Result, len(trials))
-	i, err := ForEach(len(trials), parallelism, func() func(i int) error {
-		return func(i int) error {
-			if trials[i] == nil {
-				return fmt.Errorf("nil trial")
-			}
-			var err error
-			results[i], err = trials[i]()
-			return err
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: trial %d: %w", i, err)
-	}
-	return results, nil
 }

@@ -1,121 +1,60 @@
 package sim
 
 import (
-	"fmt"
+	"errors"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
-
-	"dynspread/internal/graph"
-	"dynspread/internal/token"
 )
 
-func trialOf(t *testing.T, seed int64) Trial {
-	t.Helper()
-	return func() (*Result, error) {
-		assign, err := token.SingleSource(6, 3, 0)
-		if err != nil {
-			return nil, err
-		}
-		return RunUnicast(UnicastConfig{
-			Assign:    assign,
-			Factory:   newPushProto,
-			Adversary: staticAdv{graph.Cycle(6)},
-			Seed:      seed,
-		})
-	}
-}
-
-func TestRunParallelOrderAndResults(t *testing.T) {
-	trials := make([]Trial, 8)
-	for i := range trials {
-		trials[i] = trialOf(t, int64(i))
-	}
-	results, err := RunParallel(trials, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 8 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, r := range results {
-		if r == nil || !r.Completed {
-			t.Fatalf("trial %d: %+v", i, r)
-		}
-	}
-	// Determinism: same seeds via sequential run must agree.
-	seq, err := RunParallel(trials, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i].Metrics != results[i].Metrics {
-			t.Fatalf("trial %d differs between parallel and sequential", i)
-		}
-	}
-}
-
-func TestRunParallelErrorPropagates(t *testing.T) {
-	trials := []Trial{
-		trialOf(t, 1),
-		func() (*Result, error) { return nil, fmt.Errorf("boom") },
-		trialOf(t, 2),
-	}
-	_, err := RunParallel(trials, 3)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v", err)
-	}
-	if !strings.Contains(err.Error(), "trial 1") {
-		t.Fatalf("error does not identify the trial: %v", err)
-	}
-}
-
-func TestRunParallelNilTrial(t *testing.T) {
-	if _, err := RunParallel([]Trial{nil}, 2); err == nil {
-		t.Fatal("nil trial accepted")
-	}
-}
-
-func TestRunParallelDefaultsToGOMAXPROCS(t *testing.T) {
-	var peak, cur int64
-	trials := make([]Trial, 2*runtime.GOMAXPROCS(0)+4)
-	for i := range trials {
-		trials[i] = func() (*Result, error) {
-			c := atomic.AddInt64(&cur, 1)
+// TestForEachDefaultsToGOMAXPROCS: workers <= 0 runs at most GOMAXPROCS
+// jobs at once, and an empty index range runs none.
+func TestForEachDefaultsToGOMAXPROCS(t *testing.T) {
+	var peak, cur atomic.Int64
+	n := 2*runtime.GOMAXPROCS(0) + 4
+	_, err := ForEach(n, 0, func() func(i int) error {
+		return func(int) error {
+			c := cur.Add(1)
 			for {
-				p := atomic.LoadInt64(&peak)
-				if c <= p || atomic.CompareAndSwapInt64(&peak, p, c) {
+				p := peak.Load()
+				if c <= p || peak.CompareAndSwap(p, c) {
 					break
 				}
 			}
-			defer atomic.AddInt64(&cur, -1)
-			return &Result{Completed: true}, nil
+			cur.Add(-1)
+			return nil
 		}
-	}
-	if _, err := RunParallel(trials, 0); err != nil { // defaults to GOMAXPROCS
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, limit := atomic.LoadInt64(&peak), int64(runtime.GOMAXPROCS(0)); got < 1 || got > limit {
+	if got, limit := peak.Load(), int64(runtime.GOMAXPROCS(0)); got < 1 || got > limit {
 		t.Fatalf("peak concurrency %d outside [1, GOMAXPROCS=%d]", got, limit)
 	}
-	if _, err := RunParallel(nil, 4); err != nil {
-		t.Fatal(err)
+	if i, err := ForEach(0, 4, func() func(int) error { return nil }); i != -1 || err != nil {
+		t.Fatalf("empty ForEach = (%d, %v)", i, err)
 	}
 }
 
-func TestRunParallelStopsDispatchingAfterError(t *testing.T) {
+// TestForEachStopsDispatchingAfterError: after a job fails no new index is
+// dispatched, and ForEach reports the failing index with its error.
+func TestForEachStopsDispatchingAfterError(t *testing.T) {
+	boom := errors.New("boom")
 	var ran atomic.Int64
-	trials := []Trial{
-		func() (*Result, error) { return nil, fmt.Errorf("boom") },
-		func() (*Result, error) { ran.Add(1); return &Result{Completed: true}, nil },
-		func() (*Result, error) { ran.Add(1); return &Result{Completed: true}, nil },
-	}
-	// One worker: after trial 0 fails, trials 1 and 2 must never start.
-	if _, err := RunParallel(trials, 1); err == nil {
-		t.Fatal("expected error")
+	// One worker: after index 0 fails, indices 1 and 2 must never start.
+	i, err := ForEach(3, 1, func() func(i int) error {
+		return func(i int) error {
+			if i == 0 {
+				return boom
+			}
+			ran.Add(1)
+			return nil
+		}
+	})
+	if i != 0 || !errors.Is(err, boom) {
+		t.Fatalf("ForEach = (%d, %v), want (0, boom)", i, err)
 	}
 	if n := ran.Load(); n != 0 {
-		t.Fatalf("%d trials dispatched after the first error", n)
+		t.Fatalf("%d jobs dispatched after the first error", n)
 	}
 }

@@ -230,23 +230,12 @@ func (s *Store) Get(key string) (wire.TrialResult, bool) {
 	return res, ok
 }
 
-// Has reports whether key is stored.
-func (s *Store) Has(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Len returns the number of stored results.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.index)
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Stats is a snapshot of the store's contents and lifetime traffic.
 type Stats struct {

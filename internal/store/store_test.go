@@ -33,8 +33,8 @@ func TestStorePutGetReopen(t *testing.T) {
 		}
 		keys = append(keys, k)
 	}
-	if s.Len() != 10 || !s.Has(keys[3]) {
-		t.Fatalf("len=%d has=%v", s.Len(), s.Has(keys[3]))
+	if _, ok := s.Get(keys[3]); s.Len() != 10 || !ok {
+		t.Fatalf("len=%d has=%v", s.Len(), ok)
 	}
 	// Duplicate Put is a no-op.
 	k0, r0 := result(0, 5)
@@ -120,7 +120,7 @@ func TestStoreToleratesTornTail(t *testing.T) {
 		t.Fatalf("torn tail failed Open: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != 1 || !s2.Has(k) {
+	if _, ok := s2.Get(k); s2.Len() != 1 || !ok {
 		t.Fatalf("intact record lost: len=%d", s2.Len())
 	}
 	// A fresh Put lands in a NEW segment, never after the torn line.

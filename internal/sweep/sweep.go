@@ -21,7 +21,6 @@ import (
 	"dynspread/internal/registry"
 	"dynspread/internal/scenario"
 	"dynspread/internal/sim"
-	"dynspread/internal/stats"
 	"dynspread/internal/token"
 	"dynspread/internal/trace"
 	"dynspread/internal/tracing"
@@ -541,25 +540,3 @@ func RunGrid(ctx context.Context, g Grid, opts Options) ([]Result, error) {
 	}
 	return Run(ctx, g.Trials(), opts)
 }
-
-// Aggregate summarizes one metric over a set of results, keyed by a
-// caller-chosen extractor — e.g. messages per trial, rounds per trial.
-func Aggregate(results []Result, metric func(Result) float64) stats.Summary {
-	xs := make([]float64, 0, len(results))
-	for _, r := range results {
-		xs = append(xs, metric(r))
-	}
-	return stats.Summarize(xs)
-}
-
-// Common metric extractors for Aggregate.
-var (
-	// Messages extracts the trial's total message count.
-	Messages = func(r Result) float64 { return float64(r.Res.Metrics.Messages) }
-	// Rounds extracts the trial's round count.
-	Rounds = func(r Result) float64 { return float64(r.Res.Rounds) }
-	// TC extracts the adversary's topological-change count.
-	TC = func(r Result) float64 { return float64(r.Res.Metrics.TC) }
-	// AmortizedPerToken extracts Messages/K.
-	AmortizedPerToken = func(r Result) float64 { return r.Res.Metrics.AmortizedPerToken(r.Trial.K) }
-)

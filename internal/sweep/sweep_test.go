@@ -157,23 +157,6 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	results, err := Run(context.Background(), []Trial{
-		{N: 10, K: 8, Algorithm: "single-source", Adversary: "static", Seed: 1},
-		{N: 10, K: 8, Algorithm: "single-source", Adversary: "static", Seed: 2},
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Aggregate(results, Messages)
-	if s.N != 2 || s.Mean <= 0 || s.Min > s.Max {
-		t.Fatalf("bad summary %+v", s)
-	}
-	if r := Aggregate(results, Rounds); r.Mean <= 0 {
-		t.Fatalf("bad rounds summary %+v", r)
-	}
-}
-
 func TestRunPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -9,9 +9,11 @@
 // result log.
 //
 // The root dynspread package re-exports every type here as an alias, so
-// public callers never import this package directly; it exists as a leaf so
-// the service, cluster, and store layers can share the schema without
-// importing the facade.
+// public callers never import this package directly; it exists below the
+// facade so the service, cluster, and store layers can share the schema
+// without importing it. It is not a leaf: it converts to and from sweep
+// types and hosts the in-process runner (RunSpecs), so it imports sim,
+// sweep, and tracing.
 package wire
 
 import (
@@ -179,30 +181,6 @@ func (r RecordSpec) RecorderConfig() sim.RecorderConfig {
 	return sim.RecorderConfig{Stride: r.Stride, Capacity: r.Capacity}
 }
 
-// recordCtxKey carries a RecordSpec through a context. The runner signature
-// shared by the service, the cluster coordinator, and RunSpecs is
-// (ctx, specs, parallelism, onResult); recording is a per-JOB observation
-// option, so it rides the job's context rather than widening every runner.
-type recordCtxKey struct{}
-
-// WithRecord returns a context that opts runs under it into flight
-// recording. rec == nil returns ctx unchanged.
-func WithRecord(ctx context.Context, rec *RecordSpec) context.Context {
-	if rec == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, recordCtxKey{}, rec)
-}
-
-// RecordFromContext returns the RecordSpec the context carries, or nil.
-func RecordFromContext(ctx context.Context) *RecordSpec {
-	if ctx == nil {
-		return nil
-	}
-	rec, _ := ctx.Value(recordCtxKey{}).(*RecordSpec)
-	return rec
-}
-
 // Validate rejects wire specs whose shape is negative or absurdly large,
 // with an error naming the offending field. Registry-name resolution and
 // instance-consistency checks (unknown algorithm, sources > n, …) stay with
@@ -344,10 +322,16 @@ type RunRequest struct {
 	Record *RecordSpec `json:"record,omitempty"`
 }
 
-// Specs validates the request and flattens it into the trial list to run.
+// Specs validates the request (its recorder shape included) and flattens
+// it into the trial list to run.
 func (r RunRequest) Specs() ([]TrialSpec, error) {
 	if len(r.Trials) == 0 && r.Grid == nil {
 		return nil, fmt.Errorf("dynspread: run request names no trials and no grid")
+	}
+	if r.Record != nil {
+		if err := r.Record.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	specs := make([]TrialSpec, 0, len(r.Trials))
 	for i, s := range r.Trials {
@@ -587,76 +571,65 @@ func (s ShardRequest) RunRequest() RunRequest {
 	return RunRequest{Trials: s.Trials, Record: s.Record}
 }
 
-// ShardResponse pairs a completed shard with its per-trial results,
-// Results[i] corresponding to ShardRequest.Trials[i].
-type ShardResponse struct {
-	Shard int `json:"shard"`
-	// Worker is the base URL of the worker that executed the shard.
-	Worker  string        `json:"worker"`
-	Results []TrialResult `json:"results"`
-}
-
 // RunSpecs executes wire-form trials on the sweep worker pool and returns
 // their results in input order. onResult, when non-nil, is invoked once per
 // completed trial as soon as its result is available, under the sweep
 // layer's OnResult contract (concurrent calls, completion order, nothing
-// after RunSpecs returns) — this is how the spreadd service streams job
-// progress. Error and cancellation semantics match sweep.Run: the first
-// error wins and no results are returned.
+// after RunSpecs returns). Error and cancellation semantics match
+// sweep.Run: the first error wins and no results are returned.
 func RunSpecs(ctx context.Context, specs []TrialSpec, parallelism int, onResult func(i int, r TrialResult)) ([]TrialResult, error) {
-	return runSpecs(ctx, specs, parallelism, onResult, nil, nil)
+	return RunSpecsWith(nil, nil, parallelism)(ctx, specs, nil, onResult)
 }
 
-// RunSpecsWith returns a RunSpecs-shaped runner whose sweeps additionally
-// record into pm (trials started/completed/failed, rounds and messages
-// totals, per-trial duration histogram) and, when tr is non-nil, open one
-// span per trial parented on the span context the ctx carries. The spreadd
-// service installs one of these as its default runner, which is how a
-// worker daemon's /v1/metrics reports sweep-pool throughput and its job
-// traces reach trial granularity. Either handle may be nil.
-func RunSpecsWith(pm *sweep.PoolMetrics, tr *tracing.Tracer) func(ctx context.Context, specs []TrialSpec, parallelism int, onResult func(i int, r TrialResult)) ([]TrialResult, error) {
-	return func(ctx context.Context, specs []TrialSpec, parallelism int, onResult func(i int, r TrialResult)) ([]TrialResult, error) {
-		return runSpecs(ctx, specs, parallelism, onResult, pm, tr)
-	}
-}
-
-func runSpecs(ctx context.Context, specs []TrialSpec, parallelism int, onResult func(i int, r TrialResult), pm *sweep.PoolMetrics, tr *tracing.Tracer) ([]TrialResult, error) {
-	trials := make([]sweep.Trial, len(specs))
-	for i, s := range specs {
-		if s.Replay {
-			return nil, fmt.Errorf("dynspread: spec %d replays a recorded trace, which is not part of the wire schema (use Config.Replay in-process, or a trace-backed scenario)", i)
+// RunSpecsWith returns a runner over a sweep pool of parallelism workers
+// (<= 0 selects GOMAXPROCS) that behaves like RunSpecs and additionally
+// records into pm (trials started/completed/failed, rounds and messages
+// totals, per-trial duration histogram) and, when tr is non-nil, opens one
+// span per trial parented on the span context the ctx carries. A non-nil
+// rec attaches a flight recorder to every trial, so each result carries its
+// RoundSeries. The spreadd service installs one of these as its default
+// runner, which is how a worker daemon's /v1/metrics reports sweep-pool
+// throughput and its job traces reach trial granularity. Either handle may
+// be nil.
+func RunSpecsWith(pm *sweep.PoolMetrics, tr *tracing.Tracer, parallelism int) func(ctx context.Context, specs []TrialSpec, rec *RecordSpec, onResult func(i int, r TrialResult)) ([]TrialResult, error) {
+	return func(ctx context.Context, specs []TrialSpec, rec *RecordSpec, onResult func(i int, r TrialResult)) ([]TrialResult, error) {
+		trials := make([]sweep.Trial, len(specs))
+		for i, s := range specs {
+			if s.Replay {
+				return nil, fmt.Errorf("dynspread: spec %d replays a recorded trace, which is not part of the wire schema (use Config.Replay in-process, or a trace-backed scenario)", i)
+			}
+			if err := s.Validate(); err != nil {
+				return nil, fmt.Errorf("%w (spec %d)", err, i)
+			}
+			trials[i] = s.sweepTrial()
 		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("%w (spec %d)", err, i)
+		out := make([]TrialResult, len(specs))
+		var recCfg *sim.RecorderConfig
+		if rec != nil {
+			if err := rec.Validate(); err != nil {
+				return nil, err
+			}
+			cfg := rec.RecorderConfig()
+			recCfg = &cfg
 		}
-		trials[i] = s.sweepTrial()
-	}
-	out := make([]TrialResult, len(specs))
-	var recCfg *sim.RecorderConfig
-	if rec := RecordFromContext(ctx); rec != nil {
-		if err := rec.Validate(); err != nil {
+		opts := sweep.Options{
+			Parallelism: parallelism,
+			Metrics:     pm,
+			Tracer:      tr,
+			Recorder:    recCfg,
+			OnResult: func(i int, r sweep.Result) {
+				tr := ResultFromSweep(r)
+				out[i] = tr
+				if onResult != nil {
+					onResult(i, tr)
+				}
+			},
+		}
+		if _, err := sweep.Run(ctx, trials, opts); err != nil {
 			return nil, err
 		}
-		cfg := rec.RecorderConfig()
-		recCfg = &cfg
+		return out, nil
 	}
-	opts := sweep.Options{
-		Parallelism: parallelism,
-		Metrics:     pm,
-		Tracer:      tr,
-		Recorder:    recCfg,
-		OnResult: func(i int, r sweep.Result) {
-			tr := ResultFromSweep(r)
-			out[i] = tr
-			if onResult != nil {
-				onResult(i, tr)
-			}
-		},
-	}
-	if _, err := sweep.Run(ctx, trials, opts); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // StreamEvent is one line of a streaming response: the JSONL schema of

@@ -35,11 +35,8 @@ type RunRequest = wire.RunRequest
 type TrialResult = wire.TrialResult
 
 // ShardRequest is the wire form of one planned shard of a distributed
-// sweep (see internal/cluster); ShardResponse pairs it with its results.
-type (
-	ShardRequest  = wire.ShardRequest
-	ShardResponse = wire.ShardResponse
-)
+// sweep (see internal/cluster).
+type ShardRequest = wire.ShardRequest
 
 // StreamEvent is one JSONL line of a streaming run (POST /v1/runs?stream=1
 // or GET /v1/jobs/{id}/stream); see wire.StreamEvent for the event types
