@@ -43,16 +43,16 @@ var (
 // TestAllocGateRecorderStride1: the worst case — a sample taken EVERY round
 // — allocates nothing per steady-state round, in both engine modes.
 func TestAllocGateRecorderStride1(t *testing.T) {
-	gate(t, "unicast recorded stride 1", recorded(gateUnicastCfg, 1), 100, 200)
-	gate(t, "broadcast recorded stride 1", recorded(gateBroadcastCfg, 1), 100, 200)
+	gate(t, "unicast recorded stride 1", facadeRun(t, recorded(gateUnicastCfg, 1)), 100, 200)
+	gate(t, "broadcast recorded stride 1", facadeRun(t, recorded(gateBroadcastCfg, 1)), 100, 200)
 }
 
 // TestAllocGateRecorderStride64: the documented operational stride. Most
 // rounds only advance the recorder's counters; every 64th writes one ring
 // slot in place.
 func TestAllocGateRecorderStride64(t *testing.T) {
-	gate(t, "unicast recorded stride 64", recorded(gateUnicastCfg, 64), 100, 200)
-	gate(t, "broadcast recorded stride 64", recorded(gateBroadcastCfg, 64), 100, 200)
+	gate(t, "unicast recorded stride 64", facadeRun(t, recorded(gateUnicastCfg, 64)), 100, 200)
+	gate(t, "broadcast recorded stride 64", facadeRun(t, recorded(gateBroadcastCfg, 64)), 100, 200)
 }
 
 // recorderOverheadMaxRatio bounds the recorded/unrecorded steady-state

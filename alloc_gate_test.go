@@ -18,14 +18,26 @@ import (
 	"dynspread/internal/bitset"
 	"dynspread/internal/bitset/adaptive"
 	"dynspread/internal/sim"
+	"dynspread/internal/sweep"
 )
 
 // perRoundAllocs returns the average allocations per steady-state round of
-// cfg between rounds r1 and r2 (both below the trial's completion round).
-func perRoundAllocs(t *testing.T, cfg dynspread.Config, r1, r2 int) float64 {
+// run between rounds r1 and r2 (both below the trial's completion round).
+// run(rounds) executes the trial capped at that many rounds on a workspace
+// it reuses across calls.
+func perRoundAllocs(run func(rounds int), r1, r2 int) float64 {
+	run(r2) // warm the workspace to the largest shape
+	a1 := testing.AllocsPerRun(3, func() { run(r1) })
+	a2 := testing.AllocsPerRun(3, func() { run(r2) })
+	return (a2 - a1) / float64(r2-r1)
+}
+
+// facadeRun returns cfg as a perRoundAllocs run function: dynspread.Run on
+// one reused workspace, failing the test if the trial completes.
+func facadeRun(t *testing.T, cfg dynspread.Config) func(rounds int) {
 	t.Helper()
 	cfg.Workspace = sim.NewWorkspace()
-	run := func(rounds int) {
+	return func(rounds int) {
 		c := cfg
 		c.MaxRounds = rounds
 		rep, err := dynspread.Run(c)
@@ -36,24 +48,20 @@ func perRoundAllocs(t *testing.T, cfg dynspread.Config, r1, r2 int) float64 {
 			t.Fatalf("trial completed within %d rounds; the gate needs steady-state rounds", rounds)
 		}
 	}
-	run(r2) // warm the workspace to the largest shape
-	a1 := testing.AllocsPerRun(3, func() { run(r1) })
-	a2 := testing.AllocsPerRun(3, func() { run(r2) })
-	return (a2 - a1) / float64(r2-r1)
 }
 
-// gate fails the test unless cfg's steady-state rounds allocate exactly
+// gate fails the test unless run's steady-state rounds allocate exactly
 // zero. testing.AllocsPerRun counts PROCESS-WIDE mallocs, so unrelated
 // background activity (GC bookkeeping, runtime timers) occasionally leaks
 // ±1 object into the differential — visible as spurious ±0.01 readings,
 // sometimes negative. A real hot-path allocation reproduces on every
 // attempt (even an amortized one, like a growing map, is consistently
 // non-zero), so only a persistent non-zero reading fails.
-func gate(t *testing.T, mode string, cfg dynspread.Config, r1, r2 int) {
+func gate(t *testing.T, mode string, run func(rounds int), r1, r2 int) {
 	t.Helper()
 	var got float64
 	for attempt := 0; attempt < 3; attempt++ {
-		if got = perRoundAllocs(t, cfg, r1, r2); got == 0 {
+		if got = perRoundAllocs(run, r1, r2); got == 0 {
 			return
 		}
 	}
@@ -65,11 +73,37 @@ func gate(t *testing.T, mode string, cfg dynspread.Config, r1, r2 int) {
 // registered static adversary must run its steady-state rounds with zero
 // allocations.
 func TestAllocGateUnicastFloodingRound(t *testing.T) {
-	gate(t, "unicast flooding", dynspread.Config{
+	gate(t, "unicast flooding", facadeRun(t, dynspread.Config{
 		N: 8, K: 512,
 		Algorithm: dynspread.AlgTopkis,
 		Adversary: dynspread.AdvStatic,
 		Seed:      7,
+	}), 100, 200)
+}
+
+// TestAllocGateStabilityCheckedRound: the σ-edge-stability check reads the
+// engine's per-round diff, so the Topkis trial above stays allocation-free
+// with the check on. The facade Config carries no CheckStability, so the
+// trial runs through the sweep layer.
+func TestAllocGateStabilityCheckedRound(t *testing.T) {
+	ws := sim.NewWorkspace()
+	trial := sweep.Trial{
+		N: 8, K: 512,
+		Algorithm:      "topkis",
+		Adversary:      "static",
+		Seed:           7,
+		CheckStability: 3,
+	}
+	gate(t, "σ-checked unicast flooding", func(rounds int) {
+		tr := trial
+		tr.MaxRounds = rounds
+		r, err := sweep.RunTrial(tr, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Res.Completed {
+			t.Fatalf("trial completed within %d rounds; the gate needs steady-state rounds", rounds)
+		}
 	}, 100, 200)
 }
 
@@ -81,24 +115,24 @@ func TestAllocGateUnicastFloodingRound(t *testing.T) {
 // 100→200 are mid-dissemination with announcements, answers and requests
 // all live.
 func TestAllocGateMultiSourceRound(t *testing.T) {
-	gate(t, "multi-source", dynspread.Config{
+	gate(t, "multi-source", facadeRun(t, dynspread.Config{
 		N: 8, K: 512, Sources: 4,
 		Algorithm: dynspread.AlgMultiSource,
 		Adversary: dynspread.AdvStatic,
 		Seed:      7,
-	}, 100, 200)
+	}), 100, 200)
 }
 
 // TestAllocGateBroadcastFloodingRound: the paper's flooding algorithm under
 // the registered static adversary must run its steady-state local-broadcast
 // rounds with zero allocations.
 func TestAllocGateBroadcastFloodingRound(t *testing.T) {
-	gate(t, "broadcast flooding", dynspread.Config{
+	gate(t, "broadcast flooding", facadeRun(t, dynspread.Config{
 		N: 8, K: 64, Sources: 8,
 		Algorithm: dynspread.AlgFlooding,
 		Adversary: dynspread.AdvStatic,
 		Seed:      7,
-	}, 100, 200)
+	}), 100, 200)
 }
 
 // --- ns/round regression gates ---

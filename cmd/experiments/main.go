@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §5 for the per-experiment index) and prints them
-// as markdown (default) or aligned ASCII. Its markdown output is the source
+// evaluation (the internal/experiments package doc holds the per-experiment
+// index) and prints them as markdown (default) or aligned ASCII. Its markdown output is the source
 // of EXPERIMENTS.md.
 //
 // Usage:

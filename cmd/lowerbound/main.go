@@ -1,9 +1,9 @@
 // Command lowerbound runs the Section 2 lower-bound construction with full
 // per-round tracing: flooding (or a random broadcaster) against the strongly
 // adaptive free-edge adversary, recording per round the number of
-// broadcasters, free-graph components, potential Φ(t) and token learnings.
-// The CSV output plots the staircase growth of the potential that the
-// Ω(n²/log²n) amortized-message bound rests on.
+// broadcasters, the edge count and the token learnings, whose running sum is
+// the growth of the potential Φ(t). The CSV output plots the staircase growth
+// of the potential that the Ω(n²/log²n) amortized-message bound rests on.
 //
 // Usage:
 //
@@ -16,17 +16,17 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dynspread/internal/adversary"
 	_ "dynspread/internal/core" // register the bundled algorithms
-	"dynspread/internal/graph"
 	"dynspread/internal/registry"
 	"dynspread/internal/sim"
 	"dynspread/internal/token"
-	"dynspread/internal/trace"
 )
 
 func main() {
@@ -73,24 +73,17 @@ func main() {
 		fatal(fmt.Errorf("free-edge registry entry built a %T, not *adversary.FreeEdge", badv))
 	}
 
-	rec := trace.New()
+	// A stride-1 flight recorder with one slot per round of the cap keeps
+	// every round's sample.
+	maxRounds := 8 * (*n) * (*n)
+	rec := sim.NewRecorder(sim.RecorderConfig{Stride: 1, Capacity: maxRounds})
 	res, err := sim.RunBroadcast(sim.BroadcastConfig{
 		Assign:    assign,
 		Factory:   factory,
 		Adversary: adv,
 		Seed:      *seed,
-		MaxRounds: 8 * (*n) * (*n),
-		OnRound: func(r int, g *graph.Graph, choices []token.ID, learned int64) {
-			b := 0
-			for _, c := range choices {
-				if c != token.None {
-					b++
-				}
-			}
-			rec.Record(r, "broadcasters", float64(b))
-			rec.Record(r, "edges", float64(g.M()))
-			rec.Record(r, "learnings", float64(learned))
-		},
+		MaxRounds: maxRounds,
+		Recorder:  rec,
 	})
 	if err != nil {
 		fatal(err)
@@ -107,7 +100,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "warning: Φ(0) > 0.8nk — probabilistic-method event failed")
 	}
 	if *emitCSV {
-		fmt.Print(rec.CSV())
+		writeCSV(os.Stdout, rec.Snapshot().Samples)
+	}
+}
+
+// writeCSV renders one row per round: the broadcasters, the edge count of
+// the round's graph (the running sum of insertions minus removals from the
+// empty graph G_0), and the token learnings.
+func writeCSV(out io.Writer, samples []sim.RoundSample) {
+	w := bufio.NewWriter(out)
+	fmt.Fprintln(w, "round,broadcasters,edges,learnings")
+	var edges int64
+	for _, s := range samples {
+		edges += s.TC - s.Removals
+		fmt.Fprintf(w, "%d,%g,%g,%g\n", s.Round, float64(s.Broadcasts), float64(edges), float64(s.Learned))
+	}
+	if err := w.Flush(); err != nil {
+		fatal(err)
 	}
 }
 

@@ -31,8 +31,8 @@
 //     replayed verbatim), and a token arrival schedule (burst, uniform
 //     rate, Poisson-like, or explicit — streaming the engine's token supply
 //     over time instead of starting with everything at round 0),
-//   - internal/trace — per-round series recording plus JSONL graph-event
-//     traces (record any run's dynamics, replay them bit-exactly),
+//   - internal/trace — JSONL graph-event traces (record any run's dynamics
+//     from the engine's per-round diffs, replay them bit-exactly),
 //   - internal/sweep — declarative trial grids (including a scenarios axis)
 //     executed on a context-cancellable worker pool sized to GOMAXPROCS
 //     with per-worker buffer reuse and a per-result progress hook,

@@ -228,23 +228,17 @@ func RunFullRecorded(cfg Config) (*TrialResult, *GraphTrace, error) {
 }
 
 func runRecorded(cfg Config) (sweep.Result, *GraphTrace, error) {
-	var b *trace.Builder
-	r, err := run(cfg, func(_ int, g *graph.Graph) {
-		if b == nil {
-			b = trace.NewBuilder(g.N())
-		}
-		b.Observe(g)
-	})
+	tr := &GraphTrace{}
+	r, err := run(cfg, tr.Append)
 	if err != nil {
 		return r, nil, err
 	}
-	if b == nil { // degenerate zero-round completion
-		return r, &GraphTrace{N: r.Trial.N}, nil
-	}
-	return r, b.Trace(), nil
+	// The resolved trial carries the shape: a scenario supplies its own N.
+	tr.N = r.Trial.N
+	return r, tr, nil
 }
 
-func run(cfg Config, onGraph func(r int, g *graph.Graph)) (sweep.Result, error) {
+func run(cfg Config, onDelta func(graph.Diff)) (sweep.Result, error) {
 	if cfg.Scenario == "" {
 		if cfg.N < 2 {
 			return sweep.Result{}, fmt.Errorf("dynspread: need N >= 2, got %d", cfg.N)
@@ -283,7 +277,7 @@ func run(cfg Config, onGraph func(r int, g *graph.Graph)) (sweep.Result, error) 
 		MaxRounds: cfg.MaxRounds,
 		Sigma:     cfg.Sigma,
 		Options:   opts,
-		OnGraph:   onGraph,
+		OnDelta:   onDelta,
 	}, cfg.Workspace, cfg.Recorder)
 	if err != nil {
 		return r, fmt.Errorf("dynspread: %w", err)

@@ -62,8 +62,10 @@ func TestChurnSeqStabilityAndConnectivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracker := graph.NewStabilityTracker(3)
+	var prev *graph.Graph
 	drive(t, seq, 60, func(r int, g *graph.Graph) {
-		tracker.Observe(g)
+		tracker.Observe(graph.Compute(prev, g))
+		prev = g
 	})
 	if !tracker.OK() {
 		t.Fatalf("churn violated σ=3: %+v", tracker.Violations()[0])

@@ -13,13 +13,15 @@ func TestReplayServesRecordedSequence(t *testing.T) {
 	const n, rounds = 10, 15
 	rng := rand.New(rand.NewSource(3))
 	seq := make([]*graph.Graph, rounds)
-	b := trace.NewBuilder(n)
+	tr := &trace.GraphTrace{N: n}
+	var prev *graph.Graph
 	for i := range seq {
 		seq[i] = graph.RandomConnected(n, 2*n, rng)
-		b.Observe(seq[i])
+		tr.Append(graph.Compute(prev, seq[i]))
+		prev = seq[i]
 	}
 
-	a, err := NewReplay(b.Trace())
+	a, err := NewReplay(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestReplayServesRecordedSequence(t *testing.T) {
 		}
 	}
 
-	ba, err := NewReplayBroadcast(b.Trace())
+	ba, err := NewReplayBroadcast(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

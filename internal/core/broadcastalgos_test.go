@@ -189,7 +189,7 @@ func TestSilentBroadcastLimitsSpeakers(t *testing.T) {
 		Factory:   NewSilentBroadcast(2, 0),
 		Adversary: adversary.ObliviousBroadcast(adversary.NewStatic(graph.Complete(n))),
 		MaxRounds: 500,
-		OnRound: func(r int, g *graph.Graph, choices []token.ID, learned int64) {
+		OnRound: func(_ int, _ graph.Diff, choices []token.ID, _ int64) {
 			c := 0
 			for _, ch := range choices {
 				if ch != token.None {

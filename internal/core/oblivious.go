@@ -23,9 +23,13 @@ type ObliviousOpts struct {
 	CF, CS, CGamma float64
 	// Phase1Cap caps phase 1's length; 0 selects the paper's formula
 	// ℓ = k^{1/4}·n^{5/2}·log^{9/4} n. Phase 1 also ends early as soon as
-	// every token has reached a center — an exit that only shortens the
-	// measured hitting time and cannot change message counts, since parked
-	// tokens send nothing (see DESIGN.md §4).
+	// every token has reached a center. That exit is a simulation shortcut,
+	// not a step of the distributed algorithm: it reads a run-global count
+	// of parked tokens (obliviousShared.parked) that no node can observe.
+	// The phase-1 rounds it skips would send nothing, since parked tokens
+	// send nothing and no walk is left; it shortens the measured phase-1
+	// time and moves phase 2 to an earlier round, and so onto different
+	// graphs.
 	Phase1Cap int
 	// ForceTwoPhase skips the s ≤ s0 shortcut and always runs the
 	// random-walk phase (used by experiments at small n, where the

@@ -207,7 +207,7 @@ func TestSingleSourceQuiescentAfterCompletion(t *testing.T) {
 		Factory:   NewSingleSource(),
 		Adversary: staticAdv(graph.Cycle(n)),
 		MaxRounds: 400,
-		OnRound: func(r int, g *graph.Graph, sent []sim.Message, learned int64) {
+		OnRound: func(r int, _ graph.Diff, sent []sim.Message, _ int64) {
 			if completedAt >= 0 && r > completedAt+1 {
 				afterCompletion += int64(len(sent))
 			}

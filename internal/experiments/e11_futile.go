@@ -42,7 +42,7 @@ func E11FutileRounds(cfg Config) (*tablefmt.Table, error) {
 			Seed:           cfg.Seed,
 			CheckStability: 3,
 			MaxRounds:      100 * n * k,
-			OnRound: func(r int, _ *graph.Graph, _ []sim.Message, learned int64) {
+			OnRound: func(r int, _ graph.Diff, _ []sim.Message, learned int64) {
 				learnedAt[r] = learned
 			},
 		})
@@ -60,8 +60,11 @@ func E11FutileRounds(cfg Config) (*tablefmt.Table, error) {
 		}
 		tb.AddRowf(n, k, res.Rounds, stats.LastRequestRound, futile, n,
 			fmt.Sprintf("%d/%d/%d", stats.RequestsByClass[2], stats.RequestsByClass[1], stats.RequestsByClass[0]))
-		if futile > 3*n {
-			return nil, fmt.Errorf("futile rounds %d far exceed Lemma 3.3's bound n=%d", futile, n)
+		// Lemma 3.3's bound itself, with no slack: over seeds 1–300 at quick
+		// scale (n ∈ {16, 32}) and seeds 21–80 at full scale (n ≤ 96) the
+		// measured maximum is 2 futile rounds (futile/n ≤ 1/16).
+		if futile > n {
+			return nil, fmt.Errorf("futile rounds %d exceed Lemma 3.3's bound n=%d", futile, n)
 		}
 	}
 	tb.Notes = "Lemma 3.3 bounds futile rounds (no contributive-edge request and no learning in the next two rounds) by n."

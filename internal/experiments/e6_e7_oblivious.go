@@ -23,10 +23,13 @@ import (
 // center reduction brings the cost down as k grows (the paper's
 // O(n^{5/2}·log^{5/4}n / k^{3/4}) column).
 //
-// Scale note (DESIGN.md §4): at simulable n the paper's center parameter
-// f = n^{1/2}k^{1/4}log^{5/4}n exceeds n, so the sweep scales it with
-// CF < 1; the *shape* — amortized cost decreasing in k, beating MultiSource
-// for large k — is the reproduced claim.
+// Scale note: at simulable n the paper's center parameter
+// f = n^{1/2}k^{1/4}log^{5/4}n exceeds n (f ≈ 115 at n = k = 36), which
+// would mark every node a center and reduce Algorithm 2 to plain
+// Multi-Source-Unicast. The sweep therefore scales f with CF = 0.05, which
+// leaves a handful of centers. The paper's constants do not carry over at
+// this scale; the *shape* — amortized cost decreasing in k, beating
+// MultiSource for large k — is the reproduced claim.
 func E6Table1(cfg Config) (*tablefmt.Table, error) {
 	n := 36
 	if !cfg.Quick {

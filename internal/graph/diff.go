@@ -55,12 +55,11 @@ func appendEdgeDiff(out []Edge, a, b *Graph) []Edge {
 
 // StabilityTracker verifies σ-edge-stability of a dynamic graph sequence as
 // defined in the paper: after an edge appears, it must remain present for at
-// least σ consecutive rounds. Feed it every round's graph in order.
+// least σ consecutive rounds. Feed it every round's Diff in order.
 type StabilityTracker struct {
 	sigma      int
 	round      int
 	insertedAt map[Edge]int // round the edge was last inserted
-	prev       *Graph
 	violations []StabilityViolation
 }
 
@@ -82,10 +81,10 @@ func NewStabilityTracker(sigma int) *StabilityTracker {
 	}
 }
 
-// Observe records the graph of the next round (rounds are 1-based).
-func (t *StabilityTracker) Observe(g *Graph) {
+// Observe records the next round's topology change (rounds are 1-based; the
+// first diff is taken against the empty graph G_0). It retains nothing of d.
+func (t *StabilityTracker) Observe(d Diff) {
 	t.round++
-	d := Compute(t.prev, g)
 	for _, e := range d.Removed {
 		ins := t.insertedAt[e]
 		// The edge existed during rounds [ins, t.round-1]; lifetime in rounds:
@@ -102,7 +101,6 @@ func (t *StabilityTracker) Observe(g *Graph) {
 	for _, e := range d.Inserted {
 		t.insertedAt[e] = t.round
 	}
-	t.prev = g.Clone()
 }
 
 // Violations returns all σ-stability violations observed so far.
@@ -110,13 +108,3 @@ func (t *StabilityTracker) Violations() []StabilityViolation { return t.violatio
 
 // OK reports whether no violation has been observed.
 func (t *StabilityTracker) OK() bool { return len(t.violations) == 0 }
-
-// Age returns the number of consecutive rounds (including the current one)
-// that edge e has been present, or 0 if absent. Valid after Observe.
-func (t *StabilityTracker) Age(e Edge) int {
-	ins, ok := t.insertedAt[e]
-	if !ok {
-		return 0
-	}
-	return t.round - ins + 1
-}

@@ -68,20 +68,22 @@ func TestQuickDiffRoundTrip(t *testing.T) {
 	}
 }
 
+// observeAll feeds tr the diff of each graph against the one before it,
+// starting from the empty graph G_0, as the round engine does.
+func observeAll(tr *StabilityTracker, gs ...*Graph) {
+	var prev *Graph
+	for _, g := range gs {
+		tr.Observe(Compute(prev, g))
+		prev = g
+	}
+}
+
 func TestStabilityTrackerStable(t *testing.T) {
 	tr := NewStabilityTracker(3)
 	g := Path(5)
-	for r := 0; r < 10; r++ {
-		tr.Observe(g)
-	}
+	observeAll(tr, g, g, g, g, g, g, g, g, g, g)
 	if !tr.OK() {
 		t.Fatalf("static graph violated stability: %+v", tr.Violations())
-	}
-	if age := tr.Age(NewEdge(0, 1)); age != 10 {
-		t.Fatalf("Age = %d, want 10", age)
-	}
-	if age := tr.Age(NewEdge(0, 4)); age != 0 {
-		t.Fatalf("Age of absent edge = %d", age)
 	}
 }
 
@@ -91,8 +93,8 @@ func TestStabilityTrackerViolation(t *testing.T) {
 	g2 := g1.Clone()
 	g2.RemoveEdge(0, 1)
 	g2.AddEdge(0, 2)
-	tr.Observe(g1) // round 1: all inserted
-	tr.Observe(g2) // round 2: {0,1} removed after 1 round < 3
+	// Round 1 inserts every edge; round 2 removes {0,1} after 1 round < 3.
+	observeAll(tr, g1, g2)
 	if tr.OK() {
 		t.Fatal("expected violation")
 	}
@@ -109,10 +111,8 @@ func TestStabilityTrackerExactSigma(t *testing.T) {
 	without := New(3)     // replace {0,1} by {0,2} keeping connectivity
 	without.AddEdge(1, 2) //
 	without.AddEdge(0, 2)
-	tr.Observe(with)
-	tr.Observe(with)
-	tr.Observe(with)
-	tr.Observe(without) // {0,1} lived rounds 1..3 = 3 rounds: OK at σ=3
+	// {0,1} lives rounds 1..3 = 3 rounds: OK at σ=3.
+	observeAll(tr, with, with, with, without)
 	if !tr.OK() {
 		t.Fatalf("exact-σ lifetime flagged: %+v", tr.Violations())
 	}
@@ -122,9 +122,11 @@ func TestStabilityTrackerSigmaOne(t *testing.T) {
 	// Every dynamic graph is 1-edge stable.
 	tr := NewStabilityTracker(1)
 	rng := rand.New(rand.NewSource(2))
-	for r := 0; r < 20; r++ {
-		tr.Observe(RandomConnected(8, 10, rng))
+	gs := make([]*Graph, 20)
+	for r := range gs {
+		gs[r] = RandomConnected(8, 10, rng)
 	}
+	observeAll(tr, gs...)
 	if !tr.OK() {
 		t.Fatal("σ=1 should never be violated")
 	}
@@ -132,7 +134,7 @@ func TestStabilityTrackerSigmaOne(t *testing.T) {
 
 func TestStabilityTrackerClampsSigma(t *testing.T) {
 	tr := NewStabilityTracker(0)
-	tr.Observe(Path(3))
+	observeAll(tr, Path(3))
 	if !tr.OK() {
 		t.Fatal("σ clamp failed")
 	}

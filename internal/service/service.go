@@ -559,6 +559,10 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			// execution can never oversubscribe the host.
 		}
 	}
+	// Snapshot before enqueue: once queued, a worker may move the job to
+	// running (or done) before the 202 is written, and the 202 must report
+	// the state the job was accepted in.
+	accepted := j.Status()
 	if err := s.enqueue(j); err != nil {
 		j.cancel(err)
 		s.release(j)
@@ -567,7 +571,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.Status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -277,6 +277,36 @@ func TestServiceSyncSpillsToQueueWhenSaturated(t *testing.T) {
 	}
 }
 
+// TestServiceAcceptedJobReportsQueued: a 202 answers with the state the job
+// was accepted in. With a runner that returns at once, a queue worker often
+// picks the job up before the handler writes its response; the body must
+// still say queued, never running or done.
+func TestServiceAcceptedJobReportsQueued(t *testing.T) {
+	const submissions = 2000
+	noop := func(_ context.Context, specs []wire.TrialSpec, _ *wire.RecordSpec, _ func(int, wire.TrialResult)) ([]wire.TrialResult, error) {
+		return make([]wire.TrialResult, len(specs)), nil
+	}
+	h := newHarness(t, Config{QueueDepth: submissions, Runner: noop})
+	defer h.close(t, context.Background())
+	ctx := context.Background()
+	late := 0
+	for i := 0; i < submissions; i++ {
+		st, err := h.client.Run(ctx, wire.RunRequest{
+			Trials: []wire.TrialSpec{{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: int64(i)}},
+			Async:  true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != JobQueued {
+			late++
+		}
+	}
+	if late > 0 {
+		t.Fatalf("%d of %d 202 bodies reported a state other than queued", late, submissions)
+	}
+}
+
 // TestServiceDeduplicatesWithinJob: duplicate specs in one request are
 // simulated once and share the result.
 func TestServiceDeduplicatesWithinJob(t *testing.T) {

@@ -96,7 +96,7 @@ func TestArrivalScheduleStreamsUnicast(t *testing.T) {
 		Adversary:       staticAdv{graph.Path(n)},
 		Seed:            1,
 		ArrivalSchedule: sched,
-		OnRound: func(r int, _ *graph.Graph, sent []Message, _ int64) {
+		OnRound: func(r int, _ graph.Diff, sent []Message, _ int64) {
 			for i := range sent {
 				if tok := sent[i].carriedToken(); tok != token.None {
 					if _, ok := firstSeen[tok]; !ok {

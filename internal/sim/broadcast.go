@@ -19,14 +19,18 @@ type BroadcastConfig struct {
 	Adversary BroadcastAdversary
 	MaxRounds int
 	Seed      int64
+	// CheckStability, when > 0, verifies σ-edge-stability exactly as in
+	// UnicastConfig.
+	CheckStability int
 	// ArrivalSchedule, when non-nil, streams the token supply exactly as in
 	// UnicastConfig: entry t is the round token t is injected at its source
 	// (0 = present before round 1); nil reproduces the classic semantics.
 	ArrivalSchedule []int
-	// OnRound, if non-nil, observes each round: the graph, the committed
-	// choices, and the number of token learnings that happened this round.
-	// The choices slice is only valid for the duration of the callback.
-	OnRound func(r int, g *graph.Graph, choices []token.ID, learned int64)
+	// OnRound, if non-nil, observes each round: the round's topology change
+	// (as in UnicastConfig.OnRound), the committed choices, and the number of
+	// token learnings that happened this round. The diff d and the choices
+	// slice are only valid for the duration of the callback.
+	OnRound func(r int, d graph.Diff, choices []token.ID, learned int64)
 	// Workspace, if non-nil, supplies reusable buffers (see Workspace).
 	Workspace *Workspace
 	// Recorder, if non-nil, attaches a flight recorder (see Recorder).
@@ -39,12 +43,13 @@ type BroadcastConfig struct {
 // round engine.
 func RunBroadcast(cfg BroadcastConfig) (*Result, error) {
 	return runEngine(engineConfig{
-		assign:    cfg.Assign,
-		maxRounds: cfg.MaxRounds,
-		seed:      cfg.Seed,
-		ws:        cfg.Workspace,
-		arrivals:  cfg.ArrivalSchedule,
-		rec:       cfg.Recorder,
+		assign:         cfg.Assign,
+		maxRounds:      cfg.MaxRounds,
+		seed:           cfg.Seed,
+		checkStability: cfg.CheckStability,
+		ws:             cfg.Workspace,
+		arrivals:       cfg.ArrivalSchedule,
+		rec:            cfg.Recorder,
 	}, &broadcastMode{cfg: cfg})
 }
 
@@ -123,9 +128,8 @@ func (m *broadcastMode) commit(r int) error {
 // execution view (the paper's strongly adaptive adversary).
 //
 //dynspread:hotpath
-func (m *broadcastMode) wire(r int, prev *graph.Graph) *graph.Graph {
+func (m *broadcastMode) wire(r int) *graph.Graph {
 	m.view.Round = r
-	m.view.Prev = prev
 	m.view.Choices = m.choices
 	return m.cfg.Adversary.NextGraph(&m.view)
 }
@@ -160,8 +164,8 @@ func (m *broadcastMode) exchange(r int, g *graph.Graph) (int64, error) {
 }
 
 //dynspread:hotpath
-func (m *broadcastMode) observe(r int, g *graph.Graph, learned int64) {
+func (m *broadcastMode) observe(r int, d graph.Diff, learned int64) {
 	if m.cfg.OnRound != nil {
-		m.cfg.OnRound(r, g, m.choices, learned)
+		m.cfg.OnRound(r, d, m.choices, learned)
 	}
 }

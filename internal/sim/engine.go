@@ -15,14 +15,17 @@ import (
 // modes. One execution is: setup (knowledge sets, per-node protocol
 // instances) and then, per round,
 //
-//	commit → adversary graph → validate → TC accounting → exchange → observe
+//	commit → adversary graph → validate → diff → exchange → observe
 //
 // where commit is the pre-graph half of the round (local broadcast: nodes
 // commit their broadcasts before the strongly adaptive adversary wires the
-// graph; unicast: nothing) and exchange is the post-graph half (unicast:
-// BeginRound/Send/validate/deliver; broadcast: deliver the committed
-// broadcasts to the round's neighbors). RunUnicast and RunBroadcast are thin
-// wrappers that plug their engineMode into runEngine.
+// graph; unicast: nothing), diff is the round's topology change E⁺_r/E⁻_r
+// against the previous round's graph — computed once and read by TC
+// accounting, the σ-stability check and the OnRound hooks alike — and
+// exchange is the post-graph half (unicast: BeginRound/Send/validate/
+// deliver; broadcast: deliver the committed broadcasts to the round's
+// neighbors). RunUnicast and RunBroadcast are thin wrappers that plug their
+// engineMode into runEngine.
 
 // maxRoundCap bounds every round cap the engine will accept or derive.
 // It is far above any instance a simulation can actually execute, while
@@ -85,14 +88,14 @@ type engineMode interface {
 	advName() string
 	// commit runs the pre-graph half of round r.
 	commit(r int) error
-	// wire asks the adversary for round r's graph; prev is round r-1's graph
-	// (the empty graph before round 1).
-	wire(r int, prev *graph.Graph) *graph.Graph
+	// wire asks the adversary for round r's graph.
+	wire(r int) *graph.Graph
 	// exchange runs the post-graph half of round r on graph g, doing all
 	// per-message accounting; it returns the number of token-learning events.
 	exchange(r int, g *graph.Graph) (learned int64, err error)
-	// observe reports the finished round to the caller's OnRound hook.
-	observe(r int, g *graph.Graph, learned int64)
+	// observe reports the finished round and its topology change d to the
+	// caller's OnRound hook.
+	observe(r int, d graph.Diff, learned int64)
 	// arriver returns node v's protocol as a TokenArriver, or nil if the
 	// protocol does not support streaming token arrival.
 	arriver(v graph.NodeID) TokenArriver
@@ -270,22 +273,22 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 		if err := mode.commit(r); err != nil {
 			return nil, err
 		}
-		g := mode.wire(r, prev)
+		g := mode.wire(r)
 		if g == nil || g.N() != n {
 			return nil, fmt.Errorf("sim: adversary %q returned invalid graph in round %d", mode.advName(), r)
 		}
 		if !g.Connected() {
 			return nil, fmt.Errorf("sim: adversary %q returned disconnected graph in round %d", mode.advName(), r)
 		}
+		diff := graph.Compute(prev, g)
 		if stability != nil {
-			stability.Observe(g)
+			stability.Observe(diff)
 			if !stability.OK() {
 				v := stability.Violations()[0]
 				return nil, fmt.Errorf("sim: adversary %q violated %d-edge stability: edge %v inserted round %d, gone round %d",
 					mode.advName(), cfg.checkStability, v.E, v.InsertedAt, v.RemovedAt)
 			}
 		}
-		diff := graph.Compute(prev, g)
 		st.metrics.TC += int64(len(diff.Inserted))
 		st.metrics.Removals += int64(len(diff.Removed))
 
@@ -294,7 +297,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			return nil, err
 		}
 		st.metrics.Rounds = r
-		mode.observe(r, g, learned)
+		mode.observe(r, diff, learned)
 		if cfg.rec != nil {
 			cfg.rec.observeRound(r, injected)
 		}

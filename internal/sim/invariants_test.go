@@ -94,7 +94,7 @@ func TestAllTokensLateBurst(t *testing.T) {
 		Assign: assign, Factory: newPushProto,
 		Adversary:       staticAdv{graph.Path(2)},
 		ArrivalSchedule: sched,
-		OnRound: func(r int, _ *graph.Graph, sent []Message, _ int64) {
+		OnRound: func(r int, _ graph.Diff, sent []Message, _ int64) {
 			if r < R {
 				before += int64(len(sent))
 			}

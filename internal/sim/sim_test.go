@@ -349,16 +349,16 @@ func TestUnicastOnRoundHook(t *testing.T) {
 	assign := singleSource(t, 5, 3, 0)
 	rounds := 0
 	var sentTotal int
+	var inserted, removed int64
 	res, err := RunUnicast(UnicastConfig{
 		Assign:    assign,
 		Factory:   newPushProto,
-		Adversary: staticAdv{graph.Path(5)},
-		OnRound: func(r int, g *graph.Graph, sent []Message, learned int64) {
+		Adversary: &flipAdv{},
+		OnRound: func(r int, d graph.Diff, sent []Message, learned int64) {
 			rounds++
 			sentTotal += len(sent)
-			if !g.Connected() {
-				t.Error("hook saw disconnected graph")
-			}
+			inserted += int64(len(d.Inserted))
+			removed += int64(len(d.Removed))
 		},
 	})
 	if err != nil {
@@ -369,6 +369,14 @@ func TestUnicastOnRoundHook(t *testing.T) {
 	}
 	if int64(sentTotal) != res.Metrics.Messages {
 		t.Fatalf("hook messages = %d, want %d", sentTotal, res.Metrics.Messages)
+	}
+	// The hook sees the same per-round diff the engine charges.
+	if inserted != res.Metrics.TC || removed != res.Metrics.Removals {
+		t.Fatalf("hook diffs insert %d / remove %d, metrics TC %d / removals %d",
+			inserted, removed, res.Metrics.TC, res.Metrics.Removals)
+	}
+	if removed == 0 {
+		t.Fatal("flip adversary removed no edge; the removal sum went untested")
 	}
 }
 
@@ -477,7 +485,7 @@ func TestBroadcastOnRoundLearningCount(t *testing.T) {
 		Assign:    assign,
 		Factory:   newFloodB,
 		Adversary: staticBAdv{graph.Complete(6)},
-		OnRound: func(r int, g *graph.Graph, choices []token.ID, learned int64) {
+		OnRound: func(r int, _ graph.Diff, _ []token.ID, learned int64) {
 			total += learned
 		},
 	})

@@ -28,10 +28,12 @@ type UnicastConfig struct {
 	// protocol to implement TokenArriver.
 	ArrivalSchedule []int
 	// OnRound, if non-nil, observes every round after delivery: the round
-	// number, that round's graph, the messages sent, and the number of
-	// token-learning events the round produced. For tracing. The sent slice
-	// is only valid for the duration of the callback.
-	OnRound func(r int, g *graph.Graph, sent []Message, learned int64)
+	// number, the round's topology change against the previous round's
+	// graph (the empty graph before round 1), the messages sent, and the
+	// number of token-learning events the round produced. For tracing. The
+	// diff d and the sent slice are only valid for the duration of the
+	// callback.
+	OnRound func(r int, d graph.Diff, sent []Message, learned int64)
 	// Workspace, if non-nil, supplies reusable buffers (see Workspace).
 	Workspace *Workspace
 	// Recorder, if non-nil, attaches a flight recorder: the engine resets it
@@ -115,9 +117,8 @@ func (m *unicastMode) arriver(v graph.NodeID) TokenArriver {
 func (m *unicastMode) commit(int) error { return nil }
 
 //dynspread:hotpath
-func (m *unicastMode) wire(r int, prev *graph.Graph) *graph.Graph {
+func (m *unicastMode) wire(r int) *graph.Graph {
 	m.view.Round = r
-	m.view.Prev = prev
 	if r == 1 {
 		m.view.LastSent = nil
 	} else {
@@ -261,8 +262,8 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 }
 
 //dynspread:hotpath
-func (m *unicastMode) observe(r int, g *graph.Graph, learned int64) {
+func (m *unicastMode) observe(r int, d graph.Diff, learned int64) {
 	if m.cfg.OnRound != nil {
-		m.cfg.OnRound(r, g, m.lastSent, learned)
+		m.cfg.OnRound(r, d, m.lastSent, learned)
 	}
 }

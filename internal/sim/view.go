@@ -24,9 +24,6 @@ type View struct {
 	N int
 	// K is the number of tokens.
 	K int
-	// Prev is the graph of the previous round (the empty graph before round
-	// 1, matching the paper's G_0 = (V, ∅)). Read-only.
-	Prev *graph.Graph
 	// LastSent holds the messages sent (and delivered) in the previous
 	// round; nil before round 1 and in broadcast mode. Read-only. This is
 	// what lets a strongly adaptive adversary cut edges that carry pending
@@ -99,11 +96,12 @@ type Adversary interface {
 	// Name identifies the adversary in reports.
 	Name() string
 	// NextGraph returns the communication graph of round view.Round. A
-	// served graph must never be mutated afterwards: the engine keeps it as
-	// view.Prev and diffs consecutive graphs by identity, so an adversary
-	// that mutates its current graph in place must serve a clone (or, like
-	// the static adversary, serve one never-mutated snapshot — then the
-	// engine charges zero topological changes, correctly).
+	// served graph must never be mutated afterwards: the engine keeps it to
+	// diff the next round against and short-cuts that diff by identity, so
+	// an adversary that mutates its current graph in place must serve a
+	// clone (or, like the static adversary, serve one never-mutated
+	// snapshot — then the engine charges zero topological changes,
+	// correctly).
 	NextGraph(view *View) *graph.Graph
 }
 

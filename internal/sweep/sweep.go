@@ -56,16 +56,19 @@ type Trial struct {
 	MaxRounds int
 	// Sigma is the churn stability parameter (0 = default 3).
 	Sigma int
-	// CheckStability, when > 0, makes unicast executions verify the
-	// adversary is σ-edge-stable (see sim.UnicastConfig).
+	// CheckStability, when > 0, makes the execution verify the adversary is
+	// σ-edge-stable, in either communication mode (see
+	// sim.UnicastConfig.CheckStability).
 	CheckStability int
 	// Options and AdvOptions carry algorithm- and adversary-specific
 	// options (see registry.Params).
 	Options    any
 	AdvOptions any
-	// OnGraph, if non-nil, observes every round's communication graph after
-	// delivery. This is how runs are recorded into replayable traces.
-	OnGraph func(r int, g *graph.Graph)
+	// OnDelta, if non-nil, receives every round's topology change after
+	// delivery, once per round and in round order; d is valid only during
+	// the call. (*trace.GraphTrace).Append is such a hook: it is how runs
+	// are recorded into replayable traces.
+	OnDelta func(d graph.Diff)
 }
 
 func (t Trial) String() string {
@@ -337,8 +340,8 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 			Workspace:       ws,
 			Recorder:        rec,
 		}
-		if hook := t.OnGraph; hook != nil {
-			cfg.OnRound = func(r int, g *graph.Graph, _ []sim.Message, _ int64) { hook(r, g) }
+		if hook := t.OnDelta; hook != nil {
+			cfg.OnRound = func(_ int, d graph.Diff, _ []sim.Message, _ int64) { hook(d) }
 		}
 		res, err := sim.RunUnicast(cfg)
 		if err != nil {
@@ -365,12 +368,13 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 			Adversary:       a,
 			MaxRounds:       t.MaxRounds,
 			Seed:            t.Seed,
+			CheckStability:  t.CheckStability,
 			ArrivalSchedule: t.Arrivals,
 			Workspace:       ws,
 			Recorder:        rec,
 		}
-		if hook := t.OnGraph; hook != nil {
-			cfg.OnRound = func(r int, g *graph.Graph, _ []token.ID, _ int64) { hook(r, g) }
+		if hook := t.OnDelta; hook != nil {
+			cfg.OnRound = func(_ int, d graph.Diff, _ []token.ID, _ int64) { hook(d) }
 		}
 		res, err := sim.RunBroadcast(cfg)
 		if err != nil {

@@ -150,6 +150,21 @@ func TestRunTrialModeMismatch(t *testing.T) {
 	}
 }
 
+// TestRunTrialChecksStabilityInBothModes: CheckStability applies to
+// broadcast trials as well as unicast ones. The rewire adversary redraws the
+// whole graph every round, so it violates σ=3 under either mode.
+func TestRunTrialChecksStabilityInBothModes(t *testing.T) {
+	for _, tr := range []Trial{
+		{N: 8, K: 8, Sources: 8, Algorithm: "flooding", Adversary: "rewire", Seed: 1, CheckStability: 3},
+		{N: 8, K: 8, Algorithm: "single-source", Adversary: "rewire", Seed: 1, CheckStability: 3},
+	} {
+		_, err := RunTrial(tr, nil)
+		if err == nil || !strings.Contains(err.Error(), "3-edge stability") {
+			t.Errorf("%s: err = %v, want a 3-edge stability violation", tr.Algorithm, err)
+		}
+	}
+}
+
 func TestRunEmpty(t *testing.T) {
 	res, err := Run(context.Background(), nil, Options{})
 	if err != nil || res != nil {
@@ -172,7 +187,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 }
 
 func TestRunCancellationStopsDispatch(t *testing.T) {
-	// One worker; trial 1 cancels the context mid-run (from its OnGraph
+	// One worker; trial 1 cancels the context mid-run (from its OnDelta
 	// hook). Trial 1 still finishes — in-flight work is never interrupted —
 	// and trial 2 is refused at dispatch with the context's error.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -180,7 +195,7 @@ func TestRunCancellationStopsDispatch(t *testing.T) {
 	trials := []Trial{
 		{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: 1},
 		{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: 2,
-			OnGraph: func(int, *graph.Graph) { cancel() }},
+			OnDelta: func(graph.Diff) { cancel() }},
 		{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: 3},
 	}
 	_, err := Run(ctx, trials, Options{Parallelism: 1})
@@ -239,7 +254,7 @@ func TestRunOnResultOrderingUnderCancellation(t *testing.T) {
 	trials := []Trial{
 		{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: 1},
 		{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: 2,
-			OnGraph: func(int, *graph.Graph) { cancel() }},
+			OnDelta: func(graph.Diff) { cancel() }},
 		{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: 3},
 	}
 	var (
@@ -312,15 +327,15 @@ func TestRunTrialScenarioResolution(t *testing.T) {
 func TestRunTrialReplayReproducesMetrics(t *testing.T) {
 	base := Trial{N: 12, K: 6, Algorithm: "single-source", Adversary: "churn", Seed: 9}
 	rec := base
-	b := trace.NewBuilder(base.N)
-	rec.OnGraph = func(_ int, g *graph.Graph) { b.Observe(g) }
+	tr := &trace.GraphTrace{N: base.N}
+	rec.OnDelta = tr.Append
 	orig, err := RunTrial(rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayed := base
 	replayed.Adversary = ""
-	replayed.Replay = b.Trace()
+	replayed.Replay = tr
 	got, err := RunTrial(replayed, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +349,7 @@ func TestRunTrialReplayReproducesMetrics(t *testing.T) {
 	// A replay trace for the wrong instance size is rejected.
 	bad := base
 	bad.N = 13
-	bad.Replay = b.Trace()
+	bad.Replay = tr
 	if _, err := RunTrial(bad, nil); err == nil || !strings.Contains(err.Error(), "n=12") {
 		t.Fatalf("size mismatch accepted: %v", err)
 	}

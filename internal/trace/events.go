@@ -1,22 +1,21 @@
+// Package trace holds dynamic-topology traces: a GraphTrace records one
+// execution's per-round edge events (insertions and deletions relative to
+// the previous round, starting from the paper's empty graph G_0) and
+// serializes as JSONL — one header line carrying the node count, then one
+// line per round. A recorded trace replayed through the trace-replay
+// dynamics reproduces the exact graph sequence of the original run, which
+// makes any execution — including ones driven by randomized or adaptive
+// adversaries — deterministically reproducible and shareable as a flat
+// file. The same format expresses real temporal-graph datasets: anything
+// that can be written as timestamped edge events can be replayed as a
+// workload.
 package trace
-
-// Dynamic-topology traces: a GraphTrace records one execution's per-round
-// edge events (insertions and deletions relative to the previous round,
-// starting from the paper's empty graph G_0) and serializes as JSONL — one
-// header line carrying the node count, then one line per round. A recorded
-// trace replayed through the trace-replay dynamics reproduces the exact
-// graph sequence of the original run, which makes any execution — including
-// ones driven by randomized or adaptive adversaries — deterministically
-// reproducible and shareable as a flat file. The same format expresses real
-// temporal-graph datasets: anything that can be written as timestamped edge
-// events can be replayed as a workload.
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"dynspread/internal/graph"
 )
@@ -75,62 +74,24 @@ func (tr *GraphTrace) Validate() error {
 	return nil
 }
 
-// Graphs materializes the graph of every recorded round (1-based round r at
-// index r-1). Mostly for tests; the replay dynamics applies events
-// incrementally instead.
-func (tr *GraphTrace) Graphs() ([]*graph.Graph, error) {
-	g := graph.New(tr.N)
-	out := make([]*graph.Graph, 0, len(tr.Rounds))
-	for i, ev := range tr.Rounds {
-		if err := apply(g, i+1, ev); err != nil {
-			return nil, err
-		}
-		out = append(out, g.Clone())
+// Append records d as the trace's next round. Fed the round engine's diffs
+// in order (sweep.Trial.OnDelta), it records the execution: Compute's
+// slices are already canonical and sorted, and Append copies them, so d's
+// buffers may be reused after the call.
+func (tr *GraphTrace) Append(d graph.Diff) {
+	tr.Rounds = append(tr.Rounds, RoundEvents{Add: edgePairs(d.Inserted), Del: edgePairs(d.Removed)})
+}
+
+// edgePairs converts edges to [u, v] pairs, keeping an empty list nil.
+func edgePairs(es []graph.Edge) [][2]int {
+	if len(es) == 0 {
+		return nil
 	}
-	return out, nil
-}
-
-// Builder accumulates a GraphTrace from the engine's per-round graphs (feed
-// it every round's graph in order, e.g. from an OnRound hook).
-type Builder struct {
-	prev   *graph.Graph
-	rounds []RoundEvents
-}
-
-// NewBuilder starts a trace for an n-node execution.
-func NewBuilder(n int) *Builder {
-	return &Builder{prev: graph.New(n)}
-}
-
-// Observe records the next round's graph.
-func (b *Builder) Observe(g *graph.Graph) {
-	d := graph.Compute(b.prev, g)
-	var ev RoundEvents
-	for _, e := range d.Inserted {
-		ev.Add = append(ev.Add, [2]int{e.U, e.V})
+	out := make([][2]int, len(es))
+	for i, e := range es {
+		out[i] = [2]int{e.U, e.V}
 	}
-	for _, e := range d.Removed {
-		ev.Del = append(ev.Del, [2]int{e.U, e.V})
-	}
-	sortEvents(ev.Add)
-	sortEvents(ev.Del)
-	b.rounds = append(b.rounds, ev)
-	b.prev = g.Clone()
-}
-
-func sortEvents(es [][2]int) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
-}
-
-// Trace returns the accumulated trace. The builder stays usable; later
-// Observe calls extend the same underlying slice.
-func (b *Builder) Trace() *GraphTrace {
-	return &GraphTrace{N: b.prev.N(), Rounds: b.rounds}
+	return out
 }
 
 // traceHeader is the first JSONL line: a format marker plus the node count.

@@ -19,22 +19,44 @@ func randomSequence(t *testing.T, n, rounds int, seed int64) []*graph.Graph {
 	return out
 }
 
+// graphsOf materializes the graph of every recorded round (1-based round r
+// at index r-1).
+func graphsOf(tr *GraphTrace) ([]*graph.Graph, error) {
+	g := graph.New(tr.N)
+	out := make([]*graph.Graph, 0, len(tr.Rounds))
+	for i, ev := range tr.Rounds {
+		if err := apply(g, i+1, ev); err != nil {
+			return nil, err
+		}
+		out = append(out, g.Clone())
+	}
+	return out, nil
+}
+
+// record builds a trace of seq the way a recorded run does: one Append per
+// round of the diff against the previous round's graph.
+func record(n int, seq []*graph.Graph) *GraphTrace {
+	tr := &GraphTrace{N: n}
+	var prev *graph.Graph
+	for _, g := range seq {
+		tr.Append(graph.Compute(prev, g))
+		prev = g
+	}
+	return tr
+}
+
 func TestBuilderRoundTrip(t *testing.T) {
 	const n, rounds = 12, 25
 	seq := randomSequence(t, n, rounds, 5)
 
-	b := NewBuilder(n)
-	for _, g := range seq {
-		b.Observe(g)
-	}
-	tr := b.Trace()
+	tr := record(n, seq)
 	if tr.NumRounds() != rounds || tr.N != n {
 		t.Fatalf("trace shape: n=%d rounds=%d", tr.N, tr.NumRounds())
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	gs, err := tr.Graphs()
+	gs, err := graphsOf(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +77,7 @@ func TestBuilderRoundTrip(t *testing.T) {
 	if back.N != n || back.NumRounds() != rounds {
 		t.Fatalf("decoded shape: n=%d rounds=%d", back.N, back.NumRounds())
 	}
-	gs2, err := back.Graphs()
+	gs2, err := graphsOf(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +91,8 @@ func TestBuilderRoundTrip(t *testing.T) {
 func TestWriteIsDeterministic(t *testing.T) {
 	seq := randomSequence(t, 8, 10, 9)
 	render := func() string {
-		b := NewBuilder(8)
-		for _, g := range seq {
-			b.Observe(g)
-		}
 		var buf bytes.Buffer
-		if err := b.Trace().Write(&buf); err != nil {
+		if err := record(8, seq).Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

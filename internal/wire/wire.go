@@ -81,7 +81,7 @@ type TrialSpec struct {
 	Seed int64 `json:"seed"`
 	// MaxRounds caps the execution (0 = engine default); Sigma is the churn
 	// stability parameter (0 = default 3); CheckStability > 0 verifies
-	// σ-edge-stability during unicast executions.
+	// σ-edge-stability during the execution, in either communication mode.
 	MaxRounds      int `json:"max_rounds,omitempty"`
 	Sigma          int `json:"sigma,omitempty"`
 	CheckStability int `json:"check_stability,omitempty"`
