@@ -102,7 +102,7 @@ func benchRun(b *testing.B, cfg dynspread.Config) {
 		if !rep.Completed {
 			b.Fatal("incomplete")
 		}
-		b.ReportMetric(rep.Amortized, "msgs/token")
+		b.ReportMetric(rep.AmortizedPerToken, "msgs/token")
 		b.ReportMetric(float64(rep.Rounds), "rounds/op")
 	}
 }

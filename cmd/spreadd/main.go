@@ -2,7 +2,10 @@
 // that accepts k-token dissemination trial and sweep jobs as JSON, executes
 // them on a bounded job queue over the parallel sweep pool, and serves
 // machine-readable results backed by a content-addressed run cache (see
-// internal/service for the API).
+// internal/service for the API). The run cache is an in-memory LRU (-cache
+// entries) or, with -store, an append-only on-disk log keyed by the spec's
+// content address, so repeated requests cost zero simulation across daemon
+// restarts and an interrupted sweep resumes where it stopped.
 //
 // Quick start:
 //
@@ -17,10 +20,9 @@
 // With -peers the daemon becomes a cluster COORDINATOR instead: the API is
 // unchanged, but POST /v1/runs jobs are planned into deterministic shards
 // and fanned out across the peer spreadd workers (internal/cluster), with
-// per-shard retry and re-dispatch around dead workers. -store additionally
-// persists every trial result to an append-only on-disk log keyed by the
-// spec's content address, so interrupted sweeps resume where they stopped
-// and repeated grids cost zero simulation across daemon restarts:
+// per-shard retry and re-dispatch around dead workers. -store means the same
+// in both modes: the coordinator serves stored trials from disk and
+// dispatches only the rest.
 //
 //	spreadd -addr :8081 &   spreadd -addr :8082 &          # workers
 //	spreadd -addr :8080 -peers localhost:8081,localhost:8082 -store ./results
@@ -64,11 +66,11 @@ func main() {
 		parallelism  = flag.Int("parallelism", 0, "sweep workers per job (0 = GOMAXPROCS)")
 		queueDepth   = flag.Int("queue", 64, "max queued jobs before submissions get 503")
 		jobWorkers   = flag.Int("job-workers", 2, "jobs executed concurrently")
-		cacheSize    = flag.Int("cache", 4096, "run-cache capacity in results")
+		cacheSize    = flag.Int("cache", 4096, "in-memory run-cache capacity in results (unused with -store)")
 		syncLimit    = flag.Int("sync-limit", 16, "largest job answered synchronously")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		peers        = flag.String("peers", "", "comma-separated spreadd worker base URLs; when set, this daemon coordinates: POST /v1/runs jobs are sharded across the peers")
-		storeDir     = flag.String("store", "", "persistent store directory: captured debug profiles always land here; in coordinator mode stored trials are also served from disk and new results appended")
+		storeDir     = flag.String("store", "", "persistent store directory: the run cache in place of the in-memory one (stored trials are served from disk, new results appended), and where captured debug profiles land")
 		shardSize    = flag.Int("shard-size", 0, "trials per shard in coordinator mode (0 = default)")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; see docs for the profiling recipe)")
 		traceRing    = flag.Int("trace-ring", 4096, "finished spans kept in memory for GET /v1/traces (0 disables tracing)")
@@ -114,10 +116,10 @@ func main() {
 		Logger:         logger,
 	}
 
-	// One store serves two planes: coordinator-mode result persistence and
-	// the debug-profile blobs every mode can capture (POST /v1/debug/profile).
-	// A worker-mode daemon with -store therefore no longer errors — it just
-	// gets the profile plane without the result log.
+	// One store serves two planes in every mode: it is the run cache, so the
+	// service looks each trial up once before any runner (local pool or
+	// coordinator) sees it, and it holds the debug-profile blobs that POST
+	// /v1/debug/profile captures.
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
@@ -125,13 +127,13 @@ func main() {
 		}
 		defer st.Close()
 		st.Register(reg)
-		cfg.Profiles = st
+		cfg.Store = st
 	}
 
 	mode := "worker"
 	if *peers != "" {
 		workers := service.SplitBaseURLs(*peers)
-		ccfg := cluster.Config{Workers: workers, ShardSize: *shardSize, Metrics: reg, Tracer: tracer, Logger: logger, Store: cfg.Profiles}
+		ccfg := cluster.Config{Workers: workers, ShardSize: *shardSize, Metrics: reg, Tracer: tracer, Logger: logger}
 		coord, err := cluster.New(ccfg)
 		if err != nil {
 			log.Fatalf("spreadd: %v", err)

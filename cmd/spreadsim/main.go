@@ -138,12 +138,12 @@ func main() {
 		res, err = runRemote(cfg, *remote)
 	} else if *record != "" {
 		var tr *dynspread.GraphTrace
-		res, tr, err = dynspread.RunFullRecorded(cfg)
+		res, tr, err = dynspread.RunRecorded(cfg)
 		if err == nil {
 			err = writeTrace(*record, tr)
 		}
 	} else {
-		res, err = dynspread.RunFull(cfg)
+		res, err = dynspread.Run(cfg)
 	}
 	if err != nil {
 		fatalf("%v", err)

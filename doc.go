@@ -42,8 +42,9 @@
 //   - internal/service — the simulation service behind cmd/spreadd: an HTTP
 //     daemon scheduling trial/sweep jobs on a bounded queue over a
 //     pluggable execution backend (the in-process sweep pool by default),
-//     with a content-addressed LRU run cache so repeated requests cost
-//     zero simulation work,
+//     with a content-addressed run cache — an LRU, or the internal/store
+//     log when the daemon has one — so repeated requests cost zero
+//     simulation work,
 //   - internal/cluster — the distributed sweep tier: a coordinator that
 //     plans deterministic, size-balanced shards, dispatches them across a
 //     pool of spreadd workers with per-shard retry and re-dispatch around
@@ -78,19 +79,19 @@
 //
 // Quick start:
 //
-//	report, err := dynspread.Run(dynspread.Config{
+//	res, err := dynspread.Run(dynspread.Config{
 //		N: 32, K: 64, Sources: 1,
 //		Algorithm: dynspread.AlgSingleSource,
 //		Adversary: dynspread.AdvChurn,
 //		Seed:      1,
 //	})
 //	if err != nil { ... }
-//	fmt.Println(report.Metrics.Messages, report.Metrics.TC, report.Rounds)
+//	fmt.Println(res.Metrics.Messages, res.Metrics.TC, res.Rounds, res.AmortizedPerToken)
 //
 // Or select a registered workload wholesale — the scenario supplies the
 // shape, dynamics, and arrival schedule:
 //
-//	report, err := dynspread.Run(dynspread.Config{
+//	res, err := dynspread.Run(dynspread.Config{
 //		Scenario: dynspread.ScenTokenStream, // tokens arrive 2/round mid-run
 //		Seed:     1,
 //	})
@@ -101,10 +102,11 @@
 // through Config.Replay for bit-exact reproduction. For thousands of
 // trials, use internal/sweep's grids instead of calling Run in a loop; to
 // serve simulations over HTTP with result caching, run cmd/spreadd (see
-// the README's curl quickstart). RunFull and RunSpecs produce the service's
-// machine-readable TrialResult schema in-process; RunDistributed executes
-// the same requests across a pool of spreadd workers (see the README's
-// cluster quickstart and cmd/spreadctl).
+// the README's curl quickstart). Run and RunSpecs return the service's
+// machine-readable TrialResult schema in-process — the resolved trial, its
+// metrics, and the paper's derived cost measures — and RunDistributed
+// executes the same requests across a pool of spreadd workers (see the
+// README's cluster quickstart and cmd/spreadctl).
 //
 // See the examples/ directory for runnable scenarios and cmd/ for the CLI
 // tools (spreadsim -list prints every registered component).

@@ -2,8 +2,11 @@ package dynspread
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dynspread/internal/sim"
 )
 
 func TestRunSingleSourceChurn(t *testing.T) {
@@ -19,14 +22,14 @@ func TestRunSingleSourceChurn(t *testing.T) {
 	if !rep.Completed {
 		t.Fatalf("incomplete: %+v", rep)
 	}
-	if rep.Amortized <= 0 || rep.Metrics.Messages == 0 {
+	if rep.AmortizedPerToken <= 0 || rep.Metrics.Messages == 0 {
 		t.Fatalf("bad report: %+v", rep)
 	}
 	if rep.CompetitiveResidual != float64(rep.Metrics.Messages)-float64(rep.Metrics.TC) {
 		t.Fatal("competitive residual mismatch")
 	}
-	if !strings.Contains(rep.AdversaryName, "churn") {
-		t.Fatalf("adversary name = %q", rep.AdversaryName)
+	if !strings.Contains(rep.Adversary, "churn") {
+		t.Fatalf("adversary name = %q", rep.Adversary)
 	}
 }
 
@@ -127,7 +130,10 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestReportJSONRoundTrip(t *testing.T) {
+// TestRunJSONRoundTrip: Run's result is the service schema, so its JSON
+// carries the paper's cost measures under their wire names and decodes back
+// unchanged.
+func TestRunJSONRoundTrip(t *testing.T) {
 	rep, err := Run(Config{N: 8, K: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +147,50 @@ func TestReportJSONRoundTrip(t *testing.T) {
 			t.Fatalf("JSON missing %s: %s", key, raw)
 		}
 	}
-	var back Report
+	var back TrialResult
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Metrics != rep.Metrics || back.Rounds != rep.Rounds {
-		t.Fatal("round trip lost data")
+	if !reflect.DeepEqual(back, *rep) {
+		t.Fatalf("round trip changed the result:\n%+v\n%+v", *rep, back)
+	}
+}
+
+// TestRunRecorderLandsOnRoundSeries: a Config.Recorder's samples come back
+// on the result's RoundSeries, decoding to exactly the recorder's snapshot.
+func TestRunRecorderLandsOnRoundSeries(t *testing.T) {
+	rec := sim.NewRecorder(sim.RecorderConfig{Stride: 3, Capacity: 16})
+	rep, err := Run(Config{
+		N: 12, K: 12, Sources: 1,
+		Algorithm: AlgSingleSource,
+		Adversary: AdvChurn,
+		Seed:      5,
+		Recorder:  rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := rec.Snapshot()
+	if len(snap.Samples) == 0 {
+		t.Fatal("recorder took no samples")
+	}
+	rs := rep.RoundSeries
+	if rs == nil {
+		t.Fatal("recorded run returned no RoundSeries")
+	}
+	if rs.Stride != snap.Stride || rs.Capacity != snap.Capacity || rs.Dropped != snap.Dropped {
+		t.Fatalf("series header %d/%d/%d, snapshot %d/%d/%d",
+			rs.Stride, rs.Capacity, rs.Dropped, snap.Stride, snap.Capacity, snap.Dropped)
+	}
+	if got := rs.Samples(); !reflect.DeepEqual(got, snap.Samples) {
+		t.Fatalf("RoundSeries.Samples() diverges from the recorder snapshot:\n got %+v\nwant %+v", got, snap.Samples)
+	}
+	plain, err := Run(Config{N: 12, K: 12, Algorithm: AlgSingleSource, Adversary: AdvChurn, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.RoundSeries != nil {
+		t.Fatal("unrecorded run carries a RoundSeries")
 	}
 }
 

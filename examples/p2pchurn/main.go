@@ -33,7 +33,7 @@ func main() {
 			log.Fatalf("%s: incomplete after %d rounds", name, rep.Rounds)
 		}
 		fmt.Printf("%-28s %10d %10d %12.1f %14.0f\n",
-			name, rep.Rounds, rep.Metrics.Messages, rep.Amortized, rep.CompetitiveResidual)
+			name, rep.Rounds, rep.Metrics.Messages, rep.AmortizedPerToken, rep.CompetitiveResidual)
 	}
 
 	run("flooding (broadcast)", dynspread.Config{

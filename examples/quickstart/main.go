@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("  topological changes:  TC(E) = %d\n", report.Metrics.TC)
 	fmt.Printf("  competitive residual: %.0f  (Theorem 3.1: O(n²+nk) = O(%d))\n",
 		report.CompetitiveResidual, 64*64+64*128)
-	fmt.Printf("  amortized:            %.1f messages/token (n = %d)\n", report.Amortized, 64)
+	fmt.Printf("  amortized:            %.1f messages/token (n = %d)\n", report.AmortizedPerToken, 64)
 	fmt.Println()
 	fmt.Println("the residual stays within a small multiple of n²+nk no matter how")
 	fmt.Println("aggressively the adversary rewires — every wasted request is paid")

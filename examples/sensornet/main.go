@@ -42,8 +42,8 @@ func main() {
 			log.Fatalf("%s: incomplete", tc.name)
 		}
 		fmt.Printf("%-34s %8d %12d %12.1f %8.2f\n",
-			tc.name, rep.Rounds, rep.Metrics.Broadcasts, rep.Amortized,
-			rep.Amortized/float64(n*n))
+			tc.name, rep.Rounds, rep.Metrics.Broadcasts, rep.AmortizedPerToken,
+			rep.AmortizedPerToken/float64(n*n))
 	}
 
 	fmt.Println()

@@ -46,7 +46,7 @@ func main() {
 		bound := float64(n*n + n*k)
 		fmt.Printf("%6d %8d %10d %8d %12.0f %16.2f %10.1f\n",
 			k, rep.Rounds, rep.Metrics.Messages, rep.Metrics.TC,
-			rep.CompetitiveResidual, rep.CompetitiveResidual/bound, rep.Amortized)
+			rep.CompetitiveResidual, rep.CompetitiveResidual/bound, rep.AmortizedPerToken)
 	}
 
 	fmt.Println()
@@ -71,5 +71,5 @@ func main() {
 	fmt.Println()
 	fmt.Printf("token-stream scenario (tokens arriving 2/round at the source):\n")
 	fmt.Printf("  completed in %d rounds, %d messages, %.1f amortized/token\n",
-		rep.Rounds, rep.Metrics.Messages, rep.Amortized)
+		rep.Rounds, rep.Metrics.Messages, rep.AmortizedPerToken)
 }

@@ -104,8 +104,8 @@ func TestGoldenTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AdversaryName != "trace-replay" {
-		t.Fatalf("adversary name %q", rep.AdversaryName)
+	if rep.Adversary != "trace-replay" {
+		t.Fatalf("adversary name %q", rep.Adversary)
 	}
 	if rep.Metrics != rec.Metrics || rep.Rounds != rec.Rounds || rep.Completed != rec.Completed {
 		t.Fatalf("replay diverged from recording:\n rec    %+v\n replay %+v", rec, rep)

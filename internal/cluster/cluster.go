@@ -66,7 +66,10 @@ type Config struct {
 	Poll time.Duration
 	// Store, when non-nil, is the persistent result log: trials already
 	// stored are served from it without dispatch, and every new result is
-	// appended, making the sweep resumable and cached across runs.
+	// appended, making the sweep resumable and cached across runs. A
+	// coordinator behind a service (spreadd -peers) leaves it nil: the
+	// service's run cache (service.Config.Store) already looked each trial
+	// up once.
 	Store *store.Store
 	// Metrics, when non-nil, receives the coordinator's metric families
 	// (aggregate counters plus per-worker dispatch/retry/failure/health,

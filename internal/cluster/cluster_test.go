@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dynspread/internal/obs"
 	"dynspread/internal/service"
 	"dynspread/internal/stats"
 	"dynspread/internal/store"
@@ -28,6 +30,53 @@ func newWorker(t *testing.T) *httptest.Server {
 		srv.Shutdown(context.Background())
 	})
 	return hs
+}
+
+// newFront serves a coordinator-mode service the way spreadd -peers -store
+// builds one: coord as its Runner and st as its run cache.
+func newFront(t *testing.T, coord *Coordinator, st *store.Store) *service.Client {
+	t.Helper()
+	front := service.New(service.Config{JobWorkers: 2, Runner: coord.RunSpecs, Store: st})
+	fs := httptest.NewServer(front.Handler())
+	t.Cleanup(func() {
+		fs.Close()
+		front.Shutdown(context.Background())
+	})
+	return &service.Client{BaseURL: fs.URL, Timeout: time.Minute}
+}
+
+// runFront submits req to a front service as an async job and waits for it
+// to finish done.
+func runFront(t *testing.T, c *service.Client, req wire.RunRequest) service.JobStatus {
+	t.Helper()
+	req.Async = true
+	ctx := context.Background()
+	js, err := c.Run(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js, err = c.WaitJob(ctx, js.ID, 5*time.Millisecond); err != nil || js.State != service.JobDone {
+		t.Fatalf("job ended %q (err %v): %s", js.State, err, js.Error)
+	}
+	return js
+}
+
+// cacheSize scrapes dynspread_service_cache_size from a service.
+func cacheSize(t *testing.T, c *service.Client) float64 {
+	t.Helper()
+	raw, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseText(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := obs.Find(fams, "dynspread_service_cache_size").Value(nil)
+	if !ok {
+		t.Fatal("dynspread_service_cache_size missing from /v1/metrics")
+	}
+	return v
 }
 
 func testBackoff() []time.Duration {
@@ -339,6 +388,49 @@ func TestClusterDedupAcrossDuplicates(t *testing.T) {
 	st := coord.Stats()
 	if st.Dispatched != 1 || st.Deduped != 2 {
 		t.Fatalf("dedup accounting: %+v", st)
+	}
+}
+
+// TestClusterServiceLooksUpOncePerTrial: a coordinator-mode service whose run
+// cache is the store looks each distinct trial up in the store exactly once
+// per request; the coordinator, which has no store of its own, dispatches
+// each distinct trial once on the cold request and nothing on the warm one.
+func TestClusterServiceLooksUpOncePerTrial(t *testing.T) {
+	distinct := testSpecs(t)
+	specs := append(append([]wire.TrialSpec{}, distinct...), distinct[:6]...)
+	w1, w2 := newWorker(t), newWorker(t)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	coord, err := New(Config{Workers: []string{w1.URL, w2.URL}, ShardSize: 4, Poll: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newFront(t, coord, st)
+	local, err := wire.RunSpecs(context.Background(), specs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 2; i++ {
+		before := st.Stats().Gets
+		js := runFront(t, c, wire.RunRequest{Trials: specs})
+		if gets := st.Stats().Gets - before; gets != int64(len(distinct)) {
+			t.Fatalf("request %d made %d store Gets for %d distinct trials", i, gets, len(distinct))
+		}
+		// The cold request dispatched each distinct trial once; the warm one
+		// added nothing.
+		if got := coord.Stats().Dispatched; got != int64(len(distinct)) {
+			t.Fatalf("after request %d the coordinator dispatched %d trials in total, want %d", i, got, len(distinct))
+		}
+		if !reflect.DeepEqual(js.Results, local) {
+			t.Fatalf("request %d: coordinator-mode results diverge from the local sweep", i)
+		}
+		if size := cacheSize(t, c); st.Len() != len(distinct) || size != float64(st.Len()) {
+			t.Fatalf("request %d: store holds %d results, cache_size %v; want %d", i, st.Len(), size, len(distinct))
+		}
 	}
 }
 

@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
-	"dynspread/internal/obs"
-	"dynspread/internal/service"
 	"dynspread/internal/sim"
 	"dynspread/internal/store"
 	"dynspread/internal/wire"
@@ -95,10 +91,10 @@ func TestClusterRecordedMatchesLocal(t *testing.T) {
 }
 
 // TestClusterServiceRecordedMatchesLocal: a recorded job sent to a
-// coordinator-mode service (the coordinator as the service's Runner) comes
-// back with the local runner's round series on every result, and neither
-// the service's run cache nor the coordinator's store keeps any of it; the
-// same job unrecorded then persists every key.
+// coordinator-mode service (the coordinator as the service's Runner, the
+// store as its run cache, as spreadd -peers -store builds it) comes back with
+// the local runner's round series on every result, and the store keeps none
+// of it; the same job unrecorded then persists every key.
 func TestClusterServiceRecordedMatchesLocal(t *testing.T) {
 	specs := testSpecs(t)
 	w1, w2 := newWorker(t), newWorker(t)
@@ -111,50 +107,15 @@ func TestClusterServiceRecordedMatchesLocal(t *testing.T) {
 		Workers:   []string{w1.URL, w2.URL},
 		ShardSize: 4,
 		Poll:      5 * time.Millisecond,
-		Store:     st,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := service.New(service.Config{JobWorkers: 2, Runner: coord.RunSpecs})
-	fs := httptest.NewServer(front.Handler())
-	t.Cleanup(func() {
-		fs.Close()
-		front.Shutdown(context.Background())
-	})
-	c := &service.Client{BaseURL: fs.URL, Timeout: time.Minute}
-	ctx := context.Background()
-	cacheSize := func() float64 {
-		t.Helper()
-		raw, err := c.Metrics(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fams, err := obs.ParseText(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, ok := obs.Find(fams, "dynspread_service_cache_size").Value(nil)
-		if !ok {
-			t.Fatal("dynspread_service_cache_size missing from /v1/metrics")
-		}
-		return v
-	}
-	run := func(rec *wire.RecordSpec) service.JobStatus {
-		t.Helper()
-		js, err := c.Run(ctx, wire.RunRequest{Trials: specs, Record: rec, Async: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if js, err = c.WaitJob(ctx, js.ID, 5*time.Millisecond); err != nil || js.State != service.JobDone {
-			t.Fatalf("job ended %q (err %v): %s", js.State, err, js.Error)
-		}
-		return js
-	}
+	c := newFront(t, coord, st)
 
 	rec := &wire.RecordSpec{Stride: 2, Capacity: 256}
-	recorded := run(rec)
-	local, err := wire.RunSpecsWith(nil, nil, 0)(ctx, specs, rec, nil)
+	recorded := runFront(t, c, wire.RunRequest{Trials: specs, Record: rec})
+	local, err := wire.RunSpecsWith(nil, nil, 0)(context.Background(), specs, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +128,12 @@ func TestClusterServiceRecordedMatchesLocal(t *testing.T) {
 			t.Fatalf("trial %d: coordinator-mode series diverges from local", i)
 		}
 	}
-	if st.Len() != 0 || cacheSize() != 0 {
-		t.Fatalf("recorded job kept results: store %d, service cache %v", st.Len(), cacheSize())
+	if size := cacheSize(t, c); st.Len() != 0 || size != 0 {
+		t.Fatalf("recorded job kept results: store %d, service cache %v", st.Len(), size)
 	}
 
-	run(nil)
-	if st.Len() != len(specs) {
-		t.Fatalf("unrecorded job persisted %d results, want %d", st.Len(), len(specs))
+	runFront(t, c, wire.RunRequest{Trials: specs})
+	if size := cacheSize(t, c); st.Len() != len(specs) || size != float64(len(specs)) {
+		t.Fatalf("unrecorded job persisted %d results (cache_size %v), want %d", st.Len(), size, len(specs))
 	}
 }

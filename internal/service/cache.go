@@ -7,10 +7,11 @@ import (
 	"dynspread/internal/wire"
 )
 
-// Cache is the content-addressed run cache: canonical-spec key (wire.Key) →
-// completed trial result, LRU-bounded, safe for concurrent use. Repeated
-// requests for a spec already served cost a map lookup instead of a
-// simulation. It is a store.Results, consulted only through store.Lookup.
+// Cache is the in-memory run cache of a server without Config.Store:
+// canonical-spec key (wire.Key) → completed trial result, LRU-bounded, safe
+// for concurrent use. Repeated requests for a spec already served cost a map
+// lookup instead of a simulation. It is a store.Results, consulted only
+// through store.Lookup.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int

@@ -37,7 +37,7 @@ const (
 // allocations after a forced GC and returns immediately. The response is
 // the stored blob's descriptor (store.ProfileInfo).
 func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Profiles == nil {
+	if s.cfg.Store == nil {
 		writeError(w, http.StatusServiceUnavailable, errProfilesDisabled)
 		return
 	}
@@ -97,7 +97,7 @@ func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: unknown profile kind %q (want cpu or heap)", kind))
 		return
 	}
-	info, err := s.cfg.Profiles.PutProfile(kind, buf.Bytes())
+	info, err := s.cfg.Store.PutProfile(kind, buf.Bytes())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -113,11 +113,11 @@ type ProfileList struct {
 }
 
 func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
-	if s.cfg.Profiles == nil {
+	if s.cfg.Store == nil {
 		writeError(w, http.StatusServiceUnavailable, errProfilesDisabled)
 		return
 	}
-	infos, err := s.cfg.Profiles.Profiles()
+	infos, err := s.cfg.Store.Profiles()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -129,12 +129,12 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Profiles == nil {
+	if s.cfg.Store == nil {
 		writeError(w, http.StatusServiceUnavailable, errProfilesDisabled)
 		return
 	}
 	id := r.PathValue("id")
-	b, err := s.cfg.Profiles.ReadProfile(id)
+	b, err := s.cfg.Store.ReadProfile(id)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown profile %q", id))

@@ -54,9 +54,13 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	reg.GaugeFunc("dynspread_service_cache_size",
 		"Run-cache entries resident.",
 		func() float64 { return float64(s.cache.Len()) })
+	capacity := float64(s.cfg.CacheSize)
+	if s.cfg.Store != nil {
+		capacity = 0 // the on-disk store is unbounded
+	}
 	reg.GaugeFunc("dynspread_service_cache_capacity",
-		"Run-cache capacity in entries.",
-		func() float64 { return float64(s.cfg.CacheSize) })
+		"Run-cache capacity in entries; 0 when the unbounded on-disk store is the run cache.",
+		func() float64 { return capacity })
 
 	jobsByState := reg.GaugeVec("dynspread_service_jobs",
 		"Addressable jobs by lifecycle state.", "state")

@@ -218,7 +218,7 @@ func TestServiceProfileCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	h := newHarness(t, Config{JobWorkers: 1, Profiles: st})
+	h := newHarness(t, Config{JobWorkers: 1, Store: st})
 	ctx := context.Background()
 
 	heap, err := h.client.CaptureProfile(ctx, "heap", 0)

@@ -6,7 +6,8 @@
 // whose workers execute trials on the context-cancellable sweep pool, and
 // return wire.TrialResult values. Because every run is a deterministic
 // function of its resolved spec, results are kept in a content-addressed
-// LRU cache (canonical-JSON key, see wire.Key) so repeated requests cost
+// run cache (canonical-JSON key, see wire.Key) — an in-memory LRU, or the
+// on-disk result store when one is configured — so repeated requests cost
 // zero simulation work.
 //
 // Endpoints (all under /v1):
@@ -67,7 +68,8 @@ type Config struct {
 	// sizes the synchronous-execution slots, so at most 2×JobWorkers sweep
 	// pools ever run at once (default 2).
 	JobWorkers int
-	// CacheSize bounds the run cache in entries (default 4096).
+	// CacheSize bounds the in-memory LRU run cache in entries (default
+	// 4096). Unused when Store is set.
 	CacheSize int
 	// SyncTrialLimit is the largest job POST /v1/runs executes synchronously;
 	// bigger jobs are queued and answered 202 (default 16).
@@ -113,11 +115,21 @@ type Config struct {
 	// each carrying job, trace_id, and span_id fields so log lines correlate
 	// with spans and metrics. Nil discards.
 	Logger *slog.Logger
-	// Profiles, when non-nil, enables on-demand profile capture: POST
-	// /v1/debug/profile writes pprof blobs into this store (beside its result
-	// segments — the two planes share a directory without interfering), and
-	// GET /v1/debug/profiles lists them. Nil answers the debug endpoints 503.
-	Profiles *store.Store
+	// Store, when non-nil, is the server's run cache in place of the
+	// CacheSize LRU: results are served from and appended to this on-disk
+	// log, so they survive restarts, in worker and coordinator mode alike.
+	// It also enables on-demand profile capture: POST /v1/debug/profile
+	// writes pprof blobs into it beside the result segments (the two planes
+	// share a directory without interfering), and GET /v1/debug/profiles
+	// lists them. Nil answers the debug endpoints 503.
+	Store *store.Store
+}
+
+// runCache is where a server keeps results between jobs: Config.Store when
+// set, the CacheSize LRU otherwise. Len feeds the cache-size gauge.
+type runCache interface {
+	store.Results
+	Len() int
 }
 
 // Runner is the execution backend of a server. rec, when non-nil, is the
@@ -156,7 +168,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	runner  Runner
-	cache   *Cache
+	cache   runCache
 	reg     *obs.Registry
 	metrics *serverMetrics
 
@@ -206,7 +218,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		runner:  runner,
-		cache:   NewCache(cfg.CacheSize),
 		reg:     reg,
 		ctx:     ctx,
 		cancel:  cancel,
@@ -214,6 +225,11 @@ func New(cfg Config) *Server {
 		queue:   make(chan *job, cfg.QueueDepth),
 		syncSem: make(chan struct{}, cfg.JobWorkers),
 		jobs:    make(map[string]*job),
+	}
+	if cfg.Store != nil {
+		s.cache = cfg.Store
+	} else {
+		s.cache = NewCache(cfg.CacheSize)
 	}
 	s.metrics = newServerMetrics(s, reg)
 	for w := 0; w < cfg.JobWorkers; w++ {
@@ -242,7 +258,8 @@ func (s *Server) worker() {
 // completion is cached and streamed into every index holding its key (each
 // duplicate instance still counts as its own cache miss, since none was
 // served from the cache). A recorded job (RunRequest.Record set) passes the
-// cache by entirely — see store.Lookup.
+// cache by entirely — see store.Lookup. A failed Put (Config.Store is a
+// disk log) cancels the run and fails the job with the store's error.
 func (s *Server) runJob(j *job) {
 	defer s.release(j)
 	j.queueSpan.End()
@@ -271,9 +288,18 @@ func (s *Server) runJob(j *job) {
 		runSpan.SetAttrInt("unique_misses", int64(len(b.Misses)))
 	}
 	if len(b.Misses) > 0 {
-		_, err := s.runner(ctx, b.Misses, j.record, func(mi int, r wire.TrialResult) {
-			b.Deliver(b.Keys[mi], r) // the cache's Put never fails
+		runCtx, cancel := context.WithCancelCause(ctx)
+		defer cancel(nil)
+		_, err := s.runner(runCtx, b.Misses, j.record, func(mi int, r wire.TrialResult) {
+			if err := b.Deliver(b.Keys[mi], r); err != nil {
+				cancel(err)
+			}
 		})
+		// Shutdown cancels with context.Canceled; any other cause is the
+		// first failed Put, which outranks whatever the runner returned.
+		if cause := context.Cause(runCtx); cause != nil && !errors.Is(cause, context.Canceled) {
+			err = cause
+		}
 		if err != nil {
 			runSpan.EndErr(err)
 			j.finish(err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dynspread/internal/obs"
+	"dynspread/internal/store"
 	"dynspread/internal/wire"
 )
 
@@ -166,8 +167,8 @@ func TestServiceSyncRunsAndSpreadsimSchema(t *testing.T) {
 		t.Fatalf("sync run: %+v", st)
 	}
 	// The service's per-trial schema is exactly what an in-process
-	// wire.RunSpecs (and therefore the facade's RunFull and spreadsim
-	// -json, which delegate to it) produces.
+	// wire.RunSpecs produces: the wire.ResultFromSweep conversion that the
+	// facade's Run, and so spreadsim -json, also returns.
 	local, err := wire.RunSpecs(ctx, []wire.TrialSpec{spec}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -327,6 +328,59 @@ func TestServiceDeduplicatesWithinJob(t *testing.T) {
 	}
 	if size := h.metric(t, "dynspread_service_cache_size", nil); size != 1 {
 		t.Fatalf("3 duplicate specs filled %v cache entries, want 1", size)
+	}
+}
+
+// TestServiceStoreIsRunCache: with Config.Store set, the on-disk store is the
+// run cache — results land in it and repeat requests are served from it —
+// and once a Put fails (here: the store is closed) the job fails with the
+// store's own error instead of reporting results the cache never took.
+func TestServiceStoreIsRunCache(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHarness(t, Config{Store: st})
+	defer h.close(t, context.Background())
+	ctx := context.Background()
+	spec := wire.TrialSpec{N: 10, K: 6, Algorithm: "single-source", Adversary: "static", Seed: 1}
+	other := spec
+	other.Seed = 2
+	req := wire.RunRequest{Trials: []wire.TrialSpec{spec, other, spec}}
+
+	first, err := h.client.Run(ctx, req)
+	if err != nil || first.State != JobDone {
+		t.Fatalf("first run: %+v (err %v)", first, err)
+	}
+	second, err := h.client.Run(ctx, req)
+	if err != nil || second.State != JobDone || second.CacheHits != 3 || second.CacheMisses != 0 {
+		t.Fatalf("repeat run not served from the store: %+v (err %v)", second, err)
+	}
+	if !reflect.DeepEqual(first.Results, second.Results) {
+		t.Fatal("store-served results differ from the simulated ones")
+	}
+	if size := h.metric(t, "dynspread_service_cache_size", nil); st.Len() != 2 || size != 2 {
+		t.Fatalf("store holds %d results, cache_size %v; want 2 and 2", st.Len(), size)
+	}
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	putErr := st.Put("key", wire.TrialResult{})
+	if putErr == nil {
+		t.Fatal("Put on a closed store succeeded")
+	}
+	fresh := spec
+	fresh.Seed = 3
+	js, err := h.client.Run(ctx, wire.RunRequest{Trials: []wire.TrialSpec{fresh}, Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js, err = h.client.WaitJob(ctx, js.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if js.State != JobFailed || js.Error != putErr.Error() {
+		t.Fatalf("job after a failed Put ended %q with error %q, want %q with %q", js.State, js.Error, JobFailed, putErr)
 	}
 }
 

@@ -54,11 +54,17 @@ func apply(g *graph.Graph, round int, ev RoundEvents) error {
 	return nil
 }
 
+// MaxN is the largest node count a trace may declare. A trace is outside
+// input (a file, a scenario), and Validate allocates a scratch graph of N
+// nodes, so an unchecked header could ask for terabytes; the wire schema
+// accepts the same bound (wire.MaxWireN).
+const MaxN = 1 << 20
+
 // Validate replays the whole trace against a scratch graph, verifying the
 // node count and the event stream's internal consistency.
 func (tr *GraphTrace) Validate() error {
-	if tr.N < 2 {
-		return fmt.Errorf("trace: need n >= 2 nodes, got %d", tr.N)
+	if tr.N < 2 || tr.N > MaxN {
+		return fmt.Errorf("trace: need 2 <= n <= %d nodes, got %d", MaxN, tr.N)
 	}
 	g := graph.New(tr.N)
 	for i, ev := range tr.Rounds {

@@ -127,3 +127,18 @@ func TestReadRejectsCorruptTraces(t *testing.T) {
 		})
 	}
 }
+
+// TestReadRejectsHugeN: a 64-byte header declaring n = 2^40 is refused before
+// Validate allocates a scratch graph of that many nodes, which used to end the
+// process with an out-of-memory fatal error.
+func TestReadRejectsHugeN(t *testing.T) {
+	const header = `{"format":"dynspread-graph-trace","version":1,"n":1099511627776}`
+	for _, in := range []string{header, header + "\n" + `{"r":1,"add":[[0,1]]}` + "\n"} {
+		if _, err := ReadGraphTrace(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "n <= 1048576") {
+			t.Fatalf("err = %v, want the node bound", err)
+		}
+	}
+	if err := (&GraphTrace{N: MaxN + 1}).Validate(); err == nil {
+		t.Fatal("Validate accepted n = MaxN+1")
+	}
+}

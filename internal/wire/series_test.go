@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -89,6 +90,54 @@ func TestSeriesNilAndEmpty(t *testing.T) {
 	if got := empty.Samples(); len(got) != 0 {
 		t.Fatalf("empty snapshot decodes %d samples", len(got))
 	}
+}
+
+// samplesFrom decodes raw into round samples, eight little-endian bytes per
+// field in declaration order (a trailing partial sample is dropped), so a
+// fuzzer controls every field of every sample.
+func samplesFrom(raw []byte) []sim.RoundSample {
+	nf := reflect.TypeOf(sim.RoundSample{}).NumField()
+	out := make([]sim.RoundSample, len(raw)/(8*nf))
+	for i := range out {
+		v := reflect.ValueOf(&out[i]).Elem()
+		for f := 0; f < nf; f++ {
+			v.Field(f).SetInt(int64(binary.LittleEndian.Uint64(raw[8*(i*nf+f):])))
+		}
+	}
+	return out
+}
+
+// FuzzRoundSeries: the series codec is exact for arbitrary samples — any
+// values, non-monotone rounds, overflowing deltas, all-zero columns — and
+// Samples never panics on a series decoded from arbitrary JSON, whatever its
+// column lengths.
+func FuzzRoundSeries(f *testing.F) {
+	seed, err := json.Marshal(SeriesFromSnapshot(testSnapshot()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw := make([]byte, 3*8*reflect.TypeOf(sim.RoundSample{}).NumField())
+	for i := range raw {
+		if i%5 == 0 {
+			raw[i] = byte(i)
+		}
+	}
+	f.Add(raw, seed)
+	f.Add([]byte{}, []byte(`{"stride":1,"capacity":2,"rounds":[1,1],"known":[5],"messages":[1,2,3]}`))
+	f.Add([]byte{0xff, 0xff}, []byte(`{"rounds":[9223372036854775807,1],"known":[-9223372036854775808,-1]}`))
+	f.Fuzz(func(t *testing.T, raw, js []byte) {
+		samples := samplesFrom(raw)
+		got := SeriesFromSnapshot(&sim.RecorderSnapshot{Stride: 1, Capacity: len(samples), Samples: samples}).Samples()
+		if len(got) != len(samples) || (len(got) > 0 && !reflect.DeepEqual(got, samples)) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, samples)
+		}
+		var s RoundSeries
+		if json.Unmarshal(js, &s) == nil {
+			if got := s.Samples(); len(got) != s.Len() {
+				t.Fatalf("decoded %d samples from a series of length %d", len(got), s.Len())
+			}
+		}
+	})
 }
 
 func TestRecordSpecValidate(t *testing.T) {

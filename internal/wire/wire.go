@@ -13,7 +13,7 @@
 // facade so the service, cluster, and store layers can share the schema
 // without importing it. It is not a leaf: it converts to and from sweep
 // types and hosts the in-process runner (RunSpecs), so it imports sim,
-// sweep, and tracing.
+// sweep, and tracing, and it shares trace's node bound.
 package wire
 
 import (
@@ -33,6 +33,7 @@ import (
 	_ "dynspread/internal/core"
 	"dynspread/internal/sim"
 	"dynspread/internal/sweep"
+	"dynspread/internal/trace"
 	"dynspread/internal/tracing"
 )
 
@@ -132,8 +133,9 @@ func Key(spec TrialSpec) string {
 // bounds are orders of magnitude above every realistic sweep while keeping
 // 40·n·k comfortably inside an int64.
 const (
-	// MaxWireN is the largest node count accepted over the wire.
-	MaxWireN = 1 << 20
+	// MaxWireN is the largest node count accepted over the wire: the graph
+	// trace decoder's bound, so every decoder of outside input agrees.
+	MaxWireN = trace.MaxN
 	// MaxWireK is the largest token count accepted over the wire.
 	MaxWireK = 1 << 24
 	// MaxWireRounds is the largest explicit round cap (or arrival round)

@@ -162,8 +162,8 @@ func TestRunSpecsMatchesRunAndStreamsProgress(t *testing.T) {
 	}
 }
 
-func TestRunFullResolvesScenario(t *testing.T) {
-	res, err := dynspread.RunFull(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 1})
+func TestRunResolvesScenario(t *testing.T) {
+	res, err := dynspread.Run(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRunFullResolvesScenario(t *testing.T) {
 // TrialResult carries (scenario expanded into its concrete shape) must be
 // accepted verbatim as a new request and reproduce the same execution.
 func TestResolvedSpecRoundTrips(t *testing.T) {
-	orig, err := dynspread.RunFull(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 5})
+	orig, err := dynspread.Run(dynspread.Config{Scenario: dynspread.ScenTokenStream, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,20 +217,20 @@ func TestResolvedSpecRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRunFullRecordedReplayReproduces(t *testing.T) {
+func TestRunRecordedReplayReproduces(t *testing.T) {
 	cfg := dynspread.Config{
 		N: 10, K: 6,
 		Algorithm: dynspread.AlgSingleSource,
 		Adversary: dynspread.AdvChurn,
 		Seed:      11,
 	}
-	orig, gt, err := dynspread.RunFullRecorded(cfg)
+	orig, gt, err := dynspread.RunRecorded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Adversary = ""
 	cfg.Replay = gt
-	replayed, err := dynspread.RunFull(cfg)
+	replayed, err := dynspread.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
