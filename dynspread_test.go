@@ -130,6 +130,17 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunSingleSourceRejectsManySources: Algorithm 1 has one source, so
+// more sources is an error that names multi-source. It must not run
+// Multi-Source-Unicast under the single-source name, nor spin to the round
+// cap because no node starts with all k tokens.
+func TestRunSingleSourceRejectsManySources(t *testing.T) {
+	_, err := Run(Config{N: 10, K: 10, Sources: 3, Algorithm: AlgSingleSource, Adversary: AdvStatic, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), string(AlgMultiSource)) {
+		t.Fatalf("err = %v, want an error naming %s", err, AlgMultiSource)
+	}
+}
+
 // TestRunJSONRoundTrip: Run's result is the service schema, so its JSON
 // carries the paper's cost measures under their wire names and decodes back
 // unchanged.

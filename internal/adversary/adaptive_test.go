@@ -19,7 +19,7 @@ func TestRequestCutterRun(t *testing.T) {
 	}
 	res, err := sim.RunUnicast(sim.UnicastConfig{
 		Assign:    assign,
-		Factory:   core.NewSingleSource(),
+		Factory:   core.NewMultiSource(),
 		Adversary: adv,
 		Seed:      1,
 		MaxRounds: 100000,

@@ -49,7 +49,7 @@ func TestRotatingStarSingleSourceCompletes(t *testing.T) {
 	}
 	res, err := sim.RunUnicast(sim.UnicastConfig{
 		Assign:    assign,
-		Factory:   core.NewSingleSource(),
+		Factory:   core.NewMultiSource(),
 		Adversary: Oblivious(star),
 		Seed:      1,
 		MaxRounds: 400 * n * k,

@@ -82,7 +82,9 @@ func New(n int) *Set {
 // NewSlice returns cnt empty adaptive sets over universe n. When the
 // universe starts dense the word storage of all cnt sets is carved from one
 // slab allocation — this is how the graph substrate materializes n adjacency
-// rows in O(1) allocations per graph.
+// rows in O(1) allocations per graph. Sparse sets start with no list
+// storage and grow it on insert: pre-sizing each to its promotion threshold,
+// as Reset does, would make n adjacency rows cost O(n²) memory.
 func NewSlice(cnt, n int) []Set {
 	sets := make([]Set, cnt)
 	if startDense(n) {
@@ -97,7 +99,9 @@ func NewSlice(cnt, n int) []Set {
 		return sets
 	}
 	for i := range sets {
-		sets[i].Reset(n)
+		sets[i].n = n
+		sets[i].threshold = promoteAt(n)
+		sets[i].sp.Reset(n)
 	}
 	return sets
 }

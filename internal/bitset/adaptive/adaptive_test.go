@@ -168,6 +168,36 @@ func TestNewSliceSlab(t *testing.T) {
 	}
 }
 
+// TestNewSliceSparseRowsGrowOnInsert: sparse rows start with no list
+// storage (one allocation for the whole slice), yet still promote only past
+// their threshold.
+func TestNewSliceSparseRowsGrowOnInsert(t *testing.T) {
+	const n = 4096
+	if allocs := testing.AllocsPerRun(5, func() { NewSlice(64, n) }); allocs != 1 {
+		t.Fatalf("NewSlice(64, %d) made %.0f allocations, want 1", n, allocs)
+	}
+	sets := NewSlice(3, n)
+	th := promoteAt(n)
+	for i := range sets {
+		if sets[i].Dense() || sets[i].Len() != n || sets[i].Count() != 0 {
+			t.Fatalf("set %d: want an empty sparse set", i)
+		}
+	}
+	for i := 0; i < th; i++ {
+		sets[1].Insert(i * 7 % n)
+	}
+	if sets[1].Dense() || sets[1].Count() != th {
+		t.Fatalf("promoted early at count %d (threshold %d)", sets[1].Count(), th)
+	}
+	sets[1].Insert(n - 1)
+	if !sets[1].Dense() || sets[1].Count() != th+1 {
+		t.Fatalf("not promoted past threshold (count %d, threshold %d)", sets[1].Count(), th)
+	}
+	if sets[0].Count() != 0 || sets[2].Count() != 0 {
+		t.Fatal("rows alias each other")
+	}
+}
+
 func TestAdaptiveEqualCopyFromMixedRep(t *testing.T) {
 	n := 1000
 	sp := New(n) // stays sparse

@@ -4,7 +4,6 @@ import "dynspread/internal/sim"
 
 // Compile-time interface compliance checks.
 var (
-	_ sim.Protocol = (*SingleSource)(nil)
 	_ sim.Protocol = (*MultiSource)(nil)
 	_ sim.Protocol = (*Oblivious)(nil)
 	_ sim.Protocol = (*SpanningTree)(nil)

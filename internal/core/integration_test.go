@@ -20,7 +20,7 @@ func TestMatrixAlgorithmsByAdversaries(t *testing.T) {
 		name    string
 		factory sim.Factory
 	}{
-		{"single-source", NewSingleSource()},
+		{"single-source", NewMultiSource()},
 		{"multi-source", NewMultiSource()},
 		{"oblivious", NewOblivious(ObliviousOpts{Seed: 1, CF: 0.2})},
 		{"topkis", NewTopkis()},
@@ -115,7 +115,7 @@ func TestRequestAccountingInvariant(t *testing.T) {
 		}
 		res, err := sim.RunUnicast(sim.UnicastConfig{
 			Assign:    assign,
-			Factory:   NewSingleSource(),
+			Factory:   NewMultiSource(),
 			Adversary: cutter,
 			Seed:      seed,
 			MaxRounds: 600000,
@@ -175,7 +175,7 @@ func TestEngineRejectsWrongSizeGraph(t *testing.T) {
 	}
 	_, err = sim.RunUnicast(sim.UnicastConfig{
 		Assign:    assign,
-		Factory:   NewSingleSource(),
+		Factory:   NewMultiSource(),
 		Adversary: wrongSizeAdv{},
 		MaxRounds: 5,
 	})
@@ -202,7 +202,7 @@ func TestSeedsSweepSingleSource(t *testing.T) {
 		}
 		res, err := sim.RunUnicast(sim.UnicastConfig{
 			Assign:    assign,
-			Factory:   NewSingleSource(),
+			Factory:   NewMultiSource(),
 			Adversary: cutter,
 			Seed:      seed,
 			MaxRounds: 600000,

@@ -27,6 +27,8 @@ type OwnedToken struct {
 // requests for the minimum-ID source x ∉ I_v with S_v(x) ≠ ∅, using
 // Algorithm 1's new > idle > contributive edge priority. All three tasks
 // may share a single message per edge (constant tokens + O(log n) bits).
+// With one source this is Algorithm 1 (Single-Source-Unicast) itself, and
+// the single-source registry entry runs it that way.
 //
 // All state is dense, and steady-state rounds allocate nothing. A source's
 // record (k_x, its token slots, and R_v(x) and S_v(x) as n-bit sets) is
@@ -38,7 +40,8 @@ type OwnedToken struct {
 // stamped with the round they are due, so nothing is cleared between
 // rounds, and Send fills one message slot per neighbor in a reused buffer.
 type MultiSource struct {
-	env sim.NodeEnv
+	env  sim.NodeEnv
+	opts SingleSourceOpts
 
 	src          []*msSource // by source ID; nil until the source is learned
 	iv           bitset.Set  // I_v: sources we are complete w.r.t.
@@ -87,10 +90,45 @@ type dueRequest struct {
 	req sim.RequestPayload
 }
 
+// SingleSourceOpts tunes Algorithm 1 for ablation experiments.
+type SingleSourceOpts struct {
+	// RandomPriority replaces the new > idle > contributive request-edge
+	// priority with a uniformly random edge order — the E9 ablation that
+	// disables the futile-round machinery of Lemmas 3.2/3.3.
+	RandomPriority bool
+	// Stats, when non-nil, receives cross-node instrumentation (shared by
+	// every node of the run; the engine is single-threaded). Used by the
+	// Lemma 3.3 futile-round experiment.
+	Stats *SingleSourceStats
+}
+
+// SingleSourceStats aggregates instrumentation across all nodes of one run.
+type SingleSourceStats struct {
+	// ContribRequestRounds marks rounds in which some node assigned a
+	// request to a contributive edge (the negation of the first futile-round
+	// condition of Definition 3.3).
+	ContribRequestRounds map[int]bool
+	// RequestsByClass counts assigned requests per edge class
+	// (new, idle, contributive).
+	RequestsByClass [3]int64
+	// LastRequestRound is the last round any node sent a token request
+	// (Lemma 3.3 counts futile rounds up to this point).
+	LastRequestRound int
+}
+
+// NewSingleSourceStats returns an empty stats collector.
+func NewSingleSourceStats() *SingleSourceStats {
+	return &SingleSourceStats{ContribRequestRounds: make(map[int]bool)}
+}
+
 // NewMultiSource returns the Multi-Source-Unicast factory for tokens
 // distributed per the engine's assignment (each source owns its initial
 // tokens).
-func NewMultiSource() sim.Factory {
+func NewMultiSource() sim.Factory { return NewMultiSourceWithOpts(SingleSourceOpts{}) }
+
+// NewMultiSourceWithOpts returns the Multi-Source-Unicast factory with
+// Algorithm 1's ablation and instrumentation hooks.
+func NewMultiSourceWithOpts(opts SingleSourceOpts) sim.Factory {
 	return func(env sim.NodeEnv) sim.Protocol {
 		owned := make([]OwnedToken, 0, len(env.Initial))
 		for _, t := range env.Initial {
@@ -100,7 +138,9 @@ func NewMultiSource() sim.Factory {
 		for i := range owned {
 			owned[i].Count = len(owned)
 		}
-		return NewMultiSourceWith(env, owned)
+		p := NewMultiSourceWith(env, owned)
+		p.opts = opts
+		return p
 	}
 }
 
@@ -302,6 +342,9 @@ func (p *MultiSource) sendRequests(r int, out []sim.Message) {
 		}
 	}
 	p.cands = cands
+	if p.opts.RandomPriority {
+		p.shuffleCands(cands)
+	}
 	// The j-th candidate asks for the j-th missing index: neither held nor
 	// already arriving.
 	idx := 1
@@ -314,9 +357,32 @@ func (p *MultiSource) sendRequests(r int, out []sim.Message) {
 		}
 		req := sim.RequestPayload{Owner: x, Index: idx}
 		idx++
+		if p.opts.Stats != nil {
+			p.countRequest(r, nbrs[i])
+		}
 		p.requests[nbrs[i]] = dueRequest{due: r + 1, req: req}
 		out[i].SetRequest(req)
 	}
+}
+
+// shuffleCands is E9's ablation: a uniformly random candidate order in
+// place of new > idle > contributive. A round in which every missing index
+// is already arriving draws too: harmless, since those indices all arrive
+// this round and the node never draws again.
+func (p *MultiSource) shuffleCands(cands []int) {
+	p.env.Rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+}
+
+// countRequest adds a request about to be assigned to u to E11's stats,
+// by the class u's edge has before its request slot is overwritten.
+func (p *MultiSource) countRequest(r int, u graph.NodeID) {
+	st := p.opts.Stats
+	c := p.edges.class(u, p.requests[u].due == r)
+	st.RequestsByClass[c-1]++
+	if c == edgeContributive {
+		st.ContribRequestRounds[r] = true
+	}
+	st.LastRequestRound = max(st.LastRequestRound, r)
 }
 
 // Deliver implements sim.Protocol.

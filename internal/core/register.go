@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"dynspread/internal/registry"
 	"dynspread/internal/sim"
 )
@@ -11,13 +13,14 @@ import (
 func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "single-source",
-		Doc:  "Algorithm 1 (Single-Source-Unicast): 1-competitive O(n²+nk) messages (Theorem 3.1)",
+		Doc:  "Algorithm 1 (Single-Source-Unicast), run as Multi-Source-Unicast with s = 1: 1-competitive O(n²+nk) messages (Theorem 3.1)",
 		Mode: registry.Unicast,
 		Unicast: func(p registry.Params) (sim.Factory, error) {
-			if opts, ok := p.Options.(SingleSourceOpts); ok {
-				return NewSingleSourceWithOpts(opts), nil
+			if p.Sources > 1 {
+				return nil, fmt.Errorf("one source only, got %d; use multi-source for more", p.Sources)
 			}
-			return NewSingleSource(), nil
+			opts, _ := p.Options.(SingleSourceOpts)
+			return NewMultiSourceWithOpts(opts), nil
 		},
 	})
 	registry.RegisterAlgorithm(registry.Algorithm{

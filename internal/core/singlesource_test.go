@@ -22,7 +22,7 @@ func runSingle(t *testing.T, n, k int, adv sim.Adversary, maxRounds int, checkSt
 	t.Helper()
 	res, err := sim.RunUnicast(sim.UnicastConfig{
 		Assign:         singleAssign(t, n, k),
-		Factory:        NewSingleSource(),
+		Factory:        NewMultiSource(),
 		Adversary:      adv,
 		MaxRounds:      maxRounds,
 		Seed:           1,
@@ -164,7 +164,7 @@ func TestSingleSourceSourceNotZero(t *testing.T) {
 	}
 	res, err := sim.RunUnicast(sim.UnicastConfig{
 		Assign:    a,
-		Factory:   NewSingleSource(),
+		Factory:   NewMultiSource(),
 		Adversary: staticAdv(graph.Path(9)),
 		Seed:      2,
 	})
@@ -204,7 +204,7 @@ func TestSingleSourceQuiescentAfterCompletion(t *testing.T) {
 	completedAt := -1
 	_, err := sim.RunUnicast(sim.UnicastConfig{
 		Assign:    a,
-		Factory:   NewSingleSource(),
+		Factory:   NewMultiSource(),
 		Adversary: staticAdv(graph.Cycle(n)),
 		MaxRounds: 400,
 		OnRound: func(r int, _ graph.Diff, sent []sim.Message, _ int64) {

@@ -88,7 +88,7 @@ func TestTopkisMessageHungryVsAlgorithm1(t *testing.T) {
 		return res
 	}
 	topkis := run(NewTopkis())
-	alg1 := run(NewSingleSource())
+	alg1 := run(NewMultiSource())
 	if alg1.Metrics.Messages >= topkis.Metrics.Messages {
 		t.Fatalf("Algorithm 1 (%d msgs) should beat Topkis (%d msgs) on K_%d",
 			alg1.Metrics.Messages, topkis.Metrics.Messages, n)

@@ -37,7 +37,7 @@ func E11FutileRounds(cfg Config) (*tablefmt.Table, error) {
 		learnedAt := make(map[int]int64)
 		res, err := sim.RunUnicast(sim.UnicastConfig{
 			Assign:         assign,
-			Factory:        core.NewSingleSourceWithOpts(core.SingleSourceOpts{Stats: stats}),
+			Factory:        core.NewMultiSourceWithOpts(core.SingleSourceOpts{Stats: stats}),
 			Adversary:      adversary.Oblivious(churn),
 			Seed:           cfg.Seed,
 			CheckStability: 3,

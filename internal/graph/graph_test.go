@@ -2,9 +2,28 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// TestNewLargeNMemory: an empty graph costs O(n) memory, not O(n²). Traces
+// and wire specs accept n up to 2²⁰, where adjacency rows pre-sized to their
+// promotion threshold of 4·⌈n/64⌉ entries would take about 256 GB.
+func TestNewLargeNMemory(t *testing.T) {
+	const n = 1 << 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := New(n)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<20 {
+		t.Fatalf("New(%d) allocated %d bytes, want under 32 MB", n, got)
+	}
+	g.AddEdge(0, n-1)
+	if !g.HasEdge(n-1, 0) || g.M() != 1 || g.Clone().Degree(0) != 1 {
+		t.Fatal("edge lost on a large graph")
+	}
+}
 
 func TestNewEdgeCanonical(t *testing.T) {
 	e := NewEdge(5, 2)
