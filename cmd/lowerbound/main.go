@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	badv, err := advSpec.Broadcast(params)
+	badv, err := advSpec.New(params)
 	if err != nil {
 		fatal(err)
 	}

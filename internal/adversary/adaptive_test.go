@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"strings"
 	"testing"
 
 	"dynspread/internal/core"
@@ -136,5 +137,36 @@ func TestFreeEdgeSparseZeroProgress(t *testing.T) {
 	// K'-covered tokens over free edges are allowed; they don't move Φ.)
 	if st.SparseProgress != 0 {
 		t.Fatalf("sparse-round potential progress = %d, want 0", st.SparseProgress)
+	}
+}
+
+// TestAdaptiveAdversariesRejectOtherMode: each strongly or weakly adaptive
+// adversary serves one mode, and handed the other mode's view it makes the
+// engine fail the run in round 1 with an error naming it — no panic on
+// free-edge's missing Choices, no request-cutter that silently never cuts.
+func TestAdaptiveAdversariesRejectOtherMode(t *testing.T) {
+	assign, err := token.Gossip(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRound1 := func(err error, name string) {
+		t.Helper()
+		if want := `adversary "` + name + `" returned invalid graph in round 1`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to contain %q", err, want)
+		}
+	}
+	cutter, err := NewRequestCutter(6, 0, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.RunBroadcast(sim.BroadcastConfig{
+		Assign: assign, Factory: core.NewFlooding(0), Adversary: cutter, MaxRounds: 10,
+	})
+	wantRound1(err, cutter.Name())
+	for _, adv := range []sim.Adversary{NewFreeEdge(true, 1, 1), NewFreeEdge(false, 1, 1), NewWeakFreeEdge(1)} {
+		_, err := sim.RunUnicast(sim.UnicastConfig{
+			Assign: assign, Factory: core.NewMultiSource(), Adversary: adv, MaxRounds: 10,
+		})
+		wantRound1(err, adv.Name())
 	}
 }

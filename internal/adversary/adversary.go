@@ -25,28 +25,16 @@ type Sequence interface {
 	Graph(r int) *graph.Graph
 }
 
-// obliviousUnicast adapts a Sequence to sim.Adversary. By construction it
-// ignores everything in the view except the round number, which is what
-// makes it oblivious.
-type obliviousUnicast struct{ seq Sequence }
+// oblivious adapts a Sequence to sim.Adversary. By construction it ignores
+// everything in the view except the round number, which is what makes it
+// oblivious — and what lets it serve both communication modes.
+type oblivious struct{ seq Sequence }
 
-// Oblivious wraps an oblivious sequence as a unicast adversary.
-func Oblivious(seq Sequence) sim.Adversary { return obliviousUnicast{seq} }
+// Oblivious wraps an oblivious sequence as an adversary for either mode.
+func Oblivious(seq Sequence) sim.Adversary { return oblivious{seq} }
 
-func (o obliviousUnicast) Name() string { return o.seq.Name() }
+func (o oblivious) Name() string { return o.seq.Name() }
 
-func (o obliviousUnicast) NextGraph(view *sim.View) *graph.Graph {
-	return o.seq.Graph(view.Round)
-}
-
-// obliviousBroadcast adapts a Sequence to sim.BroadcastAdversary.
-type obliviousBroadcast struct{ seq Sequence }
-
-// ObliviousBroadcast wraps an oblivious sequence as a broadcast adversary.
-func ObliviousBroadcast(seq Sequence) sim.BroadcastAdversary { return obliviousBroadcast{seq} }
-
-func (o obliviousBroadcast) Name() string { return o.seq.Name() }
-
-func (o obliviousBroadcast) NextGraph(view *sim.BroadcastView) *graph.Graph {
+func (o oblivious) NextGraph(view *sim.View) *graph.Graph {
 	return o.seq.Graph(view.Round)
 }

@@ -6,10 +6,11 @@ import (
 
 	"dynspread/internal/graph"
 	"dynspread/internal/sim"
+	"dynspread/internal/token"
 )
 
-// drive pulls rounds of a sequence through the oblivious unicast adapter and
-// applies per-round validators.
+// drive pulls rounds of a sequence through the oblivious adapter on a unicast
+// view and applies per-round validators.
 func drive(t *testing.T, seq Sequence, rounds int, check func(r int, g *graph.Graph)) {
 	t.Helper()
 	adv := Oblivious(seq)
@@ -183,11 +184,12 @@ func TestRegularSeq(t *testing.T) {
 
 func TestObliviousBroadcastAdapter(t *testing.T) {
 	seq := NewStatic(graph.Path(5))
-	adv := ObliviousBroadcast(seq)
+	adv := Oblivious(seq)
 	if adv.Name() != "static" {
 		t.Fatalf("Name = %q", adv.Name())
 	}
-	g := adv.NextGraph(&sim.BroadcastView{View: sim.View{Round: 1, N: 5}})
+	choices := []token.ID{0, token.None, token.None, 1, token.None}
+	g := adv.NextGraph(&sim.View{Round: 1, N: 5, Choices: choices})
 	if !g.Connected() || g.N() != 5 {
 		t.Fatal("bad graph from broadcast adapter")
 	}

@@ -12,9 +12,8 @@ var (
 	_ Sequence = (*RotatingStar)(nil)
 	_ Sequence = (*Mobility)(nil)
 
-	_ sim.Adversary          = (*RequestCutter)(nil)
-	_ sim.Adversary          = obliviousUnicast{}
-	_ sim.BroadcastAdversary = (*FreeEdge)(nil)
-	_ sim.BroadcastAdversary = (*WeakFreeEdge)(nil)
-	_ sim.BroadcastAdversary = obliviousBroadcast{}
+	_ sim.Adversary = (*RequestCutter)(nil)
+	_ sim.Adversary = (*FreeEdge)(nil)
+	_ sim.Adversary = (*WeakFreeEdge)(nil)
+	_ sim.Adversary = oblivious{}
 )

@@ -77,7 +77,7 @@ func NewFreeEdge(sparse bool, c float64, seed int64) *FreeEdge {
 	return a
 }
 
-// Name implements sim.BroadcastAdversary.
+// Name implements sim.Adversary.
 func (a *FreeEdge) Name() string { return a.name }
 
 // SetupOK reports whether the sampled K' sets satisfied Φ(0) ≤ 0.8nk (the
@@ -90,13 +90,17 @@ func (a *FreeEdge) Stats() FreeEdgeStats { return a.stats }
 // Instance exposes the sampled K' sets (for tests). Nil before round 1.
 func (a *FreeEdge) Instance() *lowerbound.Instance { return a.inst }
 
-// NextGraph implements sim.BroadcastAdversary.
-func (a *FreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
+// NextGraph implements sim.Adversary for local broadcast only: a view without
+// one committed choice per node (unicast) gets nil, failing the run.
+func (a *FreeEdge) NextGraph(view *sim.View) *graph.Graph {
 	n := view.N
+	if len(view.Choices) != n {
+		return nil
+	}
 	if a.inst == nil {
 		a.setup(view)
 	}
-	phi := a.inst.Potential(&view.View)
+	phi := a.inst.Potential(view)
 
 	// Attribute the potential growth caused by the previously served round.
 	if a.prevPhi >= 0 {
@@ -150,7 +154,7 @@ func (a *FreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
 
 // setup samples the K' instance on the first call, retrying until
 // Φ(0) ≤ 0.8nk as the probabilistic method requires.
-func (a *FreeEdge) setup(view *sim.BroadcastView) {
+func (a *FreeEdge) setup(view *sim.View) {
 	n, k := view.N, view.K
 	a.stats.SparseThreshold = lowerbound.SparseThreshold(n, a.sparseC)
 	var last *lowerbound.Instance
@@ -160,7 +164,7 @@ func (a *FreeEdge) setup(view *sim.BroadcastView) {
 			break
 		}
 		last = inst
-		phi0 := inst.Potential(&view.View)
+		phi0 := inst.Potential(view)
 		if phi0*10 <= int64(n)*int64(k)*8 {
 			a.inst = inst
 			a.setupOK = true
@@ -172,6 +176,6 @@ func (a *FreeEdge) setup(view *sim.BroadcastView) {
 	// the theorem's Φ(0) guarantee); SetupOK stays false.
 	if last != nil {
 		a.inst = last
-		a.stats.InitialPhi = last.Potential(&view.View)
+		a.stats.InitialPhi = last.Potential(view)
 	}
 }

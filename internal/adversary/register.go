@@ -8,9 +8,10 @@ import (
 	"dynspread/internal/sim"
 )
 
-// The paper's adversaries self-register here. Oblivious sequences serve
-// both communication modes through the Oblivious/ObliviousBroadcast
-// adapters; the strongly adaptive adversaries are tied to one mode each.
+// The paper's adversaries self-register here, each with one New builder.
+// Oblivious sequences serve both communication modes through the Oblivious
+// adapter; the strongly adaptive adversaries are tied to one mode each
+// (Modes), and their NextGraph returns nil on the other mode's view.
 //
 // Every registration names its entry with a string literal directly in the
 // RegisterAdversary call — the registry analyzer (internal/analysis/passes/
@@ -48,27 +49,15 @@ type RewireOpts struct {
 // parameters.
 type sequenceBuilder func(registry.Params) (Sequence, error)
 
-// seqUnicast adapts a sequence builder to the unicast mode via the
-// Oblivious adapter.
-func seqUnicast(build sequenceBuilder) func(registry.Params) (sim.Adversary, error) {
+// seq adapts a sequence builder to an adversary builder via the Oblivious
+// adapter.
+func seq(build sequenceBuilder) func(registry.Params) (sim.Adversary, error) {
 	return func(p registry.Params) (sim.Adversary, error) {
-		seq, err := build(p)
+		s, err := build(p)
 		if err != nil {
 			return nil, err
 		}
-		return Oblivious(seq), nil
-	}
-}
-
-// seqBroadcast adapts a sequence builder to the local-broadcast mode
-// via the ObliviousBroadcast adapter.
-func seqBroadcast(build sequenceBuilder) func(registry.Params) (sim.BroadcastAdversary, error) {
-	return func(p registry.Params) (sim.BroadcastAdversary, error) {
-		seq, err := build(p)
-		if err != nil {
-			return nil, err
-		}
-		return ObliviousBroadcast(seq), nil
+		return Oblivious(s), nil
 	}
 }
 
@@ -109,59 +98,52 @@ func buildMobility(p registry.Params) (Sequence, error) {
 
 func init() {
 	registry.RegisterAdversary(registry.Adversary{
-		Name:      "static",
-		Doc:       "fixed random connected graph (default m = 2n)",
-		Modes:     registry.Unicast | registry.Broadcast,
-		Unicast:   seqUnicast(buildStatic),
-		Broadcast: seqBroadcast(buildStatic),
+		Name:  "static",
+		Doc:   "fixed random connected graph (default m = 2n)",
+		Modes: registry.Unicast | registry.Broadcast,
+		New:   seq(buildStatic),
 	})
 	registry.RegisterAdversary(registry.Adversary{
-		Name:      "churn",
-		Doc:       "σ-edge-stable random churn (σ = Sigma, default 3; Theorems 3.4/3.6)",
-		Modes:     registry.Unicast | registry.Broadcast,
-		Unicast:   seqUnicast(buildChurn),
-		Broadcast: seqBroadcast(buildChurn),
+		Name:  "churn",
+		Doc:   "σ-edge-stable random churn (σ = Sigma, default 3; Theorems 3.4/3.6)",
+		Modes: registry.Unicast | registry.Broadcast,
+		New:   seq(buildChurn),
 	})
 	registry.RegisterAdversary(registry.Adversary{
-		Name:      "rewire",
-		Doc:       "fresh random connected graph every round",
-		Modes:     registry.Unicast | registry.Broadcast,
-		Unicast:   seqUnicast(buildRewire),
-		Broadcast: seqBroadcast(buildRewire),
+		Name:  "rewire",
+		Doc:   "fresh random connected graph every round",
+		Modes: registry.Unicast | registry.Broadcast,
+		New:   seq(buildRewire),
 	})
 	registry.RegisterAdversary(registry.Adversary{
-		Name:      "markovian",
-		Doc:       "edge-Markovian evolving graph (pOn=0.05, pOff=0.2)",
-		Modes:     registry.Unicast | registry.Broadcast,
-		Unicast:   seqUnicast(buildMarkovian),
-		Broadcast: seqBroadcast(buildMarkovian),
+		Name:  "markovian",
+		Doc:   "edge-Markovian evolving graph (pOn=0.05, pOff=0.2)",
+		Modes: registry.Unicast | registry.Broadcast,
+		New:   seq(buildMarkovian),
 	})
 	registry.RegisterAdversary(registry.Adversary{
-		Name:      "regular",
-		Doc:       "fresh random near-6-regular graphs (Algorithm 2's substrate, Lemma 3.7)",
-		Modes:     registry.Unicast | registry.Broadcast,
-		Unicast:   seqUnicast(buildRegular),
-		Broadcast: seqBroadcast(buildRegular),
+		Name:  "regular",
+		Doc:   "fresh random near-6-regular graphs (Algorithm 2's substrate, Lemma 3.7)",
+		Modes: registry.Unicast | registry.Broadcast,
+		New:   seq(buildRegular),
 	})
 	registry.RegisterAdversary(registry.Adversary{
-		Name:      "rotating-star",
-		Doc:       "star with rotating center: Θ(n) topological changes per rotation",
-		Modes:     registry.Unicast | registry.Broadcast,
-		Unicast:   seqUnicast(buildRotatingStar),
-		Broadcast: seqBroadcast(buildRotatingStar),
+		Name:  "rotating-star",
+		Doc:   "star with rotating center: Θ(n) topological changes per rotation",
+		Modes: registry.Unicast | registry.Broadcast,
+		New:   seq(buildRotatingStar),
 	})
 	registry.RegisterAdversary(registry.Adversary{
-		Name:      "mobility",
-		Doc:       "unit-disk graphs of nodes drifting through an arena",
-		Modes:     registry.Unicast | registry.Broadcast,
-		Unicast:   seqUnicast(buildMobility),
-		Broadcast: seqBroadcast(buildMobility),
+		Name:  "mobility",
+		Doc:   "unit-disk graphs of nodes drifting through an arena",
+		Modes: registry.Unicast | registry.Broadcast,
+		New:   seq(buildMobility),
 	})
 	registry.RegisterAdversary(registry.Adversary{
 		Name:  "request-cutter",
 		Doc:   "strongly adaptive: cuts request-carrying edges (stresses Theorems 3.1/3.5)",
 		Modes: registry.Unicast,
-		Unicast: func(p registry.Params) (sim.Adversary, error) {
+		New: func(p registry.Params) (sim.Adversary, error) {
 			opts, _ := p.AdvOptions.(RequestCutterOpts)
 			if opts.CutProb <= 0 {
 				opts.CutProb = 0.6
@@ -173,7 +155,7 @@ func init() {
 		Name:  "free-edge",
 		Doc:   "Section 2 strongly adaptive local-broadcast lower-bound adversary",
 		Modes: registry.Broadcast,
-		Broadcast: func(p registry.Params) (sim.BroadcastAdversary, error) {
+		New: func(p registry.Params) (sim.Adversary, error) {
 			return NewFreeEdge(true, 1, p.Seed+107), nil
 		},
 	})

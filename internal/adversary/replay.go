@@ -23,74 +23,44 @@ import (
 // ReplayName is the self-reported adversary name of trace replays.
 const ReplayName = "trace-replay"
 
-// replayCore applies the trace's events incrementally; both mode adapters
-// share it. The engine requests rounds in increasing order, which is the
-// only access pattern the cursor supports.
-type replayCore struct {
+// Replay serves a recorded trace to executions of either communication
+// mode (in broadcast mode it ignores the committed choices — a trace has
+// already fixed its mind). It applies the trace's events incrementally; the
+// engine requests rounds in increasing order, which is the only access
+// pattern the cursor supports.
+type Replay struct {
 	tr  *trace.GraphTrace
 	cur *graph.Graph
 	pos int // rounds applied so far
 }
 
-func newReplayCore(tr *trace.GraphTrace) (*replayCore, error) {
+// NewReplay validates the trace and returns its replay dynamics. Like every
+// adversary, a Replay is stateful: one instance per execution.
+func NewReplay(tr *trace.GraphTrace) (*Replay, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("adversary: nil replay trace")
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return &replayCore{tr: tr, cur: graph.New(tr.N)}, nil
-}
-
-func (c *replayCore) step(r int) *graph.Graph {
-	for c.pos < r && c.pos < len(c.tr.Rounds) {
-		ev := c.tr.Rounds[c.pos]
-		for _, e := range ev.Add {
-			c.cur.AddEdge(e[0], e[1])
-		}
-		for _, e := range ev.Del {
-			c.cur.RemoveEdge(e[0], e[1])
-		}
-		c.pos++
-	}
-	return c.cur.Clone()
-}
-
-// Replay serves a recorded trace to unicast executions.
-type Replay struct{ core *replayCore }
-
-// NewReplay validates the trace and returns its unicast replay dynamics.
-// Like every adversary, a Replay is stateful: one instance per execution.
-func NewReplay(tr *trace.GraphTrace) (*Replay, error) {
-	core, err := newReplayCore(tr)
-	if err != nil {
-		return nil, err
-	}
-	return &Replay{core: core}, nil
+	return &Replay{tr: tr, cur: graph.New(tr.N)}, nil
 }
 
 // Name implements sim.Adversary.
 func (a *Replay) Name() string { return ReplayName }
 
-// NextGraph implements sim.Adversary.
-func (a *Replay) NextGraph(v *sim.View) *graph.Graph { return a.core.step(v.Round) }
-
-// ReplayBroadcast serves a recorded trace to local-broadcast executions
-// (it ignores the committed choices — a trace has already fixed its mind).
-type ReplayBroadcast struct{ core *replayCore }
-
-// NewReplayBroadcast validates the trace and returns its broadcast replay
-// dynamics.
-func NewReplayBroadcast(tr *trace.GraphTrace) (*ReplayBroadcast, error) {
-	core, err := newReplayCore(tr)
-	if err != nil {
-		return nil, err
+// NextGraph implements sim.Adversary: it applies the trace's rounds up to
+// v.Round, each round's adds before its deletes, and serves a clone.
+func (a *Replay) NextGraph(v *sim.View) *graph.Graph {
+	for a.pos < v.Round && a.pos < len(a.tr.Rounds) {
+		ev := a.tr.Rounds[a.pos]
+		for _, e := range ev.Add {
+			a.cur.AddEdge(e[0], e[1])
+		}
+		for _, e := range ev.Del {
+			a.cur.RemoveEdge(e[0], e[1])
+		}
+		a.pos++
 	}
-	return &ReplayBroadcast{core: core}, nil
+	return a.cur.Clone()
 }
-
-// Name implements sim.BroadcastAdversary.
-func (a *ReplayBroadcast) Name() string { return ReplayName }
-
-// NextGraph implements sim.BroadcastAdversary.
-func (a *ReplayBroadcast) NextGraph(v *sim.BroadcastView) *graph.Graph { return a.core.step(v.Round) }

@@ -6,6 +6,7 @@ import (
 
 	"dynspread/internal/graph"
 	"dynspread/internal/sim"
+	"dynspread/internal/token"
 	"dynspread/internal/trace"
 )
 
@@ -39,12 +40,14 @@ func TestReplayServesRecordedSequence(t *testing.T) {
 		}
 	}
 
-	ba, err := NewReplayBroadcast(tr)
+	// A broadcast-shaped view (committed choices set) replays identically.
+	ba, err := NewReplay(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	choices := make([]token.ID, n)
 	for r := 1; r <= rounds; r++ {
-		g := ba.NextGraph(&sim.BroadcastView{View: sim.View{Round: r, N: n}})
+		g := ba.NextGraph(&sim.View{Round: r, N: n, Choices: choices})
 		if !g.Equal(seq[r-1]) {
 			t.Fatalf("round %d: broadcast replay diverged from recording", r)
 		}
@@ -62,7 +65,7 @@ func TestReplayRejectsBadTraces(t *testing.T) {
 	if _, err := NewReplay(bad); err == nil {
 		t.Fatal("inconsistent trace accepted")
 	}
-	if _, err := NewReplayBroadcast(&trace.GraphTrace{N: 1}); err == nil {
+	if _, err := NewReplay(&trace.GraphTrace{N: 1}); err == nil {
 		t.Fatal("n=1 trace accepted")
 	}
 }

@@ -69,8 +69,12 @@ func (a *RequestCutter) Name() string { return a.name }
 // Cuts returns the number of request-carrying edges the adversary has cut.
 func (a *RequestCutter) Cuts() int64 { return a.cuts }
 
-// NextGraph implements sim.Adversary.
+// NextGraph implements sim.Adversary for unicast only: a broadcast view
+// (Choices set) gets nil, failing the run instead of never cutting.
 func (a *RequestCutter) NextGraph(view *sim.View) *graph.Graph {
+	if view.Choices != nil {
+		return nil
+	}
 	if view.Round == 1 {
 		return a.cur.Clone()
 	}

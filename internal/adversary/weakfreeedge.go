@@ -37,7 +37,7 @@ func NewWeakFreeEdge(seed int64) *WeakFreeEdge {
 	}
 }
 
-// Name implements sim.BroadcastAdversary.
+// Name implements sim.Adversary.
 func (a *WeakFreeEdge) Name() string { return a.name }
 
 // SetupOK reports whether Φ(0) ≤ 0.8nk held for the sampled K' sets.
@@ -52,12 +52,16 @@ func (a *WeakFreeEdge) MispredictRate() float64 {
 	return float64(a.mispredicts) / float64(a.rounds)
 }
 
-// NextGraph implements sim.BroadcastAdversary. The engine hands it the true
+// NextGraph implements sim.Adversary. The engine hands it the true
 // current-round choices (it hands every adversary the same view); obeying
 // the weak-adaptivity restriction, this adversary only reads them AFTER
-// wiring the round, to score its own prediction accuracy.
-func (a *WeakFreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
+// wiring the round, to score its own prediction accuracy. Like FreeEdge it
+// returns nil on a unicast view.
+func (a *WeakFreeEdge) NextGraph(view *sim.View) *graph.Graph {
 	n := view.N
+	if len(view.Choices) != n {
+		return nil
+	}
 	if a.inst == nil {
 		a.setup(view)
 	}
@@ -76,8 +80,9 @@ func (a *WeakFreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
 	}
 
 	// Build the free graph with respect to the PREDICTED assignment.
-	predView := &sim.BroadcastView{View: view.View, Choices: predicted}
-	dsu, forest := a.inst.FreeGraph(predView)
+	predView := *view
+	predView.Choices = predicted
+	dsu, forest := a.inst.FreeGraph(&predView)
 	g := graph.New(n)
 	for _, e := range forest {
 		g.AddEdge(e[0], e[1])
@@ -99,7 +104,7 @@ func (a *WeakFreeEdge) NextGraph(view *sim.BroadcastView) *graph.Graph {
 	return g
 }
 
-func (a *WeakFreeEdge) setup(view *sim.BroadcastView) {
+func (a *WeakFreeEdge) setup(view *sim.View) {
 	n, k := view.N, view.K
 	var last *lowerbound.Instance
 	for attempt := 0; attempt < 100; attempt++ {
@@ -108,7 +113,7 @@ func (a *WeakFreeEdge) setup(view *sim.BroadcastView) {
 			break
 		}
 		last = inst
-		if inst.Potential(&view.View)*10 <= int64(n)*int64(k)*8 {
+		if inst.Potential(view)*10 <= int64(n)*int64(k)*8 {
 			a.inst = inst
 			a.setupOK = true
 			return

@@ -33,10 +33,10 @@ func TestFloodingCompletesWithinNK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	advs := []sim.BroadcastAdversary{
-		adversary.ObliviousBroadcast(adversary.NewStatic(graph.Path(n))),
-		adversary.ObliviousBroadcast(churn),
-		adversary.ObliviousBroadcast(rewire),
+	advs := []sim.Adversary{
+		adversary.Oblivious(adversary.NewStatic(graph.Path(n))),
+		adversary.Oblivious(churn),
+		adversary.Oblivious(rewire),
 	}
 	for _, adv := range advs {
 		res, err := sim.RunBroadcast(sim.BroadcastConfig{
@@ -70,7 +70,7 @@ func TestFloodingAmortizedQuadraticUpperBound(t *testing.T) {
 	res, err := sim.RunBroadcast(sim.BroadcastConfig{
 		Assign:    assign,
 		Factory:   NewFlooding(0),
-		Adversary: adversary.ObliviousBroadcast(adversary.NewStatic(graph.Cycle(n))),
+		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Cycle(n))),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRandomBroadcastCompletesOnStatic(t *testing.T) {
 	res, err := sim.RunBroadcast(sim.BroadcastConfig{
 		Assign:    assign,
 		Factory:   NewRandomBroadcast(),
-		Adversary: adversary.ObliviousBroadcast(adversary.NewStatic(graph.Complete(n))),
+		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Complete(n))),
 		Seed:      7,
 		MaxRounds: 20000,
 	})
@@ -146,19 +146,19 @@ func TestQuickFloodingWindowInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var adv sim.BroadcastAdversary
+		var adv sim.Adversary
 		if seed%2 == 0 {
 			c, err := adversary.NewChurn(n, adversary.ChurnOpts{Sigma: 1}, seed)
 			if err != nil {
 				return false
 			}
-			adv = adversary.ObliviousBroadcast(c)
+			adv = adversary.Oblivious(c)
 		} else {
 			rw, err := adversary.NewRewire(n, 0, seed)
 			if err != nil {
 				return false
 			}
-			adv = adversary.ObliviousBroadcast(rw)
+			adv = adversary.Oblivious(rw)
 		}
 		res, err := sim.RunBroadcast(sim.BroadcastConfig{
 			Assign:    assign,
@@ -187,7 +187,7 @@ func TestSilentBroadcastLimitsSpeakers(t *testing.T) {
 	res, err := sim.RunBroadcast(sim.BroadcastConfig{
 		Assign:    assign,
 		Factory:   NewSilentBroadcast(2, 0),
-		Adversary: adversary.ObliviousBroadcast(adversary.NewStatic(graph.Complete(n))),
+		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Complete(n))),
 		MaxRounds: 500,
 		OnRound: func(_ int, _ graph.Diff, choices []token.ID, _ int64) {
 			c := 0

@@ -74,11 +74,8 @@ func E6Table1(cfg Config) (*tablefmt.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type row struct {
-		k        int
-		amortObl float64
-	}
-	var rows []row
+	var oblK []int
+	var oblAmort []float64
 	for _, r := range results {
 		k := r.Trial.K
 		if !r.Res.Completed {
@@ -89,20 +86,34 @@ func E6Table1(cfg Config) (*tablefmt.Table, error) {
 		if r.Trial.Algorithm == "oblivious" {
 			tb.AddRowf(k, "Oblivious (Alg. 2)", r.Res.Rounds, r.Res.Metrics.Messages,
 				r.Res.Metrics.WalkPayloads, amort, paperShape)
-			rows = append(rows, row{k, amort})
+			oblK = append(oblK, k)
+			oblAmort = append(oblAmort, amort)
 		} else {
 			tb.AddRowf(k, "MultiSource (direct)", r.Res.Rounds, r.Res.Metrics.Messages,
 				0, amort, paperShape)
 		}
 	}
-	decreasing := true
-	for i := 1; i < len(rows); i++ {
-		if rows[i].amortObl > rows[i-1].amortObl*1.15 { // allow noise
-			decreasing = false
+	// Table 1's shape as a check that can fail. The 15% allowance absorbs
+	// noise: at -quick seeds 1–20 and 42 and full-scale seeds 1–3 and 42 the
+	// largest ratio of a row to its predecessor was 1.015 (full scale, seed
+	// 42, first two k).
+	if i := firstRise(oblAmort, 1.15); i > 0 {
+		return nil, fmt.Errorf("amortized cost of Algorithm 2 rose more than 15%% with k: %.1f at k=%d, %.1f at k=%d",
+			oblAmort[i-1], oblK[i-1], oblAmort[i], oblK[i])
+	}
+	tb.Notes = "Paper's Table 1 shape: amortized cost decreases as k grows (k^{-3/4} trend). Observed monotone (±15%): true."
+	return tb, nil
+}
+
+// firstRise returns the first index i at which xs[i] exceeds xs[i-1] by more
+// than the given factor, or -1 if none does.
+func firstRise(xs []float64, factor float64) int {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] > xs[i-1]*factor {
+			return i
 		}
 	}
-	tb.Notes = fmt.Sprintf("Paper's Table 1 shape: amortized cost decreases as k grows (k^{-3/4} trend). Observed monotone (±15%%): %v.", decreasing)
-	return tb, nil
+	return -1
 }
 
 // E7WalkVisits reproduces Lemma 3.7: on a d-regular dynamic graph chosen by

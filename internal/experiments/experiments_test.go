@@ -84,3 +84,23 @@ func TestRunAllOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstRise pins E6's monotonicity check: a 20% rise over the previous
+// k fails the 15% allowance, a 14% rise and any fall pass.
+func TestFirstRise(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		want int
+	}{
+		{[]float64{400, 300, 360}, 2},
+		{[]float64{100, 120, 90}, 1},
+		{[]float64{400, 456, 300}, -1},
+		{[]float64{430, 406, 307}, -1},
+		{[]float64{5}, -1},
+		{nil, -1},
+	} {
+		if got := firstRise(tc.xs, 1.15); got != tc.want {
+			t.Errorf("firstRise(%v, 1.15) = %d, want %d", tc.xs, got, tc.want)
+		}
+	}
+}

@@ -93,7 +93,7 @@ func (in *Instance) MaxPotential() int64 { return int64(in.n) * int64(in.k) }
 
 // Free reports whether edge {u,v} is free under the given broadcast choices
 // and the pre-round knowledge in view.
-func (in *Instance) Free(view *sim.BroadcastView, u, v int) bool {
+func (in *Instance) Free(view *sim.View, u, v int) bool {
 	iu, iv := view.Choices[u], view.Choices[v]
 	uOK := iu == token.None || view.Knows(v, iu) || in.kprime[v].Contains(iu)
 	vOK := iv == token.None || view.Knows(u, iv) || in.kprime[u].Contains(iv)
@@ -107,7 +107,7 @@ func (in *Instance) Free(view *sim.BroadcastView, u, v int) bool {
 //
 // Silent-silent pairs are always free, so all non-broadcasting nodes are
 // merged pairwise along a path without scanning the quadratic clique.
-func (in *Instance) FreeGraph(view *sim.BroadcastView) (*unionfind.DSU, [][2]int) {
+func (in *Instance) FreeGraph(view *sim.View) (*unionfind.DSU, [][2]int) {
 	dsu := unionfind.New(in.n)
 	forest := make([][2]int, 0, in.n-1)
 	union := func(a, b int) {

@@ -10,15 +10,15 @@ import (
 	"dynspread/internal/token"
 )
 
-// buildView constructs a BroadcastView with the given initial knowledge by
-// running a one-round probe through the broadcast engine.
-func buildView(t *testing.T, n, k int, holders []int, choices []token.ID) *sim.BroadcastView {
+// buildView constructs a broadcast-mode View with the given initial knowledge
+// and choices by running a one-round probe through the broadcast engine.
+func buildView(t *testing.T, n, k int, holders []int, choices []token.ID) *sim.View {
 	t.Helper()
 	assign, err := token.NewAssignment(n, holders)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var captured *sim.BroadcastView
+	var captured *sim.View
 	adv := captureAdv{out: &captured}
 	_, err = sim.RunBroadcast(sim.BroadcastConfig{
 		Assign: assign,
@@ -37,10 +37,10 @@ func buildView(t *testing.T, n, k int, holders []int, choices []token.ID) *sim.B
 	return captured
 }
 
-type captureAdv struct{ out **sim.BroadcastView }
+type captureAdv struct{ out **sim.View }
 
 func (captureAdv) Name() string { return "capture" }
-func (a captureAdv) NextGraph(v *sim.BroadcastView) *graph.Graph {
+func (a captureAdv) NextGraph(v *sim.View) *graph.Graph {
 	if *a.out == nil {
 		// Keep a usable copy: the engine reuses the view struct, but only
 		// after this call returns, and we run a single round.
@@ -91,7 +91,7 @@ func TestPotentialAndMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi := inst.Potential(&view.View)
+	phi := inst.Potential(view)
 	// Φ = Σ |K_v ∪ K'_v| where K_v = {v's token}: between n (all K' empty
 	// or subsumed) and nk.
 	if phi < int64(n) || phi > inst.MaxPotential() {
@@ -161,7 +161,7 @@ func TestFreeGraphMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var captured *sim.BroadcastView
+		var captured *sim.View
 		_, err = sim.RunBroadcast(sim.BroadcastConfig{
 			Assign: assign,
 			Factory: func(env sim.NodeEnv) sim.BroadcastProtocol {

@@ -126,12 +126,9 @@ type Adversary struct {
 	// sequences serve both; strongly adaptive adversaries are usually tied
 	// to one.
 	Modes Mode
-	// Unicast builds a fresh unicast adversary; set iff Modes has Unicast.
+	// New builds a fresh adversary for an execution in any of Modes.
 	// Adversaries are stateful: every execution needs its own instance.
-	Unicast func(Params) (sim.Adversary, error)
-	// Broadcast builds a fresh broadcast adversary; set iff Modes has
-	// Broadcast.
-	Broadcast func(Params) (sim.BroadcastAdversary, error)
+	New func(Params) (sim.Adversary, error)
 }
 
 var (
@@ -170,8 +167,8 @@ func RegisterAdversary(spec Adversary) {
 	if spec.Modes == 0 {
 		panic(fmt.Sprintf("registry: adversary %q: no modes declared", spec.Name))
 	}
-	if spec.Modes.Has(Unicast) != (spec.Unicast != nil) || spec.Modes.Has(Broadcast) != (spec.Broadcast != nil) {
-		panic(fmt.Sprintf("registry: adversary %q: modes %v do not match its builders", spec.Name, spec.Modes))
+	if spec.New == nil {
+		panic(fmt.Sprintf("registry: adversary %q: nil builder", spec.Name))
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -65,7 +65,7 @@ func TestRegisterPanicsOnModeBuilderMismatch(t *testing.T) {
 }
 
 func TestRegisterAdversaryModeMask(t *testing.T) {
-	RegisterAdversary(Adversary{Name: "test-adv", Modes: Unicast, Unicast: fakeAdvBuilder})
+	RegisterAdversary(Adversary{Name: "test-adv", Modes: Unicast, New: fakeAdvBuilder})
 	spec, err := LookupAdversary("test-adv")
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +75,10 @@ func TestRegisterAdversaryModeMask(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("adversary without builder for declared mode must panic")
+			t.Fatal("adversary without a builder must panic")
 		}
 	}()
-	RegisterAdversary(Adversary{Name: "broken-adv", Modes: Unicast | Broadcast, Unicast: fakeAdvBuilder})
+	RegisterAdversary(Adversary{Name: "broken-adv", Modes: Unicast | Broadcast})
 }
 
 // TestListingsSorted pins the listing order: Algorithms and Adversaries
@@ -93,8 +93,8 @@ func TestListingsSorted(t *testing.T) {
 	if !sort.SliceIsSorted(algs, func(i, j int) bool { return algs[i].Name < algs[j].Name }) {
 		t.Fatalf("Algorithms() not sorted: %v", names(algs, func(a Algorithm) string { return a.Name }))
 	}
-	RegisterAdversary(Adversary{Name: "zz-order-probe", Modes: Unicast, Unicast: fakeAdvBuilder})
-	RegisterAdversary(Adversary{Name: "aa-order-probe", Modes: Unicast, Unicast: fakeAdvBuilder})
+	RegisterAdversary(Adversary{Name: "zz-order-probe", Modes: Unicast, New: fakeAdvBuilder})
+	RegisterAdversary(Adversary{Name: "aa-order-probe", Modes: Unicast, New: fakeAdvBuilder})
 	advs := Adversaries()
 	if !sort.SliceIsSorted(advs, func(i, j int) bool { return advs[i].Name < advs[j].Name }) {
 		t.Fatalf("Adversaries() not sorted: %v", names(advs, func(a Adversary) string { return a.Name }))

@@ -68,14 +68,14 @@ func TestArrivalScheduleAllZeroMatchesNil(t *testing.T) {
 	bassign := gossip(t, 6)
 	bbase, err := RunBroadcast(BroadcastConfig{
 		Assign: bassign, Factory: newBFloodProto,
-		Adversary: staticBAdv{graph.Cycle(6)}, Seed: 3,
+		Adversary: staticAdv{graph.Cycle(6)}, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bzero, err := RunBroadcast(BroadcastConfig{
 		Assign: bassign, Factory: newBFloodProto,
-		Adversary: staticBAdv{graph.Cycle(6)}, Seed: 3,
+		Adversary: staticAdv{graph.Cycle(6)}, Seed: 3,
 		ArrivalSchedule: make([]int, 6),
 	})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestArrivalScheduleStreamsBroadcast(t *testing.T) {
 	sched := []int{0, 2, 4, 6, 8}
 	res, err := RunBroadcast(BroadcastConfig{
 		Assign: assign, Factory: newBFloodProto,
-		Adversary:       staticBAdv{graph.Cycle(n)},
+		Adversary:       staticAdv{graph.Cycle(n)},
 		Seed:            2,
 		ArrivalSchedule: sched,
 	})

@@ -16,7 +16,7 @@ import (
 type BroadcastConfig struct {
 	Assign    *token.Assignment
 	Factory   BroadcastFactory
-	Adversary BroadcastAdversary
+	Adversary Adversary
 	MaxRounds int
 	Seed      int64
 	// CheckStability, when > 0, verifies σ-edge-stability exactly as in
@@ -50,6 +50,7 @@ func RunBroadcast(cfg BroadcastConfig) (*Result, error) {
 		ws:             cfg.Workspace,
 		arrivals:       cfg.ArrivalSchedule,
 		rec:            cfg.Recorder,
+		adversary:      cfg.Adversary,
 	}, &broadcastMode{cfg: cfg})
 }
 
@@ -60,7 +61,6 @@ func RunBroadcast(cfg BroadcastConfig) (*Result, error) {
 type broadcastMode struct {
 	cfg     BroadcastConfig
 	st      *engineState
-	view    BroadcastView
 	protos  []BroadcastProtocol
 	choices []token.ID
 	heard   [][]BroadcastHear
@@ -70,17 +70,14 @@ func (m *broadcastMode) check() error {
 	if m.cfg.Factory == nil {
 		return fmt.Errorf("sim: nil factory")
 	}
-	if m.cfg.Adversary == nil {
-		return fmt.Errorf("sim: nil adversary")
-	}
 	return nil
 }
 
 func (m *broadcastMode) bind(st *engineState) {
 	m.st = st
-	m.view = BroadcastView{View: View{N: st.n, K: st.k, know: st.know}}
 	m.protos = m.cfg.Workspace.broadcastProtocolsFor(st.n)
 	m.choices = m.cfg.Workspace.choicesFor(st.n)
+	st.view.Choices = m.choices
 	m.heard = m.cfg.Workspace.heardFor(st.n)
 }
 
@@ -93,15 +90,15 @@ func (m *broadcastMode) newProto(env NodeEnv) error {
 	return nil
 }
 
-func (m *broadcastMode) advName() string { return m.cfg.Adversary.Name() }
-
 func (m *broadcastMode) arriver(v graph.NodeID) TokenArriver {
 	a, _ := m.protos[v].(TokenArriver)
 	return a
 }
 
 // commit lets every node commit its broadcast (token-forwarding checked)
-// before the adversary sees anything of the round.
+// before the adversary sees anything of the round; the view's Choices
+// aliases m.choices, so the adversary then sees the commitments (the
+// paper's strongly adaptive adversary).
 //
 //dynspread:hotpath
 func (m *broadcastMode) commit(r int) error {
@@ -122,16 +119,6 @@ func (m *broadcastMode) commit(r int) error {
 		m.choices[v] = c
 	}
 	return nil
-}
-
-// wire hands the adversary the round's committed choices along with the
-// execution view (the paper's strongly adaptive adversary).
-//
-//dynspread:hotpath
-func (m *broadcastMode) wire(r int) *graph.Graph {
-	m.view.Round = r
-	m.view.Choices = m.choices
-	return m.cfg.Adversary.NextGraph(&m.view)
 }
 
 // exchange delivers every committed broadcast to the round's neighbors.

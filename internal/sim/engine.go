@@ -19,13 +19,14 @@ import (
 //
 // where commit is the pre-graph half of the round (local broadcast: nodes
 // commit their broadcasts before the strongly adaptive adversary wires the
-// graph; unicast: nothing), diff is the round's topology change E⁺_r/E⁻_r
-// against the previous round's graph — computed once and read by TC
-// accounting, the σ-stability check and the OnRound hooks alike — and
-// exchange is the post-graph half (unicast: BeginRound/Send/validate/
-// deliver; broadcast: deliver the committed broadcasts to the round's
-// neighbors). RunUnicast and RunBroadcast are thin wrappers that plug their
-// engineMode into runEngine.
+// graph; unicast: nothing), the engine itself asks the adversary for the
+// graph on the shared View (the mode keeps its Choices or LastSent current),
+// diff is the round's topology change E⁺_r/E⁻_r against the previous round's
+// graph — computed once and read by TC accounting, the σ-stability check and
+// the OnRound hooks alike — and exchange is the post-graph half (unicast:
+// BeginRound/Send/validate/deliver; broadcast: deliver the committed
+// broadcasts to the round's neighbors). RunUnicast and RunBroadcast are thin
+// wrappers that plug their engineMode into runEngine.
 
 // maxRoundCap bounds every round cap the engine will accept or derive.
 // It is far above any instance a simulation can actually execute, while
@@ -71,25 +72,22 @@ type engineConfig struct {
 	ws             *Workspace
 	arrivals       []int
 	rec            *Recorder
+	adversary      Adversary
 }
 
 // engineMode plugs one communication mode into the shared round loop. Every
 // method may touch the engineState the mode was bound to.
 type engineMode interface {
-	// check validates the mode-specific configuration (nil factory or
-	// adversary) before any setup happens.
+	// check validates the mode-specific configuration (nil factory) before
+	// any setup happens.
 	check() error
 	// bind hands the mode the freshly initialized shared state; the mode
-	// sets up its view and per-node buffers here.
+	// sets up its per-node buffers and its part of the view here.
 	bind(st *engineState)
 	// newProto builds node env.ID's protocol instance from its environment.
 	newProto(env NodeEnv) error
-	// advName identifies the adversary in engine error messages.
-	advName() string
 	// commit runs the pre-graph half of round r.
 	commit(r int) error
-	// wire asks the adversary for round r's graph.
-	wire(r int) *graph.Graph
 	// exchange runs the post-graph half of round r on graph g, doing all
 	// per-message accounting; it returns the number of token-learning events.
 	exchange(r int, g *graph.Graph) (learned int64, err error)
@@ -143,11 +141,13 @@ func buildArrivals(sched []int, k int) ([]arrival, int, error) {
 }
 
 // engineState is the execution state shared between the round loop and the
-// communication mode: per-node knowledge sets and the metrics accumulator.
+// communication mode: per-node knowledge sets, the metrics accumulator, and
+// the View the engine hands the adversary each round.
 type engineState struct {
 	n, k    int
 	know    []*adaptive.Set
 	metrics Metrics
+	view    View
 }
 
 // complete costs one integer compare per node: adaptive.Full is O(1).
@@ -176,6 +176,10 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 	if err := mode.check(); err != nil {
 		return nil, err
 	}
+	if cfg.adversary == nil {
+		return nil, fmt.Errorf("sim: nil adversary")
+	}
+	adv := cfg.adversary
 	n, k := cfg.assign.N(), cfg.assign.K()
 	if n < 2 {
 		return nil, fmt.Errorf("sim: need n >= 2 nodes, got %d", n)
@@ -202,6 +206,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 	}
 
 	st := &engineState{n: n, k: k, know: cfg.ws.knowFor(n, k)}
+	st.view = View{N: n, K: k, know: st.know}
 	mode.bind(st)
 	rootRng := rand.New(rand.NewSource(cfg.seed))
 	for v := 0; v < n; v++ {
@@ -273,12 +278,13 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 		if err := mode.commit(r); err != nil {
 			return nil, err
 		}
-		g := mode.wire(r)
+		st.view.Round = r
+		g := adv.NextGraph(&st.view)
 		if g == nil || g.N() != n {
-			return nil, fmt.Errorf("sim: adversary %q returned invalid graph in round %d", mode.advName(), r)
+			return nil, fmt.Errorf("sim: adversary %q returned invalid graph in round %d", adv.Name(), r)
 		}
 		if !g.Connected() {
-			return nil, fmt.Errorf("sim: adversary %q returned disconnected graph in round %d", mode.advName(), r)
+			return nil, fmt.Errorf("sim: adversary %q returned disconnected graph in round %d", adv.Name(), r)
 		}
 		diff := graph.Compute(prev, g)
 		if stability != nil {
@@ -286,7 +292,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			if !stability.OK() {
 				v := stability.Violations()[0]
 				return nil, fmt.Errorf("sim: adversary %q violated %d-edge stability: edge %v inserted round %d, gone round %d",
-					mode.advName(), cfg.checkStability, v.E, v.InsertedAt, v.RemovedAt)
+					adv.Name(), cfg.checkStability, v.E, v.InsertedAt, v.RemovedAt)
 			}
 		}
 		st.metrics.TC += int64(len(diff.Inserted))

@@ -72,7 +72,7 @@ func TestWorkspaceReuseMatchesFreshBuffers(t *testing.T) {
 		if _, err := RunBroadcast(BroadcastConfig{
 			Assign:    assign,
 			Factory:   newFloodB,
-			Adversary: staticBAdv{graph.Complete(6)},
+			Adversary: staticAdv{graph.Complete(6)},
 			Seed:      int64(i),
 			Workspace: ws,
 		}); err != nil {

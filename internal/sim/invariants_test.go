@@ -15,7 +15,7 @@ func TestBroadcastMetricsInvariants(t *testing.T) {
 	res, err := RunBroadcast(BroadcastConfig{
 		Assign:    assign,
 		Factory:   newFloodB,
-		Adversary: staticBAdv{graph.Cycle(8)},
+		Adversary: staticAdv{graph.Cycle(8)},
 		Seed:      5,
 	})
 	if err != nil {

@@ -196,7 +196,7 @@ func TestRecorderBroadcast(t *testing.T) {
 	res, err := RunBroadcast(BroadcastConfig{
 		Assign:    gossip(t, n),
 		Factory:   newFloodB,
-		Adversary: staticBAdv{graph.Cycle(n)},
+		Adversary: staticAdv{graph.Cycle(n)},
 		Seed:      3,
 		Recorder:  rec,
 	})

@@ -9,17 +9,12 @@ import (
 	"dynspread/internal/token"
 )
 
-// staticAdv is a minimal in-package test adversary serving a fixed graph.
+// staticAdv is a minimal in-package test adversary serving a fixed graph in
+// either mode.
 type staticAdv struct{ g *graph.Graph }
 
-func (a staticAdv) Name() string                      { return "static-test" }
-func (a staticAdv) NextGraph(*View) *graph.Graph      { return a.g.Clone() }
-func (a staticAdv) nextB(*BroadcastView) *graph.Graph { return a.g.Clone() }
-
-type staticBAdv struct{ g *graph.Graph }
-
-func (a staticBAdv) Name() string                          { return "static-btest" }
-func (a staticBAdv) NextGraph(*BroadcastView) *graph.Graph { return a.g.Clone() }
+func (a staticAdv) Name() string                 { return "static-test" }
+func (a staticAdv) NextGraph(*View) *graph.Graph { return a.g.Clone() }
 
 // pushProto is a simple correct unicast protocol used to exercise the
 // engine: each round it sends to each neighbor the lowest-ID known token it
@@ -425,7 +420,7 @@ func TestRunBroadcastCompletes(t *testing.T) {
 	res, err := RunBroadcast(BroadcastConfig{
 		Assign:    assign,
 		Factory:   newFloodB,
-		Adversary: staticBAdv{graph.Cycle(8)},
+		Adversary: staticAdv{graph.Cycle(8)},
 		Seed:      3,
 	})
 	if err != nil {
@@ -449,7 +444,7 @@ func TestRunBroadcastTokenForwarding(t *testing.T) {
 		Factory: func(env NodeEnv) BroadcastProtocol {
 			return choiceProto{c: 0} // nodes != 0 don't hold token 0
 		},
-		Adversary: staticBAdv{graph.Path(4)},
+		Adversary: staticAdv{graph.Path(4)},
 		MaxRounds: 3,
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not hold") {
@@ -467,7 +462,7 @@ func TestRunBroadcastSilentHitsMaxRounds(t *testing.T) {
 	res, err := RunBroadcast(BroadcastConfig{
 		Assign:    assign,
 		Factory:   func(env NodeEnv) BroadcastProtocol { return choiceProto{c: token.None} },
-		Adversary: staticBAdv{graph.Path(4)},
+		Adversary: staticAdv{graph.Path(4)},
 		MaxRounds: 9,
 	})
 	if err != nil {
@@ -484,7 +479,7 @@ func TestBroadcastOnRoundLearningCount(t *testing.T) {
 	res, err := RunBroadcast(BroadcastConfig{
 		Assign:    assign,
 		Factory:   newFloodB,
-		Adversary: staticBAdv{graph.Complete(6)},
+		Adversary: staticAdv{graph.Complete(6)},
 		OnRound: func(r int, _ graph.Diff, _ []token.ID, learned int64) {
 			total += learned
 		},
@@ -544,7 +539,7 @@ func (a probeAdv) NextGraph(v *View) *graph.Graph {
 }
 
 func TestBroadcastViewNumBroadcasters(t *testing.T) {
-	v := &BroadcastView{Choices: []token.ID{token.None, 1, 2, token.None}}
+	v := &View{Choices: []token.ID{token.None, 1, 2, token.None}}
 	if v.NumBroadcasters() != 2 {
 		t.Fatalf("NumBroadcasters = %d", v.NumBroadcasters())
 	}

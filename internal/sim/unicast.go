@@ -56,6 +56,7 @@ func RunUnicast(cfg UnicastConfig) (*Result, error) {
 		ws:             cfg.Workspace,
 		arrivals:       cfg.ArrivalSchedule,
 		rec:            cfg.Recorder,
+		adversary:      cfg.Adversary,
 	}, &unicastMode{cfg: cfg})
 }
 
@@ -66,7 +67,6 @@ func RunUnicast(cfg UnicastConfig) (*Result, error) {
 type unicastMode struct {
 	cfg    UnicastConfig
 	st     *engineState
-	view   View
 	protos []Protocol
 	// raw collects the round's sends in protocol order; sortBuf and lastSent
 	// ping-pong between rounds: each round's delivery-sorted messages become
@@ -84,15 +84,11 @@ func (m *unicastMode) check() error {
 	if m.cfg.Factory == nil {
 		return fmt.Errorf("sim: nil factory")
 	}
-	if m.cfg.Adversary == nil {
-		return fmt.Errorf("sim: nil adversary")
-	}
 	return nil
 }
 
 func (m *unicastMode) bind(st *engineState) {
 	m.st = st
-	m.view = View{N: st.n, K: st.k, know: st.know}
 	m.protos = m.cfg.Workspace.protocolsFor(st.n)
 	m.raw, m.sortBuf, m.lastSent, m.counts = m.cfg.Workspace.unicastBuffers()
 }
@@ -106,8 +102,6 @@ func (m *unicastMode) newProto(env NodeEnv) error {
 	return nil
 }
 
-func (m *unicastMode) advName() string { return m.cfg.Adversary.Name() }
-
 func (m *unicastMode) arriver(v graph.NodeID) TokenArriver {
 	a, _ := m.protos[v].(TokenArriver)
 	return a
@@ -115,17 +109,6 @@ func (m *unicastMode) arriver(v graph.NodeID) TokenArriver {
 
 //dynspread:hotpath
 func (m *unicastMode) commit(int) error { return nil }
-
-//dynspread:hotpath
-func (m *unicastMode) wire(r int) *graph.Graph {
-	m.view.Round = r
-	if r == 1 {
-		m.view.LastSent = nil
-	} else {
-		m.view.LastSent = m.lastSent
-	}
-	return m.cfg.Adversary.NextGraph(&m.view)
-}
 
 //dynspread:hotpath
 func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
@@ -257,6 +240,7 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 	// Ping-pong: this round's sorted sends become LastSent; the buffer
 	// holding the round-before-last's sends is the next sort target.
 	m.sortBuf, m.lastSent = m.lastSent[:0], sorted
+	m.st.view.LastSent = sorted
 	m.cfg.Workspace.storeUnicastBuffers(m.raw, m.sortBuf, m.lastSent, m.counts)
 	return learned, nil
 }

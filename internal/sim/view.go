@@ -9,11 +9,11 @@ import (
 	"dynspread/internal/token"
 )
 
-// View is the read-only execution state handed to adversaries when they pick
-// the next round's graph. A strongly adaptive adversary may use all of it; an
-// oblivious adversary must ignore everything except Round and N (the
-// adversary package's oblivious adapters enforce this by construction —
-// they pre-commit to a sequence that depends only on their own seed).
+// View is the read-only execution state handed to adversaries of either mode
+// when they pick the next round's graph. A strongly adaptive adversary may use
+// all of it; an oblivious adversary must ignore everything except Round and N
+// (the adversary package's Oblivious adapter enforces this by construction —
+// it pre-commits to a sequence that depends only on its own seed).
 //
 // All accessors return snapshots or read-only data; adversaries must not
 // mutate anything reachable from a View.
@@ -29,6 +29,10 @@ type View struct {
 	// what lets a strongly adaptive adversary cut edges that carry pending
 	// request/response exchanges.
 	LastSent []Message
+	// Choices holds the round's committed local broadcasts, which the
+	// Section 2 adversary sees before wiring the graph: Choices[v] is the
+	// token v is about to broadcast, or token.None. nil in unicast mode.
+	Choices []token.ID
 
 	know []*adaptive.Set
 }
@@ -67,19 +71,10 @@ func (v *View) KnowledgeUnionCount(node graph.NodeID, other *bitset.Set) int {
 	return v.know[node].UnionCount(other)
 }
 
-// BroadcastView extends View with the committed local-broadcast choices of
-// the current round: Choices[v] is the token v is about to broadcast, or
-// token.None if v stays silent. The strongly adaptive adversary of Section 2
-// sees these before wiring the round's graph.
-type BroadcastView struct {
-	View
-	Choices []token.ID
-}
-
 // NumBroadcasters returns the number of nodes broadcasting this round.
 //
 //dynspread:hotpath
-func (v *BroadcastView) NumBroadcasters() int {
+func (v *View) NumBroadcasters() int {
 	c := 0
 	for _, t := range v.Choices {
 		if t != token.None {
@@ -89,9 +84,10 @@ func (v *BroadcastView) NumBroadcasters() int {
 	return c
 }
 
-// Adversary supplies the dynamic topology for unicast executions. NextGraph
-// must return a connected graph on view.N nodes; the engine validates this
-// and aborts the run otherwise.
+// Adversary supplies the dynamic topology of an execution in either mode.
+// NextGraph must return a connected graph on view.N nodes; the engine
+// validates this and aborts the run otherwise, which is how an adversary
+// tied to one mode refuses the other's view: it returns nil.
 type Adversary interface {
 	// Name identifies the adversary in reports.
 	Name() string
@@ -103,14 +99,6 @@ type Adversary interface {
 	// snapshot — then the engine charges zero topological changes,
 	// correctly).
 	NextGraph(view *View) *graph.Graph
-}
-
-// BroadcastAdversary supplies the dynamic topology for local-broadcast
-// executions; it additionally sees the round's committed broadcast choices
-// (the paper's strongly adaptive adversary).
-type BroadcastAdversary interface {
-	Name() string
-	NextGraph(view *BroadcastView) *graph.Graph
 }
 
 // NodeEnv is the per-node environment handed to protocol factories.

@@ -79,7 +79,16 @@ func (t Trial) String() string {
 		}
 		return fmt.Sprintf("scenario %s×%s seed=%d", t.Scenario, alg, t.Seed)
 	}
-	return fmt.Sprintf("%s×%s n=%d k=%d s=%d seed=%d", t.Algorithm, t.Adversary, t.N, t.K, t.Sources, t.Seed)
+	return fmt.Sprintf("%s×%s n=%d k=%d s=%d seed=%d", t.Algorithm, t.dynamics(), t.N, t.K, t.Sources, t.Seed)
+}
+
+// dynamics names the trial's dynamics: its adversary, or adversary.ReplayName
+// when a recorded trace replaces the adversary.
+func (t Trial) dynamics() string {
+	if t.Replay != nil {
+		return adversary.ReplayName
+	}
+	return t.Adversary
 }
 
 // resolveScenario expands a scenario trial into a concrete one. Precedence
@@ -294,19 +303,6 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 	if err != nil {
 		return fail(err)
 	}
-	var adv registry.Adversary
-	if t.Replay == nil {
-		adv, err = registry.LookupAdversary(t.Adversary)
-		if err != nil {
-			return fail(err)
-		}
-		if !adv.Modes.Has(alg.Mode) {
-			return fail(fmt.Errorf("adversary %q serves %v executions, not %v algorithms like %q",
-				t.Adversary, adv.Modes, alg.Mode, t.Algorithm))
-		}
-	} else if t.Replay.N != t.N {
-		return fail(fmt.Errorf("replay trace has n=%d, trial has n=%d", t.Replay.N, t.N))
-	}
 	p := registry.Params{
 		N: t.N, K: t.K, Sources: s,
 		Seed:       t.Seed,
@@ -314,20 +310,31 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 		Options:    t.Options,
 		AdvOptions: t.AdvOptions,
 	}
+	var a sim.Adversary
+	if t.Replay == nil {
+		var adv registry.Adversary
+		if adv, err = registry.LookupAdversary(t.Adversary); err != nil {
+			return fail(err)
+		}
+		if !adv.Modes.Has(alg.Mode) {
+			return fail(fmt.Errorf("adversary %q serves %v executions, not %v algorithms like %q",
+				t.Adversary, adv.Modes, alg.Mode, t.Algorithm))
+		}
+		a, err = adv.New(p)
+	} else if t.Replay.N != t.N {
+		return fail(fmt.Errorf("replay trace has n=%d, trial has n=%d", t.Replay.N, t.N))
+	} else {
+		a, err = adversary.NewReplay(t.Replay)
+	}
+	if err != nil {
+		return fail(fmt.Errorf("adversary %q: %w", t.dynamics(), err))
+	}
+	var res *sim.Result
 	switch alg.Mode {
 	case registry.Unicast:
-		factory, err := alg.Unicast(p)
-		if err != nil {
-			return fail(fmt.Errorf("algorithm %q: %w", t.Algorithm, err))
-		}
-		var a sim.Adversary
-		if t.Replay != nil {
-			a, err = adversary.NewReplay(t.Replay)
-		} else {
-			a, err = adv.Unicast(p)
-		}
-		if err != nil {
-			return fail(fmt.Errorf("adversary %q: %w", t.Adversary, err))
+		factory, ferr := alg.Unicast(p)
+		if ferr != nil {
+			return fail(fmt.Errorf("algorithm %q: %w", t.Algorithm, ferr))
 		}
 		cfg := sim.UnicastConfig{
 			Assign:          assign,
@@ -343,24 +350,11 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 		if hook := t.OnDelta; hook != nil {
 			cfg.OnRound = func(_ int, d graph.Diff, _ []sim.Message, _ int64) { hook(d) }
 		}
-		res, err := sim.RunUnicast(cfg)
-		if err != nil {
-			return fail(err)
-		}
-		return Result{Trial: t, AdversaryName: a.Name(), Res: res, Rounds: snapshot(rec)}, nil
+		res, err = sim.RunUnicast(cfg)
 	case registry.Broadcast:
-		factory, err := alg.Broadcast(p)
-		if err != nil {
-			return fail(fmt.Errorf("algorithm %q: %w", t.Algorithm, err))
-		}
-		var a sim.BroadcastAdversary
-		if t.Replay != nil {
-			a, err = adversary.NewReplayBroadcast(t.Replay)
-		} else {
-			a, err = adv.Broadcast(p)
-		}
-		if err != nil {
-			return fail(fmt.Errorf("adversary %q: %w", t.Adversary, err))
+		factory, ferr := alg.Broadcast(p)
+		if ferr != nil {
+			return fail(fmt.Errorf("algorithm %q: %w", t.Algorithm, ferr))
 		}
 		cfg := sim.BroadcastConfig{
 			Assign:          assign,
@@ -376,14 +370,14 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 		if hook := t.OnDelta; hook != nil {
 			cfg.OnRound = func(_ int, d graph.Diff, _ []token.ID, _ int64) { hook(d) }
 		}
-		res, err := sim.RunBroadcast(cfg)
-		if err != nil {
-			return fail(err)
-		}
-		return Result{Trial: t, AdversaryName: a.Name(), Res: res, Rounds: snapshot(rec)}, nil
+		res, err = sim.RunBroadcast(cfg)
 	default:
-		return fail(fmt.Errorf("algorithm %q has unsupported mode %v", t.Algorithm, alg.Mode))
+		err = fmt.Errorf("algorithm %q has unsupported mode %v", t.Algorithm, alg.Mode)
 	}
+	if err != nil {
+		return fail(err)
+	}
+	return Result{Trial: t, AdversaryName: a.Name(), Res: res, Rounds: snapshot(rec)}, nil
 }
 
 // snapshot extracts a recorder's series, mapping "no recorder" to nil.
@@ -497,8 +491,8 @@ func annotateTrialSpan(span *tracing.Span, i int, r Result, err error) {
 	span.SetAttr("algorithm", t.Algorithm)
 	if r.AdversaryName != "" {
 		span.SetAttr("adversary", r.AdversaryName)
-	} else if t.Adversary != "" {
-		span.SetAttr("adversary", t.Adversary)
+	} else if t.dynamics() != "" {
+		span.SetAttr("adversary", t.dynamics())
 	}
 	span.SetAttrInt("n", int64(t.N))
 	span.SetAttrInt("k", int64(t.K))

@@ -355,6 +355,18 @@ func TestRunTrialReplayReproducesMetrics(t *testing.T) {
 	}
 }
 
+// TestReplayFailureNamesTraceReplay: a replay whose trace fails validation
+// names its dynamics trace-replay, both in the trial's description and in
+// the adversary error (not the empty Adversary field).
+func TestReplayFailureNamesTraceReplay(t *testing.T) {
+	bad := &trace.GraphTrace{N: 5, Rounds: []trace.RoundEvents{{Del: [][2]int{{0, 1}}}}}
+	_, err := Run(context.Background(), []Trial{{N: 5, K: 3, Algorithm: "single-source", Replay: bad, Seed: 1}}, Options{})
+	want := `sweep: trial 0 (single-source×trace-replay n=5 k=3 s=0 seed=1): adversary "trace-replay": trace: round 1 deletes edge {0,1} not present`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant  %s", err, want)
+	}
+}
+
 func TestGridScenarioAxis(t *testing.T) {
 	g := Grid{
 		Scenarios: []string{"token-stream", "bursty-gossip"},

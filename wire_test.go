@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dynspread"
+	"dynspread/internal/trace"
 )
 
 func TestGridSpecExpansionMatchesValidation(t *testing.T) {
@@ -248,5 +249,18 @@ func TestRunRecordedReplayReproduces(t *testing.T) {
 	}
 	if _, err := dynspread.RunSpecs(context.Background(), []dynspread.TrialSpec{replayed.Trial}, 1, nil); err == nil || !strings.Contains(err.Error(), "replay") {
 		t.Fatalf("replay spec resubmission not rejected: %v", err)
+	}
+}
+
+// TestReplayFailureNamesTraceReplay: in either mode, a replay whose trace
+// fails validation reports the trace-replay dynamics, not an empty name.
+func TestReplayFailureNamesTraceReplay(t *testing.T) {
+	bad := &dynspread.GraphTrace{N: 5, Rounds: []trace.RoundEvents{{Del: [][2]int{{0, 1}}}}}
+	const want = `dynspread: adversary "trace-replay": trace: round 1 deletes edge {0,1} not present`
+	for _, alg := range []dynspread.Algorithm{dynspread.AlgSingleSource, dynspread.AlgFlooding} {
+		_, err := dynspread.Run(dynspread.Config{N: 5, K: 3, Algorithm: alg, Replay: bad, Seed: 1})
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", alg, err, want)
+		}
 	}
 }
