@@ -135,6 +135,39 @@ func TestAllocGateBroadcastFloodingRound(t *testing.T) {
 	}), 100, 200)
 }
 
+// TestAllocGateDynamicUnicast: dynamic adversaries serve every round from
+// two graphs they own, rewritten in place, and the engine diffs into
+// workspace buffers and checks connectivity with the graph's own
+// union-find, so Topkis under churn, rewire, regular and markovian runs its
+// steady-state rounds with zero allocations too — adversary, validation
+// and diff included. (Topkis sizes its Send buffer by the neighbors it has
+// ever contacted, so a degree that rises late among known neighbors, as on
+// markovian's sparse graphs, does not grow it.)
+func TestAllocGateDynamicUnicast(t *testing.T) {
+	for _, adv := range []dynspread.Adversary{dynspread.AdvChurn, dynspread.AdvRewire, dynspread.AdvRegular, dynspread.AdvMarkovian} {
+		t.Run(string(adv), func(t *testing.T) {
+			gate(t, "unicast flooding under "+string(adv), facadeRun(t, dynspread.Config{
+				N: 8, K: 512,
+				Algorithm: dynspread.AlgTopkis,
+				Adversary: adv,
+				Seed:      7,
+			}), 100, 200)
+		})
+	}
+}
+
+// TestAllocGateDynamicBroadcastChurn: the paper's flooding algorithm under
+// the churn adversary runs its steady-state local-broadcast rounds with
+// zero allocations.
+func TestAllocGateDynamicBroadcastChurn(t *testing.T) {
+	gate(t, "broadcast flooding under churn", facadeRun(t, dynspread.Config{
+		N: 8, K: 64, Sources: 8,
+		Algorithm: dynspread.AlgFlooding,
+		Adversary: dynspread.AdvChurn,
+		Seed:      7,
+	}), 100, 200)
+}
+
 // --- ns/round regression gates ---
 //
 // The speed analogue of the allocation gates, in two layers. Both express

@@ -14,12 +14,13 @@ import (
 // only on the generator's own construction (seed) and on r, never on the
 // execution. The engine calls it once per round in increasing round order.
 //
-// A graph returned by Graph must never be mutated afterwards — the engine
-// retains it and diffs consecutive rounds by pointer identity for the TC
-// accounting. Generators that evolve a graph in place (churn, the request
-// cutter) must serve clones; only a generator whose graph truly never
-// changes may re-serve the same object (and is then, correctly, charged
-// zero topological changes).
+// A graph returned for round r must keep its edges through the call for
+// round r+1: the engine diffs round r+1 against it (and short-cuts that
+// diff by pointer identity). From the call for round r+2 on the generator
+// may rewrite it, which is how the dynamic sequences serve every round from
+// one pair of graphs they own. A generator whose graph truly never changes
+// may re-serve the same object (and is then, correctly, charged zero
+// topological changes).
 type Sequence interface {
 	Name() string
 	Graph(r int) *graph.Graph
@@ -37,4 +38,27 @@ func (o oblivious) Name() string { return o.seq.Name() }
 
 func (o oblivious) NextGraph(view *sim.View) *graph.Graph {
 	return o.seq.Graph(view.Round)
+}
+
+// pair is the two graphs a dynamic adversary serves its rounds from,
+// alternating between them: the graph served for round r is rewritten only
+// for round r+2, after the engine has diffed round r+1 against it (see
+// sim.Adversary).
+type pair [2]*graph.Graph
+
+// next returns the graph not served last round, allocated on first use. Its
+// content is the graph served two rounds ago; the caller overwrites it.
+func (p *pair) next(n int) *graph.Graph {
+	p[0], p[1] = p[1], p[0]
+	if p[0] == nil {
+		p[0] = graph.New(n)
+	}
+	return p[0]
+}
+
+// copyOf returns the graph not served last round, holding a copy of src.
+func (p *pair) copyOf(src *graph.Graph) *graph.Graph {
+	g := p.next(src.N())
+	g.CopyFrom(src)
+	return g
 }

@@ -7,6 +7,7 @@ import (
 	"dynspread/internal/graph"
 	"dynspread/internal/lowerbound"
 	"dynspread/internal/sim"
+	"dynspread/internal/unionfind"
 )
 
 // FreeEdge is the strongly adaptive local-broadcast adversary of Section 2.
@@ -28,6 +29,7 @@ type FreeEdge struct {
 
 	inst    *lowerbound.Instance
 	setupOK bool
+	served  pair
 
 	stats FreeEdgeStats
 
@@ -120,7 +122,8 @@ func (a *FreeEdge) NextGraph(view *sim.View) *graph.Graph {
 		a.stats.MaxComponents = comps
 	}
 
-	g := graph.New(n)
+	g := a.served.next(n)
+	g.Reset()
 	if a.sparse {
 		for _, e := range forest {
 			g.AddEdge(e[0], e[1])
@@ -134,12 +137,7 @@ func (a *FreeEdge) NextGraph(view *sim.View) *graph.Graph {
 			}
 		}
 	}
-	// Connect the ℓ free components with ℓ−1 non-free edges between
-	// component representatives.
-	reps := dsu.Representatives()
-	for i := 1; i < len(reps); i++ {
-		g.AddEdge(reps[0], reps[i])
-	}
+	joinComponents(g, dsu)
 
 	a.stats.Rounds++
 	sparse := view.NumBroadcasters() <= a.stats.SparseThreshold
@@ -177,5 +175,22 @@ func (a *FreeEdge) setup(view *sim.View) {
 	if last != nil {
 		a.inst = last
 		a.stats.InitialPhi = last.Potential(view)
+	}
+}
+
+// joinComponents connects the ℓ components of dsu with ℓ−1 non-free edges
+// in g, from the first component's root to every other root (roots in
+// increasing order).
+func joinComponents(g *graph.Graph, dsu *unionfind.DSU) {
+	first := -1
+	for v := 0; v < dsu.Len(); v++ {
+		if dsu.Find(v) != v {
+			continue
+		}
+		if first < 0 {
+			first = v
+		} else {
+			g.AddEdge(first, v)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 type RotatingStar struct {
 	n      int
 	period int
+	served pair
 }
 
 // NewRotatingStar returns the sequence; period <= 0 selects 1 (rotate every
@@ -35,7 +36,8 @@ func (s *RotatingStar) Name() string { return fmt.Sprintf("rotating-star(p=%d)",
 // Graph implements Sequence.
 func (s *RotatingStar) Graph(r int) *graph.Graph {
 	center := ((r - 1) / s.period) % s.n
-	g := graph.New(s.n)
+	g := s.served.next(s.n)
+	g.Reset()
 	for v := 0; v < s.n; v++ {
 		if v != center {
 			g.AddEdge(center, v)
@@ -66,6 +68,7 @@ type Mobility struct {
 	rng    *rand.Rand
 	x, y   []float64
 	vx, vy []float64
+	served pair
 }
 
 // NewMobility returns the mobility sequence over n nodes.
@@ -112,7 +115,8 @@ func (m *Mobility) Graph(r int) *graph.Graph {
 	if r > 1 {
 		m.step()
 	}
-	g := graph.New(m.n)
+	g := m.served.next(m.n)
+	g.Reset()
 	r2 := m.opts.Radius * m.opts.Radius
 	for u := 0; u < m.n; u++ {
 		for v := u + 1; v < m.n; v++ {
@@ -160,8 +164,10 @@ func (m *Mobility) step() {
 func (m *Mobility) connectNearest(g *graph.Graph) {
 	dsu := g.DSU()
 	for dsu.Components() > 1 {
-		reps := dsu.Representatives()
-		base := dsu.Find(reps[0])
+		base := 0 // the smallest root
+		for dsu.Find(base) != base {
+			base++
+		}
 		bestD := math.Inf(1)
 		bestU, bestV := -1, -1
 		for u := 0; u < m.n; u++ {

@@ -29,9 +29,10 @@ const ReplayName = "trace-replay"
 // engine requests rounds in increasing order, which is the only access
 // pattern the cursor supports.
 type Replay struct {
-	tr  *trace.GraphTrace
-	cur *graph.Graph
-	pos int // rounds applied so far
+	tr     *trace.GraphTrace
+	cur    *graph.Graph
+	pos    int // rounds applied so far
+	served pair
 }
 
 // NewReplay validates the trace and returns its replay dynamics. Like every
@@ -50,7 +51,7 @@ func NewReplay(tr *trace.GraphTrace) (*Replay, error) {
 func (a *Replay) Name() string { return ReplayName }
 
 // NextGraph implements sim.Adversary: it applies the trace's rounds up to
-// v.Round, each round's adds before its deletes, and serves a clone.
+// v.Round, each round's adds before its deletes, and serves a copy.
 func (a *Replay) NextGraph(v *sim.View) *graph.Graph {
 	for a.pos < v.Round && a.pos < len(a.tr.Rounds) {
 		ev := a.tr.Rounds[a.pos]
@@ -62,5 +63,5 @@ func (a *Replay) NextGraph(v *sim.View) *graph.Graph {
 		}
 		a.pos++
 	}
-	return a.cur.Clone()
+	return a.served.copyOf(a.cur)
 }

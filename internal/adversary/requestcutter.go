@@ -27,6 +27,11 @@ type RequestCutter struct {
 	cutProb float64
 	rng     *rand.Rand
 	cur     *graph.Graph
+	served  pair
+
+	// Scratch for collecting last round's request-carrying edges.
+	seen map[graph.Edge]bool
+	hot  []graph.Edge
 
 	cuts int64
 }
@@ -60,6 +65,7 @@ func NewRequestCutter(n, baseEdges int, cutProb float64, seed int64) (*RequestCu
 		cutProb: cutProb,
 		rng:     rng,
 		cur:     graph.RandomConnected(n, baseEdges, rng),
+		seen:    make(map[graph.Edge]bool),
 	}, nil
 }
 
@@ -76,23 +82,24 @@ func (a *RequestCutter) NextGraph(view *sim.View) *graph.Graph {
 		return nil
 	}
 	if view.Round == 1 {
-		return a.cur.Clone()
+		return a.served.copyOf(a.cur)
 	}
 	// Hot edges: they carried a request last round, so this round they would
 	// carry the responding token. LastSent is delivery-sorted, so collecting
 	// into a slice (deduped) keeps the RNG draw order deterministic — ranging
 	// over a map here made runs irreproducible.
-	seen := make(map[graph.Edge]bool, len(view.LastSent))
-	hot := make([]graph.Edge, 0, len(view.LastSent))
+	clear(a.seen)
+	hot := a.hot[:0]
 	for i := range view.LastSent {
 		m := &view.LastSent[i]
 		if m.Has(sim.KindRequest) {
-			if e := graph.NewEdge(m.From, m.To); !seen[e] {
-				seen[e] = true
+			if e := graph.NewEdge(m.From, m.To); !a.seen[e] {
+				a.seen[e] = true
 				hot = append(hot, e)
 			}
 		}
 	}
+	a.hot = hot
 	for _, e := range hot {
 		if !a.cur.HasEdge(e.U, e.V) {
 			continue
@@ -108,7 +115,7 @@ func (a *RequestCutter) NextGraph(view *sim.View) *graph.Graph {
 		}
 	}
 	a.backgroundChurn()
-	return a.cur.Clone()
+	return a.served.copyOf(a.cur)
 }
 
 // backgroundChurn swaps one random non-bridge edge for a random fresh edge,

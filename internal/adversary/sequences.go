@@ -57,7 +57,8 @@ type ChurnSeq struct {
 	rng        *rand.Rand
 	cur        *graph.Graph
 	insertedAt map[graph.Edge]int
-	served     int
+	served     pair
+	edges      []graph.Edge // scratch: cur's edges, shuffled each round
 }
 
 // NewChurn returns a churn sequence over n nodes.
@@ -103,13 +104,13 @@ func (c *ChurnSeq) Name() string { return c.name }
 
 // Graph implements Sequence. Rounds must be requested in increasing order.
 func (c *ChurnSeq) Graph(r int) *graph.Graph {
-	c.served++
 	if r <= 1 {
-		return c.cur.Clone()
+		return c.served.copyOf(c.cur)
 	}
 	// Remove up to ChurnPerRound aged, non-bridge edges.
 	removed := 0
-	edges := c.cur.Edges()
+	edges := c.cur.AppendEdges(c.edges[:0])
+	c.edges = edges
 	c.rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	for _, e := range edges {
 		if removed >= c.opts.ChurnPerRound {
@@ -134,15 +135,17 @@ func (c *ChurnSeq) Graph(r int) *graph.Graph {
 		c.cur.AddEdge(a, b)
 		c.insertedAt[graph.NewEdge(a, b)] = r
 	}
-	return c.cur.Clone()
+	return c.served.copyOf(c.cur)
 }
 
 // RewireSeq serves a fresh random connected graph every round — maximal
 // topological churn (only 1-edge stable), the worst case for TC-charged
 // accounting.
 type RewireSeq struct {
-	n, m int
-	rng  *rand.Rand
+	n, m    int
+	rng     *rand.Rand
+	served  pair
+	scratch graph.Scratch
 }
 
 // NewRewire returns a rewire sequence over n nodes with about m edges per
@@ -162,7 +165,9 @@ func (s *RewireSeq) Name() string { return fmt.Sprintf("rewire(m=%d)", s.m) }
 
 // Graph implements Sequence.
 func (s *RewireSeq) Graph(int) *graph.Graph {
-	return graph.RandomConnected(s.n, s.m, s.rng)
+	g := s.served.next(s.n)
+	graph.RandomConnectedInto(g, s.m, s.rng, &s.scratch)
+	return g
 }
 
 // MarkovianSeq is the classic edge-Markovian evolving graph: every potential
@@ -173,8 +178,8 @@ type MarkovianSeq struct {
 	n         int
 	pOn, pOff float64
 	rng       *rand.Rand
-	cur       *graph.Graph
-	served    int
+	cur       *graph.Graph // the graph served last round
+	served    pair
 }
 
 // NewMarkovian returns an edge-Markovian sequence (0 <= pOn, pOff <= 1).
@@ -197,8 +202,10 @@ func (m *MarkovianSeq) Name() string {
 
 // Graph implements Sequence.
 func (m *MarkovianSeq) Graph(int) *graph.Graph {
-	m.served++
-	next := graph.New(m.n)
+	// cur is the pair graph served last round (the empty graph before round
+	// 1), so next — the other one — is free to overwrite.
+	next := m.served.next(m.n)
+	next.Reset()
 	for u := 0; u < m.n; u++ {
 		for v := u + 1; v < m.n; v++ {
 			on := m.cur.HasEdge(u, v)
@@ -215,15 +222,17 @@ func (m *MarkovianSeq) Graph(int) *graph.Graph {
 	}
 	graph.Connectify(next, m.rng)
 	m.cur = next
-	return next.Clone()
+	return next
 }
 
 // RegularSeq serves a fresh random near-d-regular connected graph every
 // round — the oblivious substrate of the random-walk experiments
 // (Lemma 3.7) and of Algorithm 2's phase 1.
 type RegularSeq struct {
-	n, d int
-	rng  *rand.Rand
+	n, d    int
+	rng     *rand.Rand
+	served  pair
+	scratch graph.Scratch
 }
 
 // NewRegular returns a d-regular-ish oblivious sequence.
@@ -242,5 +251,7 @@ func (s *RegularSeq) Name() string { return fmt.Sprintf("regular(d=%d)", s.d) }
 
 // Graph implements Sequence.
 func (s *RegularSeq) Graph(int) *graph.Graph {
-	return graph.RandomRegularish(s.n, s.d, s.rng)
+	g := s.served.next(s.n)
+	graph.RandomRegularishInto(g, s.d, s.rng, &s.scratch)
+	return g
 }

@@ -23,6 +23,7 @@ type WeakFreeEdge struct {
 
 	inst    *lowerbound.Instance
 	setupOK bool
+	served  pair
 
 	prevChoices []token.ID
 	mispredicts int64
@@ -83,14 +84,12 @@ func (a *WeakFreeEdge) NextGraph(view *sim.View) *graph.Graph {
 	predView := *view
 	predView.Choices = predicted
 	dsu, forest := a.inst.FreeGraph(&predView)
-	g := graph.New(n)
+	g := a.served.next(n)
+	g.Reset()
 	for _, e := range forest {
 		g.AddEdge(e[0], e[1])
 	}
-	reps := dsu.Representatives()
-	for i := 1; i < len(reps); i++ {
-		g.AddEdge(reps[0], reps[i])
-	}
+	joinComponents(g, dsu)
 
 	// Score the prediction against the true choices (read only after the
 	// graph is fixed) and remember them for next round.

@@ -149,6 +149,24 @@ func (s *Set) Reset(n int) {
 	s.sp.Grow(s.threshold + 1)
 }
 
+// Clear empties s over its current universe, returning it to the
+// representation NewSlice starts it in and keeping both representations'
+// storage. Unlike Reset it does not pre-size the sparse list, so clearing n
+// graph rows of a large universe costs no memory.
+func (s *Set) Clear() {
+	s.count = 0
+	if startDense(s.n) {
+		s.dn.Clear()
+		return
+	}
+	if s.dense {
+		s.demotions++
+	}
+	s.dense = false
+	s.dw = nil // dispatch invariant: dw is non-empty exactly while dense
+	s.sp.Reset(s.n)
+}
+
 // promote switches to the dense representation, reusing retained word
 // storage when this set has been dense before.
 func (s *Set) promote() {

@@ -23,9 +23,15 @@ type Topkis struct {
 	// by node ID and allocated lazily on first contact. A slice, not a map:
 	// the per-neighbor lookup is on the round hot path.
 	sent []*bitset.Set
-	nbrs []graph.NodeID
+	// contacts counts the non-nil entries of sent: the neighbors this node
+	// has ever had.
+	contacts int
+	nbrs     []graph.NodeID
 	// out is the reusable Send buffer; the engine copies messages out of it
-	// before the next round, so steady-state rounds allocate nothing.
+	// before the next round. Its capacity covers every neighbor ever
+	// contacted, so it grows only on a first contact, alongside sent[u] —
+	// never when the degree rises among neighbors the node already knows,
+	// which a dynamic adversary can do at any round.
 	out []sim.Message
 }
 
@@ -60,6 +66,8 @@ func (p *Topkis) Send(_ int) []sim.Message {
 		if s == nil {
 			s = bitset.New(p.env.K)
 			p.sent[int(u)] = s
+			p.contacts++
+			out = growOut(out, p.contacts, p.env.N)
 		}
 		t := pickUnsent(p.know, s)
 		if t == token.None {
@@ -67,12 +75,25 @@ func (p *Topkis) Send(_ int) []sim.Message {
 		}
 		s.Add(t)
 		info := p.env.InfoOf(t)
-		//dynspread:allow hotpath -- amortized: out is the reusable Send buffer; capacity stabilizes at the node's degree
-		out = append(out, sim.TokenMsg(p.env.ID, u,
-			sim.TokenPayload{ID: t, Owner: info.Source, Index: info.Index}))
+		// No append: out's capacity covers every neighbor ever contacted,
+		// so one more message always fits.
+		out = out[:len(out)+1]
+		out[len(out)-1] = sim.TokenMsg(p.env.ID, u,
+			sim.TokenPayload{ID: t, Owner: info.Source, Index: info.Index})
 	}
 	p.out = out
 	return out
+}
+
+// growOut returns out with capacity for at least contacts messages, with
+// headroom up to n-1, the largest possible degree.
+func growOut(out []sim.Message, contacts, n int) []sim.Message {
+	if cap(out) >= contacts {
+		return out
+	}
+	grown := make([]sim.Message, len(out), min(2*contacts, n-1))
+	copy(grown, out)
+	return grown
 }
 
 // pickUnsent returns the lowest token in know but not in sentTo, or None.

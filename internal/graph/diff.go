@@ -10,29 +10,34 @@ type Diff struct {
 	Removed  []Edge
 }
 
-// Compute returns the diff from prev to next. A nil prev is treated as the
-// empty graph G_0 = (V, ∅), matching the paper's convention E_0 := ∅.
+// Compute returns the diff from prev to next in freshly allocated slices
+// (see ComputeInto).
 func Compute(prev, next *Graph) Diff {
 	var d Diff
-	if prev == next {
+	ComputeInto(&d, prev, next)
+	return d
+}
+
+// ComputeInto overwrites *d with the diff from prev to next, appending into
+// the storage of d's slices, so a caller that keeps one Diff across rounds
+// stops allocating once the slices have grown. A nil prev is treated as the
+// empty graph G_0 = (V, ∅), matching the paper's convention E_0 := ∅.
+func ComputeInto(d *Diff, prev, next *Graph) {
+	d.Inserted = d.Inserted[:0]
+	d.Removed = d.Removed[:0]
+	switch {
+	case prev == next:
 		// Same snapshot object (e.g. a static adversary serving one graph
 		// every round): the diff is empty by definition, and skipping the
-		// edge-set walks keeps the round loop allocation-free.
-		return d
+		// edge-set walks keeps the round loop cheap.
+	case next == nil:
+		d.Removed = prev.AppendEdges(d.Removed)
+	case prev == nil:
+		d.Inserted = next.AppendEdges(d.Inserted)
+	default:
+		d.Inserted = appendEdgeDiff(d.Inserted, next, prev)
+		d.Removed = appendEdgeDiff(d.Removed, prev, next)
 	}
-	if next == nil {
-		if prev != nil {
-			d.Removed = prev.Edges()
-		}
-		return d
-	}
-	if prev == nil {
-		d.Inserted = next.Edges()
-		return d
-	}
-	d.Inserted = appendEdgeDiff(d.Inserted, next, prev)
-	d.Removed = appendEdgeDiff(d.Removed, prev, next)
-	return d
 }
 
 // appendEdgeDiff appends the canonical edges of a \ b in sorted order — a

@@ -43,22 +43,46 @@ func Complete(n int) *Graph {
 	return g
 }
 
+// Scratch holds the reusable buffers of the Into generators, so a caller
+// that draws a graph every round allocates them once. The zero value is
+// ready to use; a Scratch serves one generator call at a time.
+type Scratch struct {
+	ints []int
+}
+
+// intsFor returns s's buffer at length n, contents unspecified.
+func (s *Scratch) intsFor(n int) []int {
+	if cap(s.ints) < n {
+		s.ints = make([]int, n)
+	}
+	return s.ints[:n]
+}
+
 // RandomTree returns a uniformly random labeled tree on n nodes, generated by
 // decoding a random Prüfer sequence.
 func RandomTree(n int, rng *rand.Rand) *Graph {
 	g := New(n)
+	RandomTreeInto(g, rng, new(Scratch))
+	return g
+}
+
+// RandomTreeInto overwrites g with a uniformly random labeled tree on its
+// g.N() nodes, making exactly the draws RandomTree makes.
+func RandomTreeInto(g *Graph, rng *rand.Rand, s *Scratch) {
+	g.Reset()
+	n := g.N()
 	if n <= 1 {
-		return g
+		return
 	}
 	if n == 2 {
 		g.AddEdge(0, 1)
-		return g
+		return
 	}
-	prufer := make([]int, n-2)
+	buf := s.intsFor(2*n - 2)
+	prufer, degree := buf[:n-2], buf[n-2:]
 	for i := range prufer {
 		prufer[i] = rng.Intn(n)
 	}
-	degree := make([]int, n)
 	for i := range degree {
 		degree[i] = 1
 	}
@@ -66,36 +90,47 @@ func RandomTree(n int, rng *rand.Rand) *Graph {
 		degree[p]++
 	}
 	// Decode: repeatedly attach the smallest leaf to the next Prüfer entry.
-	// Using a simple scan keeps this O(n^2) worst case but n is small here.
-	used := make([]bool, n)
+	// An attached leaf's degree drops to 0, which marks it used: it has no
+	// Prüfer entries left, so its degree never changes again. Using a
+	// simple scan keeps this O(n^2) worst case but n is small here.
 	for _, p := range prufer {
 		for leaf := 0; leaf < n; leaf++ {
-			if degree[leaf] == 1 && !used[leaf] {
+			if degree[leaf] == 1 {
 				g.AddEdge(leaf, p)
-				used[leaf] = true
+				degree[leaf] = 0
 				degree[p]--
 				break
 			}
 		}
 	}
 	// Connect the last two remaining nodes of degree 1.
-	last := make([]int, 0, 2)
+	first := -1
 	for v := 0; v < n; v++ {
-		if degree[v] == 1 && !used[v] {
-			last = append(last, v)
+		if degree[v] != 1 {
+			continue
 		}
+		if first >= 0 {
+			g.AddEdge(first, v)
+			return
+		}
+		first = v
 	}
-	if len(last) == 2 {
-		g.AddEdge(last[0], last[1])
-	}
-	return g
 }
 
 // RandomConnected returns a connected graph on n nodes with approximately m
 // edges (at least n-1): a random spanning tree plus random extra edges. If m
 // exceeds the number of possible edges it is clamped.
 func RandomConnected(n, m int, rng *rand.Rand) *Graph {
-	g := RandomTree(n, rng)
+	g := New(n)
+	RandomConnectedInto(g, m, rng, new(Scratch))
+	return g
+}
+
+// RandomConnectedInto overwrites g with a RandomConnected graph on its
+// g.N() nodes, making exactly the draws RandomConnected makes.
+func RandomConnectedInto(g *Graph, m int, rng *rand.Rand, s *Scratch) {
+	RandomTreeInto(g, rng, s)
+	n := g.N()
 	maxM := n * (n - 1) / 2
 	if m > maxM {
 		m = maxM
@@ -106,7 +141,6 @@ func RandomConnected(n, m int, rng *rand.Rand) *Graph {
 			g.AddEdge(a, b)
 		}
 	}
-	return g
 }
 
 // RandomRegularish returns a connected graph where every node has degree at
@@ -117,8 +151,17 @@ func RandomConnected(n, m int, rng *rand.Rand) *Graph {
 // cycle. d is clamped to [2, n-1].
 func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
 	g := New(n)
+	RandomRegularishInto(g, d, rng, new(Scratch))
+	return g
+}
+
+// RandomRegularishInto overwrites g with a RandomRegularish graph on its
+// g.N() nodes, making exactly the draws RandomRegularish makes.
+func RandomRegularishInto(g *Graph, d int, rng *rand.Rand, s *Scratch) {
+	g.Reset()
+	n := g.N()
 	if n <= 1 {
-		return g
+		return
 	}
 	if d < 2 {
 		d = 2
@@ -127,7 +170,7 @@ func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
 		d = n - 1
 	}
 	cycles := (d + 1) / 2
-	perm := make([]int, n)
+	perm := s.intsFor(n)
 	for c := 0; c < cycles; c++ {
 		for i := range perm {
 			perm[i] = i
@@ -137,7 +180,6 @@ func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
 			g.AddEdge(perm[i], perm[(i+1)%n])
 		}
 	}
-	return g
 }
 
 // Grid returns an approximately square rows x cols grid covering n nodes
@@ -160,28 +202,55 @@ func Grid(rows, cols int) *Graph {
 }
 
 // Connectify adds random edges between components until g is connected,
-// returning the edges it added. Used by generators that may produce
-// disconnected graphs (e.g. edge-Markovian evolution).
-func Connectify(g *Graph, rng *rand.Rand) []Edge {
+// returning how many it added. Used by generators that may produce
+// disconnected graphs (e.g. edge-Markovian evolution). It joins component i
+// (components in increasing root order) to a random member of components
+// 0..i-1, each endpoint drawn uniformly in increasing node order. Its
+// scratch belongs to g, so it allocates only on g's first call.
+func Connectify(g *Graph, rng *rand.Rand) int {
 	d := g.DSU()
-	if d.Components() <= 1 {
-		return nil
+	comps := d.Components()
+	if comps <= 1 {
+		return 0
 	}
-	reps := d.Representatives()
-	// Group members by component root for random endpoint selection.
-	members := make(map[int][]NodeID, len(reps))
-	for v := 0; v < g.N(); v++ {
-		r := d.Find(v)
-		members[r] = append(members[r], v)
+	n := g.n
+	if g.comp == nil {
+		g.comp = make([]int, 4*n+1) // comps <= n
 	}
-	added := make([]Edge, 0, len(reps)-1)
-	for i := 1; i < len(reps); i++ {
-		a := members[reps[0]][rng.Intn(len(members[reps[0]]))]
-		b := members[reps[i]][rng.Intn(len(members[reps[i]]))]
-		if g.AddEdge(a, b) {
-			added = append(added, NewEdge(a, b))
+	// compOf[v] is v's component index, components numbered in increasing
+	// root order; component i fills members[start[i]:start[i+1]] in
+	// increasing node order.
+	buf := g.comp
+	compOf, members := buf[:n], buf[n:2*n]
+	start, next := buf[2*n:2*n+comps+1], buf[2*n+comps+1:2*n+2*comps+1]
+	c := 0
+	for v := 0; v < n; v++ {
+		if d.Find(v) == v {
+			compOf[v] = c
+			c++
 		}
-		members[reps[0]] = append(members[reps[0]], members[reps[i]]...)
+	}
+	clear(start)
+	for v := 0; v < n; v++ {
+		compOf[v] = compOf[d.Find(v)]
+		start[compOf[v]+1]++
+	}
+	for i := 1; i <= comps; i++ {
+		start[i] += start[i-1]
+	}
+	copy(next, start)
+	for v := 0; v < n; v++ {
+		members[next[compOf[v]]] = v
+		next[compOf[v]]++
+	}
+	added := 0
+	for i := 1; i < comps; i++ {
+		// Components 0..i-1 are already joined: they fill members[:start[i]].
+		a := members[rng.Intn(start[i])]
+		b := members[start[i]+rng.Intn(start[i+1]-start[i])]
+		if g.AddEdge(a, b) {
+			added++
+		}
 	}
 	return added
 }

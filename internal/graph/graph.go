@@ -48,30 +48,51 @@ func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 //
 // Adjacency is stored as one adaptive bitset row per node (plus an edge
 // counter), so neighbor iteration is naturally sorted — Edges, Neighbors and
-// the per-round diffs need no sort — membership is a bit probe, and Clone is
-// a word-level copy. At experiment scale the rows sit in one slab
-// allocation.
+// the per-round diffs need no sort — membership is a bit probe, and
+// Clone/CopyFrom are word-level copies. At experiment scale the rows sit in
+// one slab allocation, which Reset and CopyFrom keep.
 //
 // Read accessors that are on the engine's per-round hot path
 // (NeighborsShared, Connected) memoize their answer; any successful AddEdge
-// or RemoveEdge invalidates the memo. A Graph is not safe for concurrent
-// use, even read-only, because of this lazy memoization.
+// or RemoveEdge, and every Reset and CopyFrom, marks the memo stale and
+// bumps Mutations. The flattened adjacency is then rebuilt in its old
+// storage, and every connectivity query reuses one union-find the graph
+// owns. A Graph is not safe for concurrent use, even read-only, because of
+// this lazy memoization, and it must never be copied by value: the copy
+// would share its rows, caches and union-find with the original (use Clone
+// or CopyFrom).
+//
+// A graph an adversary serves for round r must keep its edges until the
+// engine has diffed round r+1 against it; the adversary may rewrite it from
+// its call for round r+2 on (see sim.Adversary).
 type Graph struct {
 	n   int
 	m   int
 	adj []adaptive.Set
 
-	// Lazy snapshot caches, nil/0 when stale: flat is the per-node sorted
-	// adjacency (subslices of flatBase), conn the memoized connectivity
-	// (+1 connected, -1 disconnected).
+	// mutations counts the changes to the edge set (see Mutations).
+	mutations uint64
+
+	// Lazy snapshot caches: flat is the per-node sorted adjacency
+	// (subslices of flatBase), valid while flatOK; conn the memoized
+	// connectivity (+1 connected, -1 disconnected, 0 stale).
 	flat     [][]NodeID
 	flatBase []NodeID
+	flatOK   bool
 	conn     int8
+
+	// dsu is the union-find every connectivity query resets and refills;
+	// comp is Connectify's component-layout scratch. Both are allocated
+	// on first use.
+	dsu  *unionfind.DSU
+	comp []int
 }
 
-// invalidate drops the lazy snapshot caches after a mutation.
+// invalidate marks the lazy snapshot caches stale after a mutation,
+// keeping their storage for the rebuild.
 func (g *Graph) invalidate() {
-	g.flat = nil
+	g.mutations++
+	g.flatOK = false
 	g.conn = 0
 }
 
@@ -82,6 +103,38 @@ func New(n int) *Graph {
 	}
 	return &Graph{n: n, adj: adaptive.NewSlice(n, n)}
 }
+
+// Reset removes every edge, keeping the node count and the row storage, so
+// a graph rebuilt every round stops allocating for its rows.
+func (g *Graph) Reset() {
+	for v := range g.adj {
+		g.adj[v].Clear()
+	}
+	g.m = 0
+	g.invalidate()
+}
+
+// CopyFrom makes g an exact copy of src's nodes and edges, reusing g's row
+// storage when the node counts match. Afterwards g shares no storage with
+// src.
+func (g *Graph) CopyFrom(src *Graph) {
+	if g.n != src.n {
+		g.n = src.n
+		g.adj = adaptive.NewSlice(src.n, src.n)
+		g.dsu = nil
+	}
+	g.m = src.m
+	for v := range src.adj {
+		g.adj[v].CopyFrom(&src.adj[v])
+	}
+	g.invalidate()
+}
+
+// Mutations returns how many times g's edge set has changed: every AddEdge
+// or RemoveEdge that took effect, every Reset and every CopyFrom. The
+// engine compares it across rounds to catch an adversary that rewrites a
+// graph the engine still diffs against.
+func (g *Graph) Mutations() uint64 { return g.mutations }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
@@ -150,30 +203,35 @@ func (g *Graph) Neighbors(v NodeID) []NodeID {
 // retain it past the next mutation of g. The full adjacency is flattened
 // into one backing array on first use and memoized until the graph changes,
 // so a graph served for many rounds (e.g. the static adversary's) costs
-// zero allocations per round on the engine's hot path. Use Neighbors for a
-// caller-owned copy.
+// zero allocations per round on the engine's hot path; the rebuild after a
+// change reuses that array. Use Neighbors for a caller-owned copy.
 func (g *Graph) NeighborsShared(v NodeID) []NodeID {
 	if v < 0 || v >= g.n {
 		return nil
 	}
-	if g.flat == nil {
+	if !g.flatOK {
 		g.buildFlat()
 	}
 	return g.flat[v]
 }
 
 // buildFlat flattens the adjacency rows into sorted per-node subslices of a
-// single backing array. Rows iterate in increasing order, so no sort is
-// needed.
+// single backing array, reusing the previous flattening's storage. Rows
+// iterate in increasing order, so no sort is needed.
 func (g *Graph) buildFlat() {
 	total := 2 * g.m
-	base := g.flatBase
+	base := g.flatBase[:0]
 	if cap(base) < total {
-		base = make([]NodeID, 0, total)
-	} else {
-		base = base[:0]
+		// Headroom (up to the complete graph's 2·n(n-1)/2 entries), so a
+		// graph rebuilt every round whose edge count wanders (markovian,
+		// regular) stops regrowing after its first rounds.
+		base = make([]NodeID, 0, min(2*total, g.n*(g.n-1)))
 	}
-	flat := make([][]NodeID, g.n)
+	flat := g.flat
+	if cap(flat) < g.n {
+		flat = make([][]NodeID, g.n)
+	}
+	flat = flat[:g.n]
 	for v := 0; v < g.n; v++ {
 		start := len(base)
 		g.adj[v].ForEach(func(u int) { base = append(base, u) })
@@ -181,18 +239,22 @@ func (g *Graph) buildFlat() {
 	}
 	g.flatBase = base
 	g.flat = flat
+	g.flatOK = true
 }
 
-// Edges returns all edges in canonical sorted order (by U, then V). Rows are
-// walked above the diagonal, which yields exactly that order with no sort.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.m)
+// Edges returns all edges in canonical sorted order (by U, then V).
+func (g *Graph) Edges() []Edge { return g.AppendEdges(make([]Edge, 0, g.m)) }
+
+// AppendEdges appends all edges in canonical sorted order (by U, then V) to
+// dst and returns the extended slice. Rows are walked above the diagonal,
+// which yields exactly that order with no sort.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
 	for v := 0; v < g.n; v++ {
 		g.adj[v].ForEachFrom(v+1, func(u int) {
-			out = append(out, Edge{U: v, V: u})
+			dst = append(dst, Edge{U: v, V: u})
 		})
 	}
-	return out
+	return dst
 }
 
 // EdgeAt returns the i-th edge (0-based) of the canonical sorted order —
@@ -222,10 +284,8 @@ func (g *Graph) EdgeAt(i int) (Edge, bool) {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{n: g.n, m: g.m, adj: adaptive.NewSlice(g.n, g.n)}
-	for v := range g.adj {
-		c.adj[v].CopyFrom(&g.adj[v])
-	}
+	c := New(g.n)
+	c.CopyFrom(g)
 	return c
 }
 
@@ -250,13 +310,26 @@ func (g *Graph) forEachEdge(fn func(u, v NodeID)) {
 	}
 }
 
-// DSU returns a union-find structure with g's edges applied in canonical
-// sorted order, so component-root identity (and hence everything derived
-// from Representatives) is deterministic.
+// DSU returns g's union-find with g's edges applied in canonical sorted
+// order, so component-root identity (and hence everything derived from
+// Representatives) is deterministic. The union-find belongs to g: every
+// connectivity query (Connected, ConnectedWithout, Components, Connectify
+// and DSU itself) resets and refills it, so a caller may read it, and
+// Union into it, only until the next such query.
 func (g *Graph) DSU() *unionfind.DSU {
-	d := unionfind.New(g.n)
+	d := g.resetDSU()
 	g.forEachEdge(func(u, v NodeID) { d.Union(u, v) })
 	return d
+}
+
+// resetDSU returns g's union-find as n singletons.
+func (g *Graph) resetDSU() *unionfind.DSU {
+	if g.dsu == nil {
+		g.dsu = unionfind.New(g.n)
+	} else {
+		g.dsu.Reset()
+	}
+	return g.dsu
 }
 
 // Connected reports whether the graph is connected (true for n <= 1). The
@@ -285,7 +358,7 @@ func (g *Graph) ConnectedWithout(e Edge) bool {
 	if g.n <= 1 {
 		return true
 	}
-	d := unionfind.New(g.n)
+	d := g.resetDSU()
 	g.forEachEdge(func(u, v NodeID) {
 		if u == e.U && v == e.V {
 			return

@@ -331,13 +331,13 @@ func TestConnectify(t *testing.T) {
 	if !g.Connected() {
 		t.Fatal("not connected after Connectify")
 	}
-	if len(added) == 0 {
+	if added == 0 {
 		t.Fatal("no edges reported added")
 	}
 	// Already connected: no-op.
 	before := g.M()
-	if got := Connectify(g, rng); got != nil {
-		t.Fatalf("Connectify on connected graph added %v", got)
+	if got := Connectify(g, rng); got != 0 {
+		t.Fatalf("Connectify on connected graph added %d edges", got)
 	}
 	if g.M() != before {
 		t.Fatal("edge count changed")

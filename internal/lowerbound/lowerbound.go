@@ -20,10 +20,15 @@ import (
 	"dynspread/internal/unionfind"
 )
 
-// Instance holds one sampled choice of the bookkeeping sets K'_v.
+// Instance holds one sampled choice of the bookkeeping sets K'_v, plus the
+// scratch FreeGraph reuses from round to round.
 type Instance struct {
 	n, k   int
 	kprime []*bitset.Set
+
+	dsu           *unionfind.DSU
+	forest        [][2]int
+	silent, bcast []int
 }
 
 // Sample draws each K'_v by including every token independently with
@@ -103,19 +108,25 @@ func (in *Instance) Free(view *sim.View, u, v int) bool {
 // FreeGraph computes the connected components of the graph induced by all
 // free edges. It returns the DSU plus a spanning forest of the free edges
 // (one tree edge per successful union), which is what a sparse adversary
-// serves instead of the full free clique.
+// serves instead of the full free clique. Both belong to the Instance and
+// are overwritten by its next FreeGraph call.
 //
 // Silent-silent pairs are always free, so all non-broadcasting nodes are
 // merged pairwise along a path without scanning the quadratic clique.
 func (in *Instance) FreeGraph(view *sim.View) (*unionfind.DSU, [][2]int) {
-	dsu := unionfind.New(in.n)
-	forest := make([][2]int, 0, in.n-1)
+	if in.dsu == nil {
+		in.dsu = unionfind.New(in.n)
+	} else {
+		in.dsu.Reset()
+	}
+	dsu := in.dsu
+	forest := in.forest[:0]
 	union := func(a, b int) {
 		if dsu.Union(a, b) {
 			forest = append(forest, [2]int{a, b})
 		}
 	}
-	var silent, bcast []int
+	silent, bcast := in.silent[:0], in.bcast[:0]
 	for v := 0; v < in.n; v++ {
 		if view.Choices[v] == token.None {
 			silent = append(silent, v)
@@ -138,6 +149,7 @@ func (in *Instance) FreeGraph(view *sim.View) (*unionfind.DSU, [][2]int) {
 			}
 		}
 	}
+	in.forest, in.silent, in.bcast = forest, silent, bcast
 	return dsu, forest
 }
 

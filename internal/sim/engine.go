@@ -258,7 +258,12 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 		cfg.rec.start(st)
 	}
 
+	// prev is the previous round's graph and prevMut its Mutations count
+	// when it was served: the adversary must leave it alone until the diff
+	// below has read it.
 	prev := graph.New(n)
+	prevMut := prev.Mutations()
+	diff := cfg.ws.diffBuf()
 	if st.complete() { // degenerate: k == 0 or everyone starts complete
 		return &Result{Completed: true, Rounds: 0, Metrics: st.metrics}, nil
 	}
@@ -283,12 +288,16 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 		if g == nil || g.N() != n {
 			return nil, fmt.Errorf("sim: adversary %q returned invalid graph in round %d", adv.Name(), r)
 		}
+		if prev.Mutations() != prevMut {
+			return nil, fmt.Errorf("sim: adversary %q changed its round %d graph before round %d was diffed against it (a served graph may be rewritten only from the call for round %d on)",
+				adv.Name(), r-1, r, r+1)
+		}
 		if !g.Connected() {
 			return nil, fmt.Errorf("sim: adversary %q returned disconnected graph in round %d", adv.Name(), r)
 		}
-		diff := graph.Compute(prev, g)
+		graph.ComputeInto(diff, prev, g)
 		if stability != nil {
-			stability.Observe(diff)
+			stability.Observe(*diff)
 			if !stability.OK() {
 				v := stability.Violations()[0]
 				return nil, fmt.Errorf("sim: adversary %q violated %d-edge stability: edge %v inserted round %d, gone round %d",
@@ -303,11 +312,11 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			return nil, err
 		}
 		st.metrics.Rounds = r
-		mode.observe(r, diff, learned)
+		mode.observe(r, *diff, learned)
 		if cfg.rec != nil {
 			cfg.rec.observeRound(r, injected)
 		}
-		prev = g
+		prev, prevMut = g, g.Mutations()
 		if st.complete() {
 			if cfg.rec != nil {
 				cfg.rec.finish(r)

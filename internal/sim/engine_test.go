@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"dynspread/internal/graph"
@@ -78,5 +79,39 @@ func TestWorkspaceReuseMatchesFreshBuffers(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// togglingAdv serves one graph every round, toggling edge {0,4} on it from
+// round 2 on: it rewrites the graph the engine diffs the next round against.
+type togglingAdv struct{ g *graph.Graph }
+
+func (a *togglingAdv) Name() string { return "toggling" }
+func (a *togglingAdv) NextGraph(v *View) *graph.Graph {
+	if a.g == nil {
+		a.g = graph.Path(v.N)
+	} else if !a.g.RemoveEdge(0, 4) {
+		a.g.AddEdge(0, 4)
+	}
+	return a.g
+}
+
+// TestEngineRejectsRewrittenServedGraph: an adversary that changes the
+// graph it served for round r before round r+1 is diffed against it must
+// fail the run, naming itself and the round, instead of being charged an
+// empty diff (the identity short-cut saw prev == g and reported TC 4,
+// Removals 0 for an edge inserted five times and removed four).
+func TestEngineRejectsRewrittenServedGraph(t *testing.T) {
+	res, err := RunUnicast(UnicastConfig{
+		Assign:    singleSource(t, 5, 2, 0),
+		Factory:   func(NodeEnv) Protocol { return silentProto{} },
+		Adversary: &togglingAdv{},
+		MaxRounds: 10,
+	})
+	if err == nil {
+		t.Fatalf("no error; metrics %+v", res.Metrics)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"toggling"`) || !strings.Contains(msg, "round 2") {
+		t.Fatalf("error %q does not name the adversary and round 2", msg)
 	}
 }

@@ -91,13 +91,15 @@ func (v *View) NumBroadcasters() int {
 type Adversary interface {
 	// Name identifies the adversary in reports.
 	Name() string
-	// NextGraph returns the communication graph of round view.Round. A
-	// served graph must never be mutated afterwards: the engine keeps it to
-	// diff the next round against and short-cuts that diff by identity, so
-	// an adversary that mutates its current graph in place must serve a
-	// clone (or, like the static adversary, serve one never-mutated
-	// snapshot — then the engine charges zero topological changes,
-	// correctly).
+	// NextGraph returns the communication graph of round view.Round. The
+	// graph served for round r must keep its edges through the call for
+	// round r+1: the engine diffs round r+1 against it and short-cuts that
+	// diff by identity. From the call for round r+2 on the adversary may
+	// rewrite it, so a dynamic adversary can serve its rounds from two
+	// graphs it owns, alternating between them; one that never changes its
+	// graph may serve one snapshot every round (then the engine charges
+	// zero topological changes, correctly). The engine checks the rule
+	// with graph.Graph.Mutations and fails a run that breaks it.
 	NextGraph(view *View) *graph.Graph
 }
 

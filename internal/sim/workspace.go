@@ -1,13 +1,17 @@
 package sim
 
-import "dynspread/internal/bitset/adaptive"
+import (
+	"dynspread/internal/bitset/adaptive"
+	"dynspread/internal/graph"
+)
 
 // Workspace holds reusable per-execution buffers — knowledge bitsets,
-// protocol slices, delivery buffers, and counting-sort buckets. A Workspace
-// is NOT safe for concurrent use: give each worker goroutine its own (the
-// sweep layer does this) and reuse it across that worker's sequential trials
-// to cut per-trial allocations. A nil *Workspace is valid everywhere one is
-// accepted and means "allocate privately".
+// protocol slices, delivery buffers, counting-sort buckets, and the round's
+// topology diff. A Workspace is NOT safe for concurrent use: give each
+// worker goroutine its own (the sweep layer does this) and reuse it across
+// that worker's sequential trials to cut per-trial allocations. A nil
+// *Workspace is valid everywhere one is accepted and means "allocate
+// privately".
 //
 // Reuse never changes results: buffers are handed out cleared, and the
 // engine's semantics (delivery order, RNG draws, accounting) do not depend on
@@ -29,6 +33,7 @@ type Workspace struct {
 	// already sent to to this round" (see unicastMode.exchange).
 	sendStamps []int
 	choices    []int // token.ID values; int keeps the import surface small
+	diff       graph.Diff
 }
 
 // NewWorkspace returns an empty workspace.
@@ -146,6 +151,15 @@ func (w *Workspace) sendStampsFor(n int) []int {
 	s := w.sendStamps[:n]
 	clear(s)
 	return s
+}
+
+// diffBuf returns the Diff the engine recomputes every round with
+// graph.ComputeInto; its slices keep their storage across rounds and runs.
+func (w *Workspace) diffBuf() *graph.Diff {
+	if w == nil {
+		return new(graph.Diff)
+	}
+	return &w.diff
 }
 
 // choicesFor returns a length-n scratch slice for broadcast choices.

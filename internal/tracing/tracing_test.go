@@ -299,3 +299,37 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatal("implausible span timestamps")
 	}
 }
+
+// FuzzParseTraceparent: ParseTraceparent never panics, and accepted input
+// keeps its identity. Parse then format is not the identity: Traceparent
+// always writes version 00 and flags 01, and parsing ignores the fields a
+// future version may append. What survives is the trace-id and parent-id,
+// s[3:52] (both IDs and the dash between them), and a formatted context
+// parses back to itself.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00-extra",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		hdr := sc.Traceparent()
+		if s[3:52] != hdr[3:52] {
+			t.Fatalf("ParseTraceparent(%q) kept ids %q, want %q", s, hdr[3:52], s[3:52])
+		}
+		back, err := ParseTraceparent(hdr)
+		if err != nil || back != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, %v; want %+v", hdr, back, err, sc)
+		}
+	})
+}
