@@ -3,14 +3,15 @@ package dynspread_test
 // The allocation gate of the round hot path: once buffers are warm, a
 // steady-state round must allocate NOTHING — in unicast mode (value-typed
 // messages, counting-sort delivery, workspace buffers) and in broadcast
-// mode (choice/heard buffers). The gate measures per-round allocations
-// differentially: two executions of the same deterministic trial that
-// differ only in MaxRounds allocate identically during setup and during
-// their shared prefix, so any difference is exactly the allocation cost of
-// the extra steady-state rounds.
+// mode (choice and learned-token buffers). The gate measures per-round
+// allocations differentially: two executions of the same deterministic
+// trial that differ only in MaxRounds allocate identically during setup and
+// during their shared prefix, so any difference is exactly the allocation
+// cost of the extra steady-state rounds.
 
 import (
 	"math/bits"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -118,6 +119,26 @@ func TestAllocGateMultiSourceRound(t *testing.T) {
 	gate(t, "multi-source", facadeRun(t, dynspread.Config{
 		N: 8, K: 512, Sources: 4,
 		Algorithm: dynspread.AlgMultiSource,
+		Adversary: dynspread.AdvStatic,
+		Seed:      7,
+	}), 100, 200)
+}
+
+// TestAllocGateSpanningTreeRound: the static spanning-tree baseline under
+// the registered static adversary — the sweep-static benchmark's shape —
+// must run its steady-state rounds with zero allocations. Its per-neighbor
+// state is NodeID-indexed, a round stamp marks who was sent to, and Send
+// fills a reused buffer; the trial completes at round 518, so rounds
+// 100→200 pipeline tokens down the finished tree. Garbage collection is
+// off while the gate measures: one run's setup allocates about 1.6 MB,
+// enough to start a collection in most runs, and each collection adds two
+// runtime mallocs to the process-wide count, which the differential would
+// otherwise read as ±0.01 objects per round.
+func TestAllocGateSpanningTreeRound(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	gate(t, "spanning tree", facadeRun(t, dynspread.Config{
+		N: 64, K: 512,
+		Algorithm: dynspread.AlgSpanningTree,
 		Adversary: dynspread.AdvStatic,
 		Seed:      7,
 	}), 100, 200)

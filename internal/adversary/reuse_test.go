@@ -17,8 +17,8 @@ func (silentUnicast) Deliver(int, []sim.Message)     {}
 
 type silentBroadcast struct{}
 
-func (silentBroadcast) Choose(int) token.ID              { return token.None }
-func (silentBroadcast) Deliver(int, []sim.BroadcastHear) {}
+func (silentBroadcast) Choose(int) token.ID     { return token.None }
+func (silentBroadcast) Deliver(int, []token.ID) {}
 
 // TestRegisteredAdversariesLeaveServedGraphsAlone runs every registered
 // adversary, in each of its registered modes, for 200 rounds under a silent

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"dynspread/internal/bitset/adaptive"
 	"dynspread/internal/sim"
 	"dynspread/internal/token"
 )
@@ -12,11 +11,11 @@ import (
 // it. Because every round's graph is connected, at least one edge crosses
 // the knower/non-knower cut, so each window fully spreads its token and the
 // whole dissemination finishes within nk rounds using at most n broadcasts
-// per round — the O(n²) amortized-messages upper bound of Section 1.
+// per round — the O(n²) amortized-messages upper bound of Section 1. A node
+// keeps no set of its own: it reads K_v from env.Know.
 type Flooding struct {
 	env       sim.NodeEnv
 	windowLen int
-	know      *adaptive.Set
 }
 
 // NewFlooding returns the flooding factory. windowLen <= 0 selects n (the
@@ -28,11 +27,7 @@ func NewFlooding(windowLen int) sim.BroadcastFactory {
 		if w <= 0 {
 			w = env.N
 		}
-		f := &Flooding{env: env, windowLen: w, know: adaptive.New(env.K)}
-		for _, t := range env.Initial {
-			f.know.Add(t)
-		}
-		return f
+		return &Flooding{env: env, windowLen: w}
 	}
 }
 
@@ -45,26 +40,24 @@ func (f *Flooding) Choose(r int) token.ID {
 		return token.None
 	}
 	scheduled := ((r - 1) / f.windowLen) % f.env.K
-	if f.know.Contains(scheduled) {
+	if f.env.Know.Contains(scheduled) {
 		return scheduled
 	}
 	return token.None
 }
 
-// Deliver implements sim.BroadcastProtocol.
+// Deliver implements sim.BroadcastProtocol; the engine has already added
+// the learned tokens to K_v.
 //
 //dynspread:hotpath
-func (f *Flooding) Deliver(_ int, heard []sim.BroadcastHear) {
-	for _, h := range heard {
-		f.know.Add(h.Token)
-	}
-}
+func (f *Flooding) Deliver(int, []token.ID) {}
 
-// Arrive implements sim.TokenArriver: a streamed token joins the known set
-// and is broadcast whenever its window next comes around.
+// Arrive implements sim.TokenArriver, declaring that flooding supports
+// streamed tokens: the engine has already added t to K_v, and t is
+// broadcast whenever its window next comes around.
 //
 //dynspread:hotpath
-func (f *Flooding) Arrive(_ int, t token.ID) { f.know.Add(t) }
+func (f *Flooding) Arrive(int, token.ID) {}
 
 // RandomBroadcast broadcasts a uniformly random held token every round. It
 // makes no per-round progress guarantee against a strongly adaptive
@@ -72,20 +65,16 @@ func (f *Flooding) Arrive(_ int, t token.ID) { f.know.Add(t) }
 // experiment uses it to show the lower bound is not an artifact of
 // flooding's schedule.
 type RandomBroadcast struct {
-	env  sim.NodeEnv
+	env sim.NodeEnv
+	// know lists K_v in the order the node learned it: the index space of
+	// Choose's random pick.
 	know []token.ID
-	seen *adaptive.Set
 }
 
 // NewRandomBroadcast returns the factory.
 func NewRandomBroadcast() sim.BroadcastFactory {
 	return func(env sim.NodeEnv) sim.BroadcastProtocol {
-		p := &RandomBroadcast{env: env, seen: adaptive.New(env.K)}
-		for _, t := range env.Initial {
-			p.seen.Add(t)
-			p.know = append(p.know, t)
-		}
-		return p
+		return &RandomBroadcast{env: env, know: append([]token.ID(nil), env.Initial...)}
 	}
 }
 
@@ -99,26 +88,22 @@ func (p *RandomBroadcast) Choose(int) token.ID {
 	return p.know[p.env.Rng.Intn(len(p.know))]
 }
 
-// Deliver implements sim.BroadcastProtocol.
+// Deliver implements sim.BroadcastProtocol: every learned token is new to
+// the node.
 //
 //dynspread:hotpath
-func (p *RandomBroadcast) Deliver(_ int, heard []sim.BroadcastHear) {
-	for _, h := range heard {
-		if p.seen.Insert(h.Token) {
-			//dynspread:allow hotpath -- amortized: know grows once per distinct token, at most k times over the whole run
-			p.know = append(p.know, h.Token)
-		}
-	}
+func (p *RandomBroadcast) Deliver(_ int, learned []token.ID) {
+	//dynspread:allow hotpath -- amortized: know grows once per distinct token, at most k times over the whole run
+	p.know = append(p.know, learned...)
 }
 
-// Arrive implements sim.TokenArriver.
+// Arrive implements sim.TokenArriver. No node holds a token before it
+// arrives at its source, so t is new.
 //
 //dynspread:hotpath
 func (p *RandomBroadcast) Arrive(_ int, t token.ID) {
-	if p.seen.Insert(t) {
-		//dynspread:allow hotpath -- amortized: know grows once per distinct token, at most k times over the whole run
-		p.know = append(p.know, t)
-	}
+	//dynspread:allow hotpath -- amortized: know grows once per distinct token, at most k times over the whole run
+	p.know = append(p.know, t)
 }
 
 // SilentBroadcast runs flooding's schedule but only lets nodes with ID below
@@ -154,8 +139,8 @@ func (p *SilentBroadcast) Choose(r int) token.ID {
 // Deliver implements sim.BroadcastProtocol.
 //
 //dynspread:hotpath
-func (p *SilentBroadcast) Deliver(r int, heard []sim.BroadcastHear) {
-	p.inner.Deliver(r, heard)
+func (p *SilentBroadcast) Deliver(r int, learned []token.ID) {
+	p.inner.Deliver(r, learned)
 }
 
 // Arrive implements sim.TokenArriver by delegating to the wrapped protocol

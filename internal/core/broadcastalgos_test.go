@@ -83,27 +83,55 @@ func TestFloodingAmortizedQuadraticUpperBound(t *testing.T) {
 	}
 }
 
+// floodingChoices runs flooding with the given window on a static path,
+// all k tokens starting at node 0, for at most rounds rounds, and returns
+// the committed choices of every round (choices[r-1][v]).
+func floodingChoices(t *testing.T, n, k, window, rounds int) ([][]token.ID, *sim.Result) {
+	t.Helper()
+	assign, err := token.SingleSource(n, k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var choices [][]token.ID
+	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+		Assign:    assign,
+		Factory:   NewFlooding(window),
+		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Path(n))),
+		MaxRounds: rounds,
+		OnRound: func(_ int, _ graph.Diff, c []token.ID, _ int64) {
+			choices = append(choices, append([]token.ID(nil), c...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return choices, res
+}
+
 func TestFloodingWindowSchedule(t *testing.T) {
-	env := sim.NodeEnv{ID: 0, N: 4, K: 3, Initial: []token.ID{0, 1, 2}}
-	f := NewFlooding(4)(env).(*Flooding)
+	// On a path of 8 a window of 4 rounds carries each token 4 hops, so
+	// the schedule wraps around (round 13) before anyone completes.
+	choices, res := floodingChoices(t, 8, 3, 4, 13)
+	if res.Completed || len(choices) != 13 {
+		t.Fatalf("completed=%v after %d observed rounds, want 13 incomplete rounds", res.Completed, len(choices))
+	}
 	// Window 0 (rounds 1..4): token 0; window 1: token 1; window 3: token 0.
 	for _, c := range []struct{ r, want int }{{1, 0}, {4, 0}, {5, 1}, {9, 2}, {13, 0}} {
-		if got := f.Choose(c.r); got != c.want {
-			t.Fatalf("Choose(%d) = %d, want %d", c.r, got, c.want)
+		if got := choices[c.r-1][0]; got != c.want {
+			t.Fatalf("round %d: source chose %d, want %d", c.r, got, c.want)
 		}
 	}
 	// A node missing the scheduled token stays silent.
-	env2 := sim.NodeEnv{ID: 1, N: 4, K: 3, Initial: nil}
-	f2 := NewFlooding(4)(env2).(*Flooding)
-	if got := f2.Choose(1); got != token.None {
+	if got := choices[0][7]; got != token.None {
 		t.Fatalf("holder of nothing chose %d", got)
 	}
 }
 
 func TestFloodingZeroTokens(t *testing.T) {
-	f := NewFlooding(0)(sim.NodeEnv{ID: 0, N: 4, K: 0}).(*Flooding)
-	if f.Choose(1) != token.None {
-		t.Fatal("k=0 should be silent")
+	choices, res := floodingChoices(t, 4, 0, 0, 10)
+	if !res.Completed || res.Rounds != 0 || res.Metrics.Broadcasts != 0 || len(choices) != 0 {
+		t.Fatalf("k=0 should be silent: completed=%v rounds=%d broadcasts=%d observed=%d",
+			res.Completed, res.Rounds, res.Metrics.Broadcasts, len(choices))
 	}
 }
 

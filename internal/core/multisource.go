@@ -82,6 +82,10 @@ type msSource struct {
 	globals  []token.ID // globals[i] is x's i-th token (1-based); token.None = not held
 	informed bitset.Set // R_v(x)
 	heard    bitset.Set // S_v(x)
+	// scanFrom is 1 plus the number of leading held slots: every index
+	// below it is held. Slots only fill, so sendRequests's scan for missing
+	// indices starts here.
+	scanFrom int
 }
 
 // dueRequest is a request that is live only in round due.
@@ -212,6 +216,7 @@ func (p *MultiSource) ensureSource(x graph.NodeID, count int) *msSource {
 		for i := range s.globals {
 			s.globals[i] = token.None
 		}
+		s.scanFrom = 1 // slot 0 is unused
 		if len(p.arriveRound) <= count {
 			p.arriveRound = make([]int, count+1)
 		}
@@ -324,6 +329,9 @@ func (p *MultiSource) sendRequests(r int, out []sim.Message) {
 		return
 	}
 	s := p.src[x]
+	for s.scanFrom <= s.count && s.globals[s.scanFrom] != token.None {
+		s.scanFrom++
+	}
 	nbrs := p.edges.nbrs
 	for _, u := range nbrs {
 		if q := p.requests[u]; q.due == r && q.req.Owner == x {
@@ -347,7 +355,7 @@ func (p *MultiSource) sendRequests(r int, out []sim.Message) {
 	}
 	// The j-th candidate asks for the j-th missing index: neither held nor
 	// already arriving.
-	idx := 1
+	idx := s.scanFrom
 	for _, i := range cands {
 		for idx <= s.count && (s.globals[idx] != token.None || p.arriveRound[idx] == r) {
 			idx++

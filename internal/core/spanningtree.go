@@ -19,23 +19,32 @@ import (
 // node adopts the sender as parent, replies CtrlTreeAccept, and re-floods the
 // invite to its other neighbors. Distribution: each node forwards received
 // tokens to every child, one token per child per round, in index order.
+//
+// All per-neighbor state is NodeID-indexed, and Send fills a reused buffer,
+// so steady-state rounds allocate nothing.
 type SpanningTree struct {
 	env sim.NodeEnv
 
 	isSource bool
 	parent   graph.NodeID // -1 until joined
 	joined   bool
-	invited  map[graph.NodeID]bool // neighbors already sent an invite
+	invited  []bool // invited[u]: u was already sent an invite
 	children []graph.NodeID
 
 	// queue of tokens to push down, in arrival order; nextToSend[c] indexes
 	// into queue per child.
 	queue      []sim.TokenPayload
-	nextToSend map[graph.NodeID]int
+	nextToSend []int
 
 	pendingInvite bool // send invites next round
 	acceptPending bool // owe the parent a CtrlTreeAccept
 	nbrs          []graph.NodeID
+	// sentIn[u] == r marks that Send(r) already wrote a message to u.
+	sentIn []int
+	// out is the reused Send buffer (the engine copies it before the next
+	// Send); Send writes at most one message per neighbor, so it grows
+	// only when the degree exceeds every degree before it.
+	out []sim.Message
 }
 
 // NewSpanningTree returns the baseline factory.
@@ -44,8 +53,10 @@ func NewSpanningTree() sim.Factory {
 		p := &SpanningTree{
 			env:        env,
 			parent:     -1,
-			invited:    make(map[graph.NodeID]bool),
-			nextToSend: make(map[graph.NodeID]int),
+			invited:    make([]bool, env.N),
+			queue:      make([]sim.TokenPayload, 0, env.K),
+			nextToSend: make([]int, env.N),
+			sentIn:     make([]int, env.N),
 		}
 		if len(env.Initial) > 0 {
 			p.isSource = true
@@ -64,12 +75,15 @@ func NewSpanningTree() sim.Factory {
 }
 
 // BeginRound implements sim.Protocol.
+//
+//dynspread:hotpath
 func (p *SpanningTree) BeginRound(_ int, neighbors []graph.NodeID) { p.nbrs = neighbors }
 
 // Send implements sim.Protocol.
-func (p *SpanningTree) Send(_ int) []sim.Message {
-	var out []sim.Message
-	sentTo := make(map[graph.NodeID]bool)
+//
+//dynspread:hotpath
+func (p *SpanningTree) Send(r int) []sim.Message {
+	out := growOut(p.out[:0], len(p.nbrs), p.env.N)
 	// Invitation wave.
 	if p.joined && p.pendingInvite {
 		for _, u := range p.nbrs {
@@ -77,32 +91,40 @@ func (p *SpanningTree) Send(_ int) []sim.Message {
 				continue
 			}
 			p.invited[u] = true
-			sentTo[u] = true
-			out = append(out, sim.ControlMsg(p.env.ID, u,
-				sim.ControlPayload{Kind: sim.CtrlTreeInvite}))
+			out = p.put(out, r, sim.ControlMsg(p.env.ID, u, sim.ControlPayload{Kind: sim.CtrlTreeInvite}))
 		}
 		p.pendingInvite = false
 	}
 	// Accept reply to a freshly adopted parent.
-	if p.acceptPending && p.parentAdjacent() && !sentTo[p.parent] {
+	if p.acceptPending && p.parentAdjacent() && p.sentIn[p.parent] != r {
 		p.acceptPending = false
-		sentTo[p.parent] = true
-		out = append(out, sim.ControlMsg(p.env.ID, p.parent,
-			sim.ControlPayload{Kind: sim.CtrlTreeAccept}))
+		out = p.put(out, r, sim.ControlMsg(p.env.ID, p.parent, sim.ControlPayload{Kind: sim.CtrlTreeAccept}))
 	}
 	// Pipeline one token per child per round.
 	for _, c := range p.children {
-		if sentTo[c] || !p.adjacent(c) {
+		if p.sentIn[c] == r || !p.adjacent(c) {
 			continue
 		}
 		i := p.nextToSend[c]
 		if i >= len(p.queue) {
 			continue
 		}
-		tp := p.queue[i]
 		p.nextToSend[c] = i + 1
-		out = append(out, sim.TokenMsg(p.env.ID, c, tp))
+		out = p.put(out, r, sim.TokenMsg(p.env.ID, c, p.queue[i]))
 	}
+	p.out = out
+	return out
+}
+
+// put appends m to out and marks its receiver as sent to in round r. Every
+// message of a round goes to a distinct neighbor and out has capacity for
+// the round's degree, so the append is a reslice within capacity.
+//
+//dynspread:hotpath
+func (p *SpanningTree) put(out []sim.Message, r int, m sim.Message) []sim.Message {
+	p.sentIn[m.To] = r
+	out = out[:len(out)+1]
+	out[len(out)-1] = m
 	return out
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"dynspread/internal/bitset"
-	"dynspread/internal/bitset/adaptive"
 	"dynspread/internal/graph"
 	"dynspread/internal/sim"
 	"dynspread/internal/token"
@@ -17,11 +16,11 @@ import (
 // amortized cost has no adversary-competitive guarantee under churn. It
 // exists as the contrast point to Algorithm 1's frugality.
 type Topkis struct {
-	env  sim.NodeEnv
-	know *adaptive.Set
+	env sim.NodeEnv
 	// sent[u] is the set of tokens already forwarded to neighbor u, indexed
 	// by node ID and allocated lazily on first contact. A slice, not a map:
-	// the per-neighbor lookup is on the round hot path.
+	// the per-neighbor lookup is on the round hot path. Each stays dense: it
+	// only grows and is probed by K_v's FirstNotIn, never unioned.
 	sent []*bitset.Set
 	// contacts counts the non-nil entries of sent: the neighbors this node
 	// has ever had.
@@ -38,15 +37,7 @@ type Topkis struct {
 // NewTopkis returns the baseline factory.
 func NewTopkis() sim.Factory {
 	return func(env sim.NodeEnv) sim.Protocol {
-		p := &Topkis{
-			env:  env,
-			know: adaptive.New(env.K),
-			sent: make([]*bitset.Set, env.N),
-		}
-		for _, t := range env.Initial {
-			p.know.Add(t)
-		}
-		return p
+		return &Topkis{env: env, sent: make([]*bitset.Set, env.N)}
 	}
 }
 
@@ -69,7 +60,7 @@ func (p *Topkis) Send(_ int) []sim.Message {
 			p.contacts++
 			out = growOut(out, p.contacts, p.env.N)
 		}
-		t := pickUnsent(p.know, s)
+		t := p.env.Know.FirstNotIn(s)
 		if t == token.None {
 			continue
 		}
@@ -96,31 +87,15 @@ func growOut(out []sim.Message, contacts, n int) []sim.Message {
 	return grown
 }
 
-// pickUnsent returns the lowest token in know but not in sentTo, or None.
-// know is adaptive (near-empty early, near-full late); sentTo stays dense —
-// it only ever grows and is probed, never unioned.
+// Arrive implements sim.TokenArriver, declaring that Topkis supports
+// streamed tokens: the engine has already added t to K_v, so t gets pushed
+// to every neighbor it has not been sent to, like any other.
 //
 //dynspread:hotpath
-func pickUnsent(know *adaptive.Set, sentTo *bitset.Set) token.ID {
-	if t := know.FirstNotIn(sentTo); t >= 0 {
-		return t
-	}
-	return token.None
-}
+func (p *Topkis) Arrive(int, token.ID) {}
 
-// Arrive implements sim.TokenArriver: a streamed token joins the known set
-// and gets pushed to every neighbor it has not been sent to, like any other.
+// Deliver implements sim.Protocol; the engine has already added the
+// delivered tokens to K_v.
 //
 //dynspread:hotpath
-func (p *Topkis) Arrive(_ int, t token.ID) { p.know.Add(t) }
-
-// Deliver implements sim.Protocol.
-//
-//dynspread:hotpath
-func (p *Topkis) Deliver(_ int, in []sim.Message) {
-	for i := range in {
-		if in[i].Has(sim.KindToken) {
-			p.know.Add(in[i].Token.ID)
-		}
-	}
-}
+func (p *Topkis) Deliver(int, []sim.Message) {}

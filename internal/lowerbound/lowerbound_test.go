@@ -51,8 +51,8 @@ func (a captureAdv) NextGraph(v *sim.View) *graph.Graph {
 
 type fixedChoice struct{ c token.ID }
 
-func (f fixedChoice) Choose(int) token.ID            { return f.c }
-func (fixedChoice) Deliver(int, []sim.BroadcastHear) {}
+func (f fixedChoice) Choose(int) token.ID   { return f.c }
+func (fixedChoice) Deliver(int, []token.ID) {}
 
 func TestSampleBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

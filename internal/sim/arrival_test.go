@@ -36,9 +36,9 @@ func (p *bFloodProto) Choose(r int) token.ID {
 	return token.None
 }
 
-func (p *bFloodProto) Deliver(_ int, heard []BroadcastHear) {
-	for _, h := range heard {
-		p.know.Add(h.Token)
+func (p *bFloodProto) Deliver(_ int, learned []token.ID) {
+	for _, t := range learned {
+		p.know.Add(t)
 	}
 }
 

@@ -63,7 +63,9 @@ type broadcastMode struct {
 	st      *engineState
 	protos  []BroadcastProtocol
 	choices []token.ID
-	heard   [][]BroadcastHear
+	// learned[v] lists the tokens node v learned this round, in the order
+	// exchange inserted them into K_v.
+	learned [][]token.ID
 }
 
 func (m *broadcastMode) check() error {
@@ -78,7 +80,7 @@ func (m *broadcastMode) bind(st *engineState) {
 	m.protos = m.cfg.Workspace.broadcastProtocolsFor(st.n)
 	m.choices = m.cfg.Workspace.choicesFor(st.n)
 	st.view.Choices = m.choices
-	m.heard = m.cfg.Workspace.heardFor(st.n)
+	m.learned = m.cfg.Workspace.learnedFor(st.n)
 }
 
 func (m *broadcastMode) newProto(env NodeEnv) error {
@@ -121,31 +123,35 @@ func (m *broadcastMode) commit(r int) error {
 	return nil
 }
 
-// exchange delivers every committed broadcast to the round's neighbors.
+// exchange delivers every committed broadcast to the round's neighbors and
+// hands each node the tokens it learned. Senders are visited in increasing
+// ID, so a node's list holds each new token once, at its first delivery, in
+// increasing sender order.
 //
 //dynspread:hotpath
 func (m *broadcastMode) exchange(r int, g *graph.Graph) (int64, error) {
 	n := m.st.n
 	know, metrics := m.st.know, &m.st.metrics
-	for v := range m.heard {
-		m.heard[v] = m.heard[v][:0]
+	for v := range m.learned {
+		m.learned[v] = m.learned[v][:0]
 	}
 	var learned int64
 	for v := 0; v < n; v++ {
-		if m.choices[v] == token.None {
+		c := m.choices[v]
+		if c == token.None {
 			continue
 		}
 		for _, u := range g.NeighborsShared(v) {
-			if know[u].Insert(m.choices[v]) {
+			if know[u].Insert(c) {
 				metrics.Learnings++
 				learned++
+				//dynspread:allow hotpath -- amortized: per-node learned buffers are truncated and reused across rounds; capacity stabilizes after the first few rounds
+				m.learned[u] = append(m.learned[u], c)
 			}
-			//dynspread:allow hotpath -- amortized: per-node heard buffers are truncated and reused across rounds; capacity stabilizes after the first few rounds
-			m.heard[u] = append(m.heard[u], BroadcastHear{From: v, Token: m.choices[v]})
 		}
 	}
 	for v := 0; v < n; v++ {
-		m.protos[v].Deliver(r, m.heard[v])
+		m.protos[v].Deliver(r, m.learned[v])
 	}
 	return learned, nil
 }

@@ -231,6 +231,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			K:          k,
 			NumSources: cfg.assign.NumSources(),
 			Initial:    initial,
+			Know:       Knowledge{st.know[v]},
 			InfoOf:     cfg.assign.Info,
 			Rng:        rand.New(rand.NewSource(rootRng.Int63())),
 		}); err != nil {

@@ -188,10 +188,3 @@ func (m *Message) validate(from graph.NodeID, n int) error {
 	}
 	return nil
 }
-
-// BroadcastHear is one received local broadcast: who sent it and which token
-// it carried.
-type BroadcastHear struct {
-	From  graph.NodeID
-	Token token.ID
-}

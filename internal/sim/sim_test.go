@@ -406,11 +406,11 @@ func (p *floodBProto) Choose(r int) token.ID {
 	return best
 }
 
-func (p *floodBProto) Deliver(r int, heard []BroadcastHear) {
-	for _, h := range heard {
-		if !p.seen[h.Token] {
-			p.seen[h.Token] = true
-			p.know = append(p.know, h.Token)
+func (p *floodBProto) Deliver(r int, learned []token.ID) {
+	for _, t := range learned {
+		if !p.seen[t] {
+			p.seen[t] = true
+			p.know = append(p.know, t)
 		}
 	}
 }
@@ -454,8 +454,8 @@ func TestRunBroadcastTokenForwarding(t *testing.T) {
 
 type choiceProto struct{ c token.ID }
 
-func (p choiceProto) Choose(int) token.ID          { return p.c }
-func (p choiceProto) Deliver(int, []BroadcastHear) {}
+func (p choiceProto) Choose(int) token.ID     { return p.c }
+func (p choiceProto) Deliver(int, []token.ID) {}
 
 func TestRunBroadcastSilentHitsMaxRounds(t *testing.T) {
 	assign := singleSource(t, 4, 2, 0)

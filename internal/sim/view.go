@@ -115,6 +115,13 @@ type NodeEnv struct {
 	NumSources int
 	// Initial holds the tokens this node starts with.
 	Initial []token.ID
+	// Know is this node's own knowledge set K_v, the one the engine keeps
+	// and checks sends against: a protocol that needs to know which tokens
+	// it holds reads it instead of keeping a copy. It holds Initial when
+	// the factory runs and the engine keeps it current (see Protocol,
+	// BroadcastProtocol and TokenArriver for when tokens join it). Valid
+	// for this execution only.
+	Know Knowledge
 	// InfoOf returns the ⟨source, index⟩ labeling of a token. Protocols use
 	// it only to label tokens they hold (sources labeling their own tokens).
 	InfoOf func(token.ID) token.Info
@@ -122,10 +129,30 @@ type NodeEnv struct {
 	Rng *rand.Rand
 }
 
+// Knowledge is a read-only view of one node's knowledge set K_v. It offers
+// reads only: a protocol that could add to its own K_v would get past the
+// engine's token-forwarding check. The set lives in the execution's
+// Workspace, which the next execution resets, so a Knowledge is valid for
+// one execution only.
+type Knowledge struct{ s *adaptive.Set }
+
+// Contains reports whether the node holds token t.
+//
+//dynspread:hotpath
+func (k Knowledge) Contains(t token.ID) bool { return k.s.Contains(t) }
+
+// FirstNotIn returns the lowest token the node holds that is not in o, or
+// token.None (adaptive.Set.FirstNotIn's -1) when it holds none outside o.
+//
+//dynspread:hotpath
+func (k Knowledge) FirstNotIn(o *bitset.Set) token.ID { return k.s.FirstNotIn(o) }
+
 // Protocol is a unicast token-forwarding algorithm instance at one node.
 // Each round the engine calls BeginRound (delivering the paper's round-start
 // neighbor information), then Send, then Deliver with the messages addressed
-// to this node.
+// to this node. The engine adds every token delivered in a round to the
+// receivers' knowledge sets before it calls any Deliver, so NodeEnv.Know
+// already holds them there.
 //
 // Hot-path buffer contracts (what makes steady-state rounds allocation-free):
 //
@@ -152,10 +179,12 @@ type Factory func(env NodeEnv) Protocol
 // that support streaming token arrival: the engine calls Arrive at the start
 // of round r — before Choose/BeginRound — when the arrival schedule injects
 // token t at this node. The engine has already added t to the node's
-// knowledge set, so the protocol may commit/send it in the same round.
-// Executions whose arrival schedule injects tokens after round 0 require the
-// protocol at every late token's source to implement this interface; the
-// engine rejects the run otherwise.
+// knowledge set (NodeEnv.Know), so the protocol may commit/send it in the
+// same round; a protocol that keeps no state of its own besides K_v still
+// implements Arrive, as a no-op, because implementing this interface is how
+// it declares that it supports streaming. Executions whose arrival schedule
+// injects tokens after round 0 require the protocol at every late token's
+// source to implement this interface; the engine rejects the run otherwise.
 type TokenArriver interface {
 	Arrive(r int, t token.ID)
 }
@@ -163,10 +192,14 @@ type TokenArriver interface {
 // BroadcastProtocol is a local-broadcast token-forwarding algorithm at one
 // node. Choose commits the round's broadcast before the adversary wires the
 // graph (nodes do not know their neighbors in advance in this mode); Deliver
-// reports the broadcasts heard from the round's neighbors.
+// hands the node the tokens it learned from the round's broadcasts: each
+// token it did not hold before, once, at the first neighbor (in increasing
+// sender ID) that broadcast it. The engine has already added them to
+// NodeEnv.Know. learned aliases an engine buffer, so it is read-only and
+// must not be retained past the Deliver call.
 type BroadcastProtocol interface {
 	Choose(r int) token.ID
-	Deliver(r int, heard []BroadcastHear)
+	Deliver(r int, learned []token.ID)
 }
 
 // BroadcastFactory builds the broadcast protocol instance for one node.

@@ -20,7 +20,7 @@ type Workspace struct {
 	know    []*adaptive.Set
 	protosU []Protocol
 	protosB []BroadcastProtocol
-	heard   [][]BroadcastHear
+	learned [][]int // token.ID values, as choices
 	// sendRaw collects a round's sends in protocol order; sendA/sendB are
 	// the sorted-delivery buffers the unicast mode ping-pongs between rounds
 	// (current delivery vs. the previous round's LastSent); counts is the
@@ -104,20 +104,20 @@ func (w *Workspace) broadcastProtocolsFor(n int) []BroadcastProtocol {
 	return w.protosB
 }
 
-// heardFor returns a length-n heard slice with emptied per-node buckets.
-func (w *Workspace) heardFor(n int) [][]BroadcastHear {
-	if w == nil || cap(w.heard) < n {
-		h := make([][]BroadcastHear, n)
+// learnedFor returns a length-n slice of emptied per-node learned lists.
+func (w *Workspace) learnedFor(n int) [][]int {
+	if w == nil || cap(w.learned) < n {
+		l := make([][]int, n)
 		if w != nil {
-			w.heard = h
+			w.learned = l
 		}
-		return h
+		return l
 	}
-	w.heard = w.heard[:n]
-	for i := range w.heard {
-		w.heard[i] = w.heard[i][:0]
+	w.learned = w.learned[:n]
+	for i := range w.learned {
+		w.learned[i] = w.learned[i][:0]
 	}
-	return w.heard
+	return w.learned
 }
 
 // unicastBuffers returns the unicast mode's four delivery buffers (raw
