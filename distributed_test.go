@@ -118,7 +118,7 @@ func TestDistributedGoldenMergeEquivalence(t *testing.T) {
 	for name, p := range map[string]pair{
 		"messages":  {cluster.Messages, func(r sweep.Result) float64 { return float64(r.Res.Metrics.Messages) }},
 		"rounds":    {cluster.Rounds, func(r sweep.Result) float64 { return float64(r.Res.Rounds) }},
-		"tc":        {cluster.TC, func(r sweep.Result) float64 { return float64(r.Res.Metrics.TC) }},
+		"tc":        {func(r wire.TrialResult) float64 { return float64(r.Metrics.TC) }, func(r sweep.Result) float64 { return float64(r.Res.Metrics.TC) }},
 		"amortized": {cluster.AmortizedPerToken, func(r sweep.Result) float64 { return r.Res.Metrics.AmortizedPerToken(r.Trial.K) }},
 	} {
 		xs := make([]float64, len(sweepResults))

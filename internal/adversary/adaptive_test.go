@@ -31,13 +31,13 @@ func TestRequestCutterRun(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("Algorithm 1 did not complete under request cutter")
 	}
-	if adv.Cuts() == 0 {
+	if adv.cuts == 0 {
 		t.Fatal("adversary never cut a request edge")
 	}
 	// Every cut is one removal; removals never exceed insertions (TC) since
 	// executions start from the empty graph.
-	if res.Metrics.Removals < adv.Cuts() {
-		t.Fatalf("Removals = %d < Cuts = %d", res.Metrics.Removals, adv.Cuts())
+	if res.Metrics.Removals < adv.cuts {
+		t.Fatalf("Removals = %d < Cuts = %d", res.Metrics.Removals, adv.cuts)
 	}
 	if res.Metrics.Removals > res.Metrics.TC {
 		t.Fatalf("Removals = %d > TC = %d", res.Metrics.Removals, res.Metrics.TC)

@@ -168,8 +168,8 @@ func TestRegularSeq(t *testing.T) {
 	}
 	drive(t, seq, 10, func(r int, g *graph.Graph) {
 		for v := 0; v < 20; v++ {
-			if g.Degree(v) < 2 {
-				t.Fatalf("round %d: degree(%d) = %d", r, v, g.Degree(v))
+			if len(g.NeighborsShared(v)) < 2 {
+				t.Fatalf("round %d: degree(%d) = %d", r, v, len(g.NeighborsShared(v)))
 			}
 		}
 	})

@@ -89,9 +89,6 @@ func (a *FreeEdge) SetupOK() bool { return a.setupOK }
 // Stats returns the recorded per-round aggregates.
 func (a *FreeEdge) Stats() FreeEdgeStats { return a.stats }
 
-// Instance exposes the sampled K' sets (for tests). Nil before round 1.
-func (a *FreeEdge) Instance() *lowerbound.Instance { return a.inst }
-
 // NextGraph implements sim.Adversary for local broadcast only: a view without
 // one committed choice per node (unicast) gets nil, failing the run.
 func (a *FreeEdge) NextGraph(view *sim.View) *graph.Graph {

@@ -15,19 +15,19 @@ func TestRotatingStarShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	g1 := s.Graph(1)
-	if g1.M() != 5 || g1.Degree(0) != 5 {
-		t.Fatalf("round 1: M=%d deg(0)=%d", g1.M(), g1.Degree(0))
+	if g1.M() != 5 || len(g1.NeighborsShared(0)) != 5 {
+		t.Fatalf("round 1: M=%d deg(0)=%d", g1.M(), len(g1.NeighborsShared(0)))
 	}
 	g2 := s.Graph(2)
-	if g2.Degree(1) != 5 {
-		t.Fatalf("round 2 center should be 1, deg = %d", g2.Degree(1))
+	if len(g2.NeighborsShared(1)) != 5 {
+		t.Fatalf("round 2 center should be 1, deg = %d", len(g2.NeighborsShared(1)))
 	}
 	// Period 3: center advances every 3 rounds.
 	p, err := NewRotatingStar(6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Graph(1).Degree(0) != 5 || p.Graph(3).Degree(0) != 5 || p.Graph(4).Degree(1) != 5 {
+	if len(p.Graph(1).NeighborsShared(0)) != 5 || len(p.Graph(3).NeighborsShared(0)) != 5 || len(p.Graph(4).NeighborsShared(1)) != 5 {
 		t.Fatal("period rotation wrong")
 	}
 	if _, err := NewRotatingStar(1, 1); err == nil {

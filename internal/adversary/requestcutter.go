@@ -72,9 +72,6 @@ func NewRequestCutter(n, baseEdges int, cutProb float64, seed int64) (*RequestCu
 // Name implements sim.Adversary.
 func (a *RequestCutter) Name() string { return a.name }
 
-// Cuts returns the number of request-carrying edges the adversary has cut.
-func (a *RequestCutter) Cuts() int64 { return a.cuts }
-
 // NextGraph implements sim.Adversary for unicast only: a broadcast view
 // (Choices set) gets nil, failing the run instead of never cutting.
 func (a *RequestCutter) NextGraph(view *sim.View) *graph.Graph {

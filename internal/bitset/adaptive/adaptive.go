@@ -5,13 +5,13 @@
 // back to sparse on Reset.
 //
 // The API mirrors the dense bitset.Set
-// (Add/Contains/Count/UnionWith/UnionCount/FirstNotIn/NextAbsent/Elements/
-// Reset and the ForEach scan kernels), so hot paths are written once against
-// this type. Count is cached and maintained incrementally, which makes
-// Count/Full/Empty O(1) — the engine's per-round completion scan pays one
-// integer compare per node instead of a popcount sweep.
+// (Add/Insert/Contains/Count/UnionCount/FirstNotIn/Equal/CopyFrom/Reset and
+// the ForEach scan kernels), so hot paths are written once against this
+// type. Count is cached and maintained incrementally, which makes Count and
+// Full O(1) — the engine's per-round completion scan pays one integer
+// compare per node instead of a popcount sweep.
 //
-// Representation policy (calibrated by BenchmarkKernels in internal/bitset;
+// Representation policy (calibrated by BenchmarkKernels in this package;
 // see ARCHITECTURE.md):
 //
 //   - Universes of at most startDenseWords words (n ≤ 512) are dense from
@@ -34,7 +34,7 @@ const (
 	// sparse representation entirely.
 	startDenseWords = 8
 	// sparsePerWord: promotion threshold in elements per dense word. At 4
-	// elements/word (6.25% occupancy) the unrolled dense kernels beat the
+	// elements/word (6.25% occupancy) the dense kernels beat the
 	// sorted-list walk on every kernel in BenchmarkKernels.
 	sparsePerWord = 4
 )
@@ -112,15 +112,8 @@ func (s *Set) Len() int { return s.n }
 // Count returns the number of elements in O(1).
 func (s *Set) Count() int { return s.count }
 
-// Empty reports whether the set has no elements, in O(1).
-func (s *Set) Empty() bool { return s.count == 0 }
-
 // Full reports whether every element of the universe is present, in O(1).
 func (s *Set) Full() bool { return s.count == s.n }
-
-// Dense reports which representation the set currently uses (for tests and
-// calibration benchmarks).
-func (s *Set) Dense() bool { return s.dense }
 
 // Reset reconfigures s into an empty set over universe n, demoting to the
 // sparse representation (when the universe qualifies) while retaining both
@@ -257,9 +250,6 @@ func (s *Set) deleteSlow(i int) bool {
 	return true
 }
 
-// Remove deletes i from the set, mirroring bitset.Set.Remove.
-func (s *Set) Remove(i int) { s.Delete(i) }
-
 // Contains reports whether i is in the set. The dense fast path dispatches
 // on the cached word slice alone: dw is non-empty exactly while the set is
 // dense, and bitset keeps bits at positions ≥ n in the last word zero, so a
@@ -284,21 +274,6 @@ func (s *Set) containsSlow(i int) bool {
 	return s.sp.Contains(i)
 }
 
-// UnionWith adds every element of the dense set o to s. Capacities must
-// match. A sparse s promotes first: the union's occupancy is unknown in
-// advance and the batched dense kernel does the merge in one word sweep.
-func (s *Set) UnionWith(o *bitset.Set) error {
-	if !s.dense {
-		s.promote()
-	}
-	added := s.dn.UnionWithCount(o)
-	if added < 0 {
-		return errCapacity(s.n, o.Len())
-	}
-	s.count += added
-	return nil
-}
-
 // UnionCount returns |s ∪ o| without mutating s, or -1 on capacity mismatch.
 //
 //dynspread:hotpath
@@ -319,24 +294,6 @@ func (s *Set) FirstNotIn(o *bitset.Set) int {
 		return s.dn.FirstNotIn(o)
 	}
 	return s.sp.FirstNotIn(o)
-}
-
-// NextAbsent returns the smallest element >= from that is NOT in the set, or
-// -1 if every element in [from, Len()) is present.
-func (s *Set) NextAbsent(from int) int {
-	if s.dense {
-		return s.dn.NextAbsent(from)
-	}
-	return s.sp.NextAbsent(from)
-}
-
-// Elements returns the members in increasing order as a fresh slice; hot
-// paths should use ForEach instead.
-func (s *Set) Elements() []int {
-	if s.dense {
-		return s.dn.Elements()
-	}
-	return s.sp.Elements()
 }
 
 // ForEach calls fn for every member in increasing order without allocating.
@@ -418,14 +375,4 @@ func (s *Set) CopyFrom(o *Set) {
 	s.dense = false
 	s.dw = nil
 	s.sp.CopyFrom(&o.sp)
-}
-
-func errCapacity(a, b int) error {
-	return capacityError{a: a, b: b}
-}
-
-type capacityError struct{ a, b int }
-
-func (e capacityError) Error() string {
-	return "adaptive: capacity mismatch"
 }

@@ -32,7 +32,7 @@ func FuzzSparsePromotion(f *testing.F) {
 					t.Fatalf("Insert(%d) diverged at tape[%d]", val, i)
 				}
 			case 1:
-				if s.Delete(val) != ref.Delete(val) {
+				if s.Delete(val) != deleteRef(ref, val) {
 					t.Fatalf("Delete(%d) diverged at tape[%d]", val, i)
 				}
 			case 2:
@@ -44,11 +44,11 @@ func FuzzSparsePromotion(f *testing.F) {
 				}
 			}
 			if s.Count() != ref.Count() {
-				t.Fatalf("Count %d != %d at tape[%d] (dense=%v)", s.Count(), ref.Count(), i, s.Dense())
+				t.Fatalf("Count %d != %d at tape[%d] (dense=%v)", s.Count(), ref.Count(), i, s.dense)
 			}
 		}
 		// Full element-for-element round-trip check at the end of the tape.
-		se, re := s.Elements(), ref.Elements()
+		se, re := elements(s), ref.Elements()
 		if len(se) != len(re) {
 			t.Fatalf("Elements length %d != %d", len(se), len(re))
 		}

@@ -8,15 +8,15 @@ import (
 )
 
 // BenchmarkKernels is the calibration table behind the promotion threshold:
-// the union, fused union-count, and scan kernels measured for the sparse
-// list, the dense bitset, and the adaptive set at occupancies bracketing the
-// crossover. The universe (4096 = 64 words) starts sparse with a promotion
-// threshold of 4 elements/word = 6.25%, so the 1% column runs the adaptive
-// set in its sparse representation and the 10/50/99% columns run it dense.
-// The table shows the adaptive set tracks the faster fixed representation's
-// side of the crossover at every occupancy — union/unionCount within noise
-// of the winner, scan paying a constant dispatch overhead — while never
-// landing on the pathological side (sparse union at 50% occupancy is ~2000×
+// the union-count and scan kernels measured for the sparse list, the dense
+// bitset, and the adaptive set at occupancies bracketing the crossover. The
+// universe (4096 = 64 words) starts sparse with a promotion threshold of 4
+// elements/word = 6.25%, so the 1% column runs the adaptive set in its
+// sparse representation and the 10/50/99% columns run it dense. The table
+// shows the adaptive set tracks the faster fixed representation's side of
+// the crossover at every occupancy — unionCount within noise of the winner,
+// scan paying a constant dispatch overhead — while never landing on the
+// pathological side (sparse unionCount at 99% occupancy is about 100×
 // slower than dense). That crossover is how sparsePerWord = 4 was chosen
 // from data.
 func BenchmarkKernels(b *testing.B) {
@@ -40,40 +40,16 @@ func BenchmarkKernels(b *testing.B) {
 		for _, e := range elems {
 			other.Add((e + 1) % n)
 		}
-		otherElems := other.Elements()
 
 		denseBase := bitset.New(n)
-		sparseBase := bitset.NewSparse(n, n)
+		var sparseBase bitset.Sparse
+		sparseBase.Reset(n)
 		adaptiveBase := New(n)
 		for _, e := range elems {
 			denseBase.Add(e)
 			sparseBase.Insert(e)
 			adaptiveBase.Insert(e)
 		}
-
-		b.Run(fmt.Sprintf("union/dense/%s", occ.name), func(b *testing.B) {
-			s := bitset.New(n)
-			for i := 0; i < b.N; i++ {
-				s.CopyFrom(denseBase)
-				s.UnionWithCount(other)
-			}
-		})
-		b.Run(fmt.Sprintf("union/sparse/%s", occ.name), func(b *testing.B) {
-			s := bitset.NewSparse(n, n)
-			for i := 0; i < b.N; i++ {
-				s.CopyFrom(sparseBase)
-				for _, e := range otherElems {
-					s.Insert(e)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("union/adaptive/%s", occ.name), func(b *testing.B) {
-			s := New(n)
-			for i := 0; i < b.N; i++ {
-				s.CopyFrom(adaptiveBase)
-				s.UnionWith(other)
-			}
-		})
 
 		b.Run(fmt.Sprintf("unionCount/dense/%s", occ.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -5,9 +5,9 @@
 // Two representations live here:
 //
 //   - Set is the dense, fixed-capacity bitset: ⌈n/64⌉ words, O(1) membership,
-//     and word-batched kernels (UnionWith/IntersectWith/DifferenceWith are
-//     4-wide unrolled; UnionWithCount fuses union with a popcount of the
-//     newly set bits; ForEach scans set bits without allocating).
+//     and word-at-a-time kernels that read two sets without writing either
+//     (UnionCount, FirstNotIn, ForEachNotInFrom); ForEach scans set bits
+//     without allocating.
 //   - Sparse is a sorted small-list of element indices for near-empty sets:
 //     O(count) iteration independent of the universe size, at the price of
 //     O(log count) membership and O(count) insertion.
@@ -100,27 +100,6 @@ func (s *Set) Insert(i int) bool {
 	return true
 }
 
-// Delete removes i and reports whether it was present.
-func (s *Set) Delete(i int) bool {
-	if i < 0 || i >= s.n {
-		return false
-	}
-	w, b := i/wordBits, uint64(1)<<uint(i%wordBits)
-	if s.words[w]&b == 0 {
-		return false
-	}
-	s.words[w] &^= b
-	return true
-}
-
-// Remove deletes i from the set. Out-of-range indices are ignored.
-func (s *Set) Remove(i int) {
-	if i < 0 || i >= s.n {
-		return
-	}
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Contains reports whether i is in the set.
 //
 //dynspread:hotpath
@@ -139,47 +118,6 @@ func (s *Set) Count() int {
 	for _, w := range s.words {
 		c += bits.OnesCount64(w)
 	}
-	return c
-}
-
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Full reports whether every element of the universe is present. It
-// short-circuits on the first non-full word (and compares the last partial
-// word against its trimmed mask) instead of popcounting the whole set, so on
-// the engine's per-round completion scan a near-empty set answers in one
-// word load.
-//
-//dynspread:hotpath
-func (s *Set) Full() bool {
-	if len(s.words) == 0 {
-		return true
-	}
-	last := len(s.words) - 1
-	for _, w := range s.words[:last] {
-		if w != ^uint64(0) {
-			return false
-		}
-	}
-	mask := ^uint64(0)
-	if rem := s.n % wordBits; rem != 0 {
-		mask = (1 << uint(rem)) - 1
-	}
-	return s.words[last] == mask
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
 	return c
 }
 
@@ -218,117 +156,6 @@ func (s *Set) Reset(n int) {
 	s.Clear()
 }
 
-// Fill adds every element of the universe.
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-}
-
-// trim zeroes bits beyond the universe size in the last word.
-func (s *Set) trim() {
-	if len(s.words) == 0 {
-		return
-	}
-	rem := s.n % wordBits
-	if rem != 0 {
-		s.words[len(s.words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// UnionWith adds every element of o to s. Sets must have equal capacity.
-// The word loop is 4-wide unrolled: the hot kernels process word batches so
-// the per-iteration bounds/loop overhead amortizes over four ops.
-func (s *Set) UnionWith(o *Set) error {
-	if o.n != s.n {
-		return fmt.Errorf("bitset: capacity mismatch %d != %d", s.n, o.n)
-	}
-	a, b := s.words, o.words[:len(s.words)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		a[i+0] |= b[i+0]
-		a[i+1] |= b[i+1]
-		a[i+2] |= b[i+2]
-		a[i+3] |= b[i+3]
-	}
-	for ; i < len(a); i++ {
-		a[i] |= b[i]
-	}
-	return nil
-}
-
-// UnionWithCount adds every element of o to s and returns the number of
-// newly set bits, fused into one pass — replacing the Count-before /
-// union / Count-after pattern with a single word sweep. It returns -1 on
-// capacity mismatch.
-//
-//dynspread:hotpath
-func (s *Set) UnionWithCount(o *Set) int {
-	if o.n != s.n {
-		return -1
-	}
-	a, b := s.words, o.words[:len(s.words)]
-	c := 0
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		w0 := b[i+0] &^ a[i+0]
-		w1 := b[i+1] &^ a[i+1]
-		w2 := b[i+2] &^ a[i+2]
-		w3 := b[i+3] &^ a[i+3]
-		c += bits.OnesCount64(w0) + bits.OnesCount64(w1) +
-			bits.OnesCount64(w2) + bits.OnesCount64(w3)
-		a[i+0] |= w0
-		a[i+1] |= w1
-		a[i+2] |= w2
-		a[i+3] |= w3
-	}
-	for ; i < len(a); i++ {
-		w := b[i] &^ a[i]
-		c += bits.OnesCount64(w)
-		a[i] |= w
-	}
-	return c
-}
-
-// IntersectWith keeps only elements present in both s and o.
-func (s *Set) IntersectWith(o *Set) error {
-	if o.n != s.n {
-		return fmt.Errorf("bitset: capacity mismatch %d != %d", s.n, o.n)
-	}
-	a, b := s.words, o.words[:len(s.words)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		a[i+0] &= b[i+0]
-		a[i+1] &= b[i+1]
-		a[i+2] &= b[i+2]
-		a[i+3] &= b[i+3]
-	}
-	for ; i < len(a); i++ {
-		a[i] &= b[i]
-	}
-	return nil
-}
-
-// DifferenceWith removes every element of o from s.
-func (s *Set) DifferenceWith(o *Set) error {
-	if o.n != s.n {
-		return fmt.Errorf("bitset: capacity mismatch %d != %d", s.n, o.n)
-	}
-	a, b := s.words, o.words[:len(s.words)]
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		a[i+0] &^= b[i+0]
-		a[i+1] &^= b[i+1]
-		a[i+2] &^= b[i+2]
-		a[i+3] &^= b[i+3]
-	}
-	for ; i < len(a); i++ {
-		a[i] &^= b[i]
-	}
-	return nil
-}
-
 // UnionCount returns |s ∪ o| without allocating. Capacities must match; a
 // mismatch returns -1.
 //
@@ -344,18 +171,6 @@ func (s *Set) UnionCount(o *Set) int {
 	return c
 }
 
-// IntersectionCount returns |s ∩ o|, or -1 on capacity mismatch.
-func (s *Set) IntersectionCount(o *Set) int {
-	if o.n != s.n {
-		return -1
-	}
-	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(s.words[i] & w)
-	}
-	return c
-}
-
 // Equal reports whether s and o contain the same elements and capacity.
 func (s *Set) Equal(o *Set) bool {
 	if s.n != o.n {
@@ -363,19 +178,6 @@ func (s *Set) Equal(o *Set) bool {
 	}
 	for i, w := range s.words {
 		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every element of s is in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range s.words {
-		if w&^o.words[i] != 0 {
 			return false
 		}
 	}
@@ -499,35 +301,6 @@ func (s *Set) FirstNotIn(o *Set) int {
 		}
 	}
 	return -1
-}
-
-// NextAbsent returns the smallest element >= from that is NOT in the set, or
-// -1 if every element in [from, Len()) is present. The loop is word-granular:
-// full words are skipped one comparison at a time instead of re-deriving the
-// word index per bit position.
-func (s *Set) NextAbsent(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.n {
-		return -1
-	}
-	wi := from / wordBits
-	w := ^s.words[wi] & (^uint64(0) << uint(from%wordBits))
-	for {
-		if w != 0 {
-			j := wi*wordBits + bits.TrailingZeros64(w)
-			if j >= s.n {
-				return -1
-			}
-			return j
-		}
-		wi++
-		if wi >= len(s.words) {
-			return -1
-		}
-		w = ^s.words[wi]
-	}
 }
 
 // String renders the set as {a, b, c} for debugging.

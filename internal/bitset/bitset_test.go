@@ -8,9 +8,6 @@ import (
 
 func TestNewEmpty(t *testing.T) {
 	s := New(100)
-	if !s.Empty() {
-		t.Fatal("new set not empty")
-	}
 	if s.Count() != 0 {
 		t.Fatalf("Count = %d, want 0", s.Count())
 	}
@@ -37,12 +34,15 @@ func TestAddContainsRemove(t *testing.T) {
 	if s.Count() != 8 {
 		t.Fatalf("Count = %d, want 8", s.Count())
 	}
-	s.Remove(64)
-	if s.Contains(64) {
-		t.Fatal("Contains(64) after Remove")
+	if s.Contains(2) || s.Contains(66) {
+		t.Fatal("Contains reports an element never added")
 	}
-	if s.Count() != 7 {
-		t.Fatalf("Count = %d, want 7", s.Count())
+	// Clear is the set's one removal operation.
+	s.Clear()
+	for _, i := range []int{0, 63, 64, 129} {
+		if s.Contains(i) {
+			t.Fatalf("Contains(%d) after Clear", i)
+		}
 	}
 }
 
@@ -51,14 +51,12 @@ func TestOutOfRangeIgnored(t *testing.T) {
 	s.Add(-1)
 	s.Add(10)
 	s.Add(1000)
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatal("out-of-range Add modified set")
 	}
 	if s.Contains(-1) || s.Contains(10) {
 		t.Fatal("Contains out of range returned true")
 	}
-	s.Remove(-1) // must not panic
-	s.Remove(99)
 }
 
 func TestAddIdempotent(t *testing.T) {
@@ -70,43 +68,32 @@ func TestAddIdempotent(t *testing.T) {
 	}
 }
 
-func TestFillFull(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 100, 128} {
-		s := New(n)
-		s.Fill()
-		if s.Count() != n {
-			t.Fatalf("n=%d: Count after Fill = %d", n, s.Count())
-		}
-		if !s.Full() {
-			t.Fatalf("n=%d: not Full after Fill", n)
-		}
-		// No stray bits past the universe.
-		if s.Contains(n) {
-			t.Fatalf("n=%d: Contains(n) true", n)
-		}
-	}
-}
-
 func TestClear(t *testing.T) {
 	s := New(70)
-	s.Fill()
+	for i := 0; i < 70; i++ {
+		s.Add(i)
+	}
 	s.Clear()
-	if !s.Empty() {
-		t.Fatal("not empty after Clear")
+	if s.Count() != 0 || s.Len() != 70 {
+		t.Fatalf("after Clear: Count=%d Len=%d, want 0 and 70", s.Count(), s.Len())
 	}
 }
 
+// TestClone: CopyFrom makes an equal copy that shares no storage, whether
+// it reuses the destination's words or resizes them.
 func TestClone(t *testing.T) {
 	s := New(100)
 	s.Add(5)
 	s.Add(99)
-	c := s.Clone()
-	if !c.Equal(s) {
-		t.Fatal("clone not equal")
-	}
-	c.Add(7)
-	if s.Contains(7) {
-		t.Fatal("clone aliases original")
+	for _, c := range []*Set{New(100), New(3)} {
+		c.CopyFrom(s)
+		if !c.Equal(s) {
+			t.Fatal("copy not equal")
+		}
+		c.Add(7)
+		if s.Contains(7) {
+			t.Fatal("copy aliases original")
+		}
 	}
 }
 
@@ -119,60 +106,43 @@ func TestUnionIntersectDifference(t *testing.T) {
 	for i := 0; i < 200; i += 3 {
 		b.Add(i)
 	}
-	u := a.Clone()
-	if err := u.UnionWith(b); err != nil {
-		t.Fatal(err)
-	}
-	in := a.Clone()
-	if err := in.IntersectWith(b); err != nil {
-		t.Fatal(err)
-	}
-	df := a.Clone()
-	if err := df.DifferenceWith(b); err != nil {
-		t.Fatal(err)
-	}
+	union, inter := 0, 0
+	var diff []int
 	for i := 0; i < 200; i++ {
 		even, tri := i%2 == 0, i%3 == 0
-		if u.Contains(i) != (even || tri) {
-			t.Fatalf("union wrong at %d", i)
+		if even || tri {
+			union++
 		}
-		if in.Contains(i) != (even && tri) {
-			t.Fatalf("intersection wrong at %d", i)
+		if even && tri {
+			inter++
 		}
-		if df.Contains(i) != (even && !tri) {
-			t.Fatalf("difference wrong at %d", i)
+		if even && !tri {
+			diff = append(diff, i)
 		}
 	}
-	if got := a.UnionCount(b); got != u.Count() {
-		t.Fatalf("UnionCount = %d, want %d", got, u.Count())
+	if got := a.UnionCount(b); got != union {
+		t.Fatalf("UnionCount = %d, want %d", got, union)
 	}
-	if got := a.IntersectionCount(b); got != in.Count() {
-		t.Fatalf("IntersectionCount = %d, want %d", got, in.Count())
+	if got := a.Count() + b.Count() - a.UnionCount(b); got != inter {
+		t.Fatalf("|a|+|b|-|a∪b| = %d, want |a∩b| = %d", got, inter)
+	}
+	var got []int
+	a.ForEachNotInFrom(b, 0, func(e int) { got = append(got, e) })
+	if !equalInts(got, diff) {
+		t.Fatalf("ForEachNotInFrom = %v, want %v", got, diff)
+	}
+	if got := a.FirstNotIn(b); got != diff[0] {
+		t.Fatalf("FirstNotIn = %d, want %d", got, diff[0])
 	}
 }
 
 func TestCapacityMismatch(t *testing.T) {
 	a, b := New(10), New(20)
-	if err := a.UnionWith(b); err == nil {
-		t.Fatal("UnionWith mismatch: no error")
-	}
-	if err := a.IntersectWith(b); err == nil {
-		t.Fatal("IntersectWith mismatch: no error")
-	}
-	if err := a.DifferenceWith(b); err == nil {
-		t.Fatal("DifferenceWith mismatch: no error")
-	}
 	if a.UnionCount(b) != -1 {
 		t.Fatal("UnionCount mismatch != -1")
 	}
-	if a.IntersectionCount(b) != -1 {
-		t.Fatal("IntersectionCount mismatch != -1")
-	}
 	if a.Equal(b) {
 		t.Fatal("Equal across capacities")
-	}
-	if a.SubsetOf(b) {
-		t.Fatal("SubsetOf across capacities")
 	}
 }
 
@@ -190,61 +160,6 @@ func TestElementsSorted(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Elements[%d] = %d, want %d", i, got[i], want[i])
 		}
-	}
-}
-
-func TestSubsetOf(t *testing.T) {
-	a, b := New(100), New(100)
-	a.Add(1)
-	a.Add(50)
-	b.Add(1)
-	b.Add(50)
-	b.Add(99)
-	if !a.SubsetOf(b) {
-		t.Fatal("a should be subset of b")
-	}
-	if b.SubsetOf(a) {
-		t.Fatal("b should not be subset of a")
-	}
-	if !a.SubsetOf(a) {
-		t.Fatal("a should be subset of itself")
-	}
-}
-
-func TestNextAbsent(t *testing.T) {
-	s := New(130)
-	for i := 0; i < 130; i++ {
-		s.Add(i)
-	}
-	if got := s.NextAbsent(0); got != -1 {
-		t.Fatalf("NextAbsent full = %d, want -1", got)
-	}
-	s.Remove(64)
-	s.Remove(100)
-	if got := s.NextAbsent(0); got != 64 {
-		t.Fatalf("NextAbsent(0) = %d, want 64", got)
-	}
-	if got := s.NextAbsent(65); got != 100 {
-		t.Fatalf("NextAbsent(65) = %d, want 100", got)
-	}
-	if got := s.NextAbsent(101); got != -1 {
-		t.Fatalf("NextAbsent(101) = %d, want -1", got)
-	}
-	if got := s.NextAbsent(-5); got != 64 {
-		t.Fatalf("NextAbsent(-5) = %d, want 64", got)
-	}
-}
-
-func TestNextAbsentEmpty(t *testing.T) {
-	s := New(5)
-	if got := s.NextAbsent(0); got != 0 {
-		t.Fatalf("NextAbsent empty = %d, want 0", got)
-	}
-	if got := s.NextAbsent(4); got != 4 {
-		t.Fatalf("NextAbsent(4) = %d, want 4", got)
-	}
-	if got := s.NextAbsent(5); got != -1 {
-		t.Fatalf("NextAbsent(5) = %d, want -1", got)
 	}
 }
 
@@ -290,27 +205,20 @@ func TestQuickAgainstMapModel(t *testing.T) {
 		if a.UnionCount(b) != len(union) {
 			return false
 		}
-		inter := 0
+		first := -1
 		for i := range ma {
-			if mb[i] {
-				inter++
+			if !mb[i] && (first == -1 || i < first) {
+				first = i
 			}
 		}
-		if a.IntersectionCount(b) != inter {
+		if a.FirstNotIn(b) != first {
 			return false
 		}
-		// Random removals preserve the model.
+		// Random probes agree with the model.
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 50; i++ {
 			x := rng.Intn(n)
-			a.Remove(x)
-			delete(ma, x)
-		}
-		if a.Count() != len(ma) {
-			return false
-		}
-		for i := range ma {
-			if !a.Contains(i) {
+			if a.Contains(x) != ma[x] {
 				return false
 			}
 		}
@@ -321,39 +229,27 @@ func TestQuickAgainstMapModel(t *testing.T) {
 	}
 }
 
-// Property: union is commutative and idempotent; difference then union
-// restores a superset relationship.
+// Property: union counts are commutative and idempotent, and each operand
+// has nothing outside the union.
 func TestQuickSetAlgebra(t *testing.T) {
 	f := func(addsA, addsB []uint16) bool {
 		const n = 256
-		a, b := New(n), New(n)
+		a, b, ab := New(n), New(n), New(n)
 		for _, x := range addsA {
 			a.Add(int(x) % n)
+			ab.Add(int(x) % n)
 		}
 		for _, x := range addsB {
 			b.Add(int(x) % n)
+			ab.Add(int(x) % n)
 		}
-		ab := a.Clone()
-		_ = ab.UnionWith(b)
-		ba := b.Clone()
-		_ = ba.UnionWith(a)
-		if !ab.Equal(ba) {
+		if a.UnionCount(b) != ab.Count() || b.UnionCount(a) != ab.Count() {
 			return false
 		}
-		again := ab.Clone()
-		_ = again.UnionWith(b)
-		if !again.Equal(ab) {
+		if ab.UnionCount(b) != ab.Count() || ab.UnionCount(ab) != ab.Count() {
 			return false
 		}
-		if !a.SubsetOf(ab) || !b.SubsetOf(ab) {
-			return false
-		}
-		d := ab.Clone()
-		_ = d.DifferenceWith(b)
-		if d.IntersectionCount(b) != 0 {
-			return false
-		}
-		return true
+		return a.FirstNotIn(ab) == -1 && b.FirstNotIn(ab) == -1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -362,16 +258,18 @@ func TestQuickSetAlgebra(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	s := New(130)
-	s.Fill()
+	for i := 0; i < 130; i++ {
+		s.Add(i)
+	}
 	s.Reset(70)
-	if s.Len() != 70 || !s.Empty() {
-		t.Fatalf("after Reset(70): len=%d empty=%v", s.Len(), s.Empty())
+	if s.Len() != 70 || s.Count() != 0 {
+		t.Fatalf("after Reset(70): len=%d count=%d", s.Len(), s.Count())
 	}
 	s.Add(69)
 	// Growing within the retained word capacity must clear stale bits.
 	s.Reset(100)
-	if s.Len() != 100 || !s.Empty() {
-		t.Fatalf("after Reset(100): len=%d empty=%v", s.Len(), s.Empty())
+	if s.Len() != 100 || s.Count() != 0 {
+		t.Fatalf("after Reset(100): len=%d count=%d", s.Len(), s.Count())
 	}
 	s.Add(99)
 	if !s.Contains(99) || s.Count() != 1 {
@@ -379,8 +277,8 @@ func TestReset(t *testing.T) {
 	}
 	// Growing beyond capacity reallocates; semantics identical to New.
 	s.Reset(1000)
-	if s.Len() != 1000 || !s.Empty() {
-		t.Fatalf("after Reset(1000): len=%d empty=%v", s.Len(), s.Empty())
+	if s.Len() != 1000 || s.Count() != 0 {
+		t.Fatalf("after Reset(1000): len=%d count=%d", s.Len(), s.Count())
 	}
 	s.Reset(-3)
 	if s.Len() != 0 {

@@ -19,46 +19,11 @@ func TestInsertDelete(t *testing.T) {
 	if !s.Contains(5) {
 		t.Fatal("missing 5 after Insert")
 	}
-	if !s.Delete(5) {
-		t.Fatal("Delete(5) of present element = false")
+	if s.Insert(-1) || s.Insert(130) {
+		t.Fatal("out-of-range Insert must report false")
 	}
-	if s.Delete(5) {
-		t.Fatal("Delete(5) of absent element = true")
-	}
-	if s.Insert(-1) || s.Insert(130) || s.Delete(-1) || s.Delete(130) {
-		t.Fatal("out-of-range Insert/Delete must report false")
-	}
-}
-
-func TestUnionWithCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				a.Add(i)
-			}
-			if rng.Intn(3) == 0 {
-				b.Add(i)
-			}
-		}
-		ref := a.Clone()
-		before := ref.Count()
-		if err := ref.UnionWith(b); err != nil {
-			t.Fatal(err)
-		}
-		got := a.UnionWithCount(b)
-		if want := ref.Count() - before; got != want {
-			t.Fatalf("n=%d UnionWithCount = %d, want %d", n, got, want)
-		}
-		if !a.Equal(ref) {
-			t.Fatalf("n=%d UnionWithCount result differs from UnionWith", n)
-		}
-	}
-	a, b := New(10), New(11)
-	if a.UnionWithCount(b) != -1 {
-		t.Fatal("capacity mismatch must return -1")
+	if s.Count() != 1 {
+		t.Fatalf("Count = %d, want 1", s.Count())
 	}
 }
 
@@ -142,25 +107,6 @@ func TestScanFrom(t *testing.T) {
 	}
 }
 
-func TestFullShortCircuit(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
-		s := New(n)
-		if n > 0 && s.Full() {
-			t.Fatalf("n=%d: empty set reported full", n)
-		}
-		s.Fill()
-		if !s.Full() {
-			t.Fatalf("n=%d: filled set not full", n)
-		}
-		if n > 0 {
-			s.Remove(n - 1)
-			if s.Full() {
-				t.Fatalf("n=%d: set missing last element reported full", n)
-			}
-		}
-	}
-}
-
 func TestWrap(t *testing.T) {
 	n := 130
 	w := WordsFor(n)
@@ -185,15 +131,16 @@ func TestWrap(t *testing.T) {
 }
 
 func TestSparseBasics(t *testing.T) {
-	s := NewSparse(1000, 4)
+	var s Sparse
+	s.Reset(1000)
 	for _, e := range []int{500, 2, 999, 2, -1, 1000} {
 		s.Insert(e)
 	}
-	if s.Count() != 3 || !s.Contains(2) || !s.Contains(500) || !s.Contains(999) {
-		t.Fatalf("unexpected contents: %v", s.Elements())
+	if !s.Contains(2) || !s.Contains(500) || !s.Contains(999) {
+		t.Fatalf("unexpected contents: %v", sparseElements(&s))
 	}
-	if !equalInts(s.Elements(), []int{2, 500, 999}) {
-		t.Fatalf("Elements not sorted: %v", s.Elements())
+	if !equalInts(sparseElements(&s), []int{2, 500, 999}) {
+		t.Fatalf("elements not sorted: %v", sparseElements(&s))
 	}
 	if !s.Delete(500) || s.Delete(500) {
 		t.Fatal("Delete semantics broken")
@@ -214,8 +161,9 @@ func TestSparseVsDenseRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 150; trial++ {
 		n := 1 + rng.Intn(400)
-		sp := NewSparse(n, 0)
-		dn := New(n)
+		var sp Sparse
+		sp.Reset(n)
+		model := make([]bool, n)
 		other := New(n)
 		for i := 0; i < n; i++ {
 			if rng.Intn(4) == 0 {
@@ -224,25 +172,24 @@ func TestSparseVsDenseRandom(t *testing.T) {
 		}
 		for op := 0; op < 80; op++ {
 			e := rng.Intn(n)
-			if rng.Intn(3) == 0 {
-				if sp.Delete(e) != dn.Delete(e) {
+			del := rng.Intn(3) == 0
+			if del {
+				if sp.Delete(e) != model[e] {
 					t.Fatal("Delete diverged")
 				}
-			} else {
-				if sp.Insert(e) != dn.Insert(e) {
-					t.Fatal("Insert diverged")
-				}
+			} else if sp.Insert(e) == model[e] {
+				t.Fatal("Insert diverged")
+			}
+			model[e] = !del
+		}
+		dn := New(n)
+		for e, in := range model {
+			if in {
+				dn.Add(e)
 			}
 		}
-		if sp.Count() != dn.Count() {
-			t.Fatalf("Count %d != %d", sp.Count(), dn.Count())
-		}
-		if !equalInts(sp.Elements(), dn.Elements()) {
-			t.Fatalf("Elements diverged: %v vs %v", sp.Elements(), dn.Elements())
-		}
-		from := rng.Intn(n + 1)
-		if got, want := sp.NextAbsent(from), dn.NextAbsent(from); got != want {
-			t.Fatalf("NextAbsent(%d) = %d, want %d (n=%d elems=%v)", from, got, want, n, sp.Elements())
+		if !equalInts(sparseElements(&sp), dn.Elements()) {
+			t.Fatalf("elements diverged: %v vs %v", sparseElements(&sp), dn.Elements())
 		}
 		if got, want := sp.FirstNotIn(other), dn.FirstNotIn(other); got != want {
 			t.Fatalf("FirstNotIn = %d, want %d", got, want)
@@ -251,6 +198,13 @@ func TestSparseVsDenseRandom(t *testing.T) {
 			t.Fatalf("UnionCountDense = %d, want %d", got, want)
 		}
 	}
+}
+
+// sparseElements collects s's members in increasing order.
+func sparseElements(s *Sparse) []int {
+	var out []int
+	s.ForEach(func(e int) { out = append(out, e) })
+	return out
 }
 
 func equalInts(a, b []int) bool {

@@ -15,24 +15,6 @@ type Sparse struct {
 	elems []int32
 }
 
-// NewSparse returns an empty sparse set over universe n with room for cap
-// elements before the backing list reallocates.
-func NewSparse(n, capacity int) *Sparse {
-	if n < 0 {
-		n = 0
-	}
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Sparse{n: n, elems: make([]int32, 0, capacity)}
-}
-
-// Len returns the universe size.
-func (s *Sparse) Len() int { return s.n }
-
-// Count returns the number of elements.
-func (s *Sparse) Count() int { return len(s.elems) }
-
 // Reset reconfigures s into an empty set over universe n, keeping the
 // backing list's capacity.
 func (s *Sparse) Reset(n int) {
@@ -131,28 +113,6 @@ func (s *Sparse) ScanFrom(from int, fn func(int) bool) bool {
 	return true
 }
 
-// NextAbsent returns the smallest element >= from that is NOT in the set, or
-// -1 if every element in [from, Len()) is present. The sorted list is walked
-// only across the run of consecutive present elements starting at from.
-func (s *Sparse) NextAbsent(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.n {
-		return -1
-	}
-	p := s.search(int32(from))
-	i := from
-	for p < len(s.elems) && int(s.elems[p]) == i {
-		p++
-		i++
-	}
-	if i >= s.n {
-		return -1
-	}
-	return i
-}
-
 // FirstNotIn returns the smallest element of s \ o, or -1 when the
 // difference is empty. Elements beyond o's capacity count as absent from o,
 // mirroring Set.FirstNotIn.
@@ -183,15 +143,6 @@ func (s *Sparse) UnionCountDense(o *Set) int {
 		}
 	}
 	return c
-}
-
-// Elements returns the members in increasing order as a fresh slice.
-func (s *Sparse) Elements() []int {
-	out := make([]int, len(s.elems))
-	for i, e := range s.elems {
-		out[i] = int(e)
-	}
-	return out
 }
 
 // CopyFrom makes s an exact copy of o, reusing the backing list when it has

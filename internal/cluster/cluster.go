@@ -541,8 +541,6 @@ var (
 	Messages = func(r wire.TrialResult) float64 { return float64(r.Metrics.Messages) }
 	// Rounds extracts the trial's round count.
 	Rounds = func(r wire.TrialResult) float64 { return float64(r.Rounds) }
-	// TC extracts the adversary's topological-change count.
-	TC = func(r wire.TrialResult) float64 { return float64(r.Metrics.TC) }
 	// AmortizedPerToken extracts Messages/K.
 	AmortizedPerToken = func(r wire.TrialResult) float64 { return r.AmortizedPerToken }
 )

@@ -105,11 +105,14 @@ func testSpecs(t *testing.T) []wire.TrialSpec {
 // shuffling, duplicating, or re-planning yields byte-identical shards, and
 // sizes are balanced to within one trial.
 func TestPlanDeterminism(t *testing.T) {
+	plan := func(specs []wire.TrialSpec) []wire.ShardRequest {
+		return planBatch(store.Lookup(specs, nil, nil, nil), 5)
+	}
 	specs := testSpecs(t)
-	base := Plan(specs, 5)
+	base := plan(specs)
 
 	// Re-planning is identical.
-	if !reflect.DeepEqual(base, Plan(specs, 5)) {
+	if !reflect.DeepEqual(base, plan(specs)) {
 		t.Fatal("re-planning the same specs changed the shards")
 	}
 	// Shuffled and duplicated input plans identically: the worker pool (and
@@ -119,7 +122,7 @@ func TestPlanDeterminism(t *testing.T) {
 		shuffled = append(shuffled, specs[3], specs[7]) // duplicates
 		rng := rand.New(rand.NewSource(int64(trial)))
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		if !reflect.DeepEqual(base, Plan(shuffled, 5)) {
+		if !reflect.DeepEqual(base, plan(shuffled)) {
 			t.Fatalf("shuffle %d produced a different plan", trial)
 		}
 	}
@@ -157,7 +160,7 @@ func TestPlanDeterminism(t *testing.T) {
 	if max-min > 1 {
 		t.Fatalf("shard sizes unbalanced: min %d max %d", min, max)
 	}
-	if got := len(Plan(nil, 5)); got != 0 {
+	if got := len(plan(nil)); got != 0 {
 		t.Fatalf("empty plan has %d shards", got)
 	}
 }

@@ -13,23 +13,18 @@ import (
 // work and stragglers rebalance.
 const DefaultShardSize = 16
 
-// Plan plans the shards of a distributed sweep: it deduplicates specs by
-// content address, sorts the unique trials by key, and chunks them into
-// size-balanced shards of at most shardSize trials (shardSize <= 0 selects
-// DefaultShardSize; sizes across shards differ by at most one).
+// planBatch plans the shards of a distributed sweep from a Lookup's misses,
+// which are already deduplicated by content address and keyed, so the
+// coordinator never hashes a spec twice. It sorts b's misses by key in
+// place and chunks them into size-balanced shards of at most shardSize
+// trials (shardSize <= 0 selects DefaultShardSize; sizes across shards
+// differ by at most one). The shards share b's backing arrays.
 //
 // The plan is a deterministic function of the trial SET alone — duplicate
 // and reordered inputs, and any number of workers, yield byte-identical
 // shards. That determinism is what makes a resumed or re-run sweep line up
 // with its predecessor's shard boundaries, so progress accounting and
 // result logs from different attempts compose.
-func Plan(specs []wire.TrialSpec, shardSize int) []wire.ShardRequest {
-	return planBatch(store.Lookup(specs, nil, nil, nil), shardSize)
-}
-
-// planBatch is Plan over the misses of a Lookup, whose keys are already
-// computed, so the coordinator never hashes a spec twice. It sorts b's
-// misses by key in place, and the shards share their backing arrays.
 func planBatch(b *store.Batch, shardSize int) []wire.ShardRequest {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize

@@ -48,6 +48,9 @@ func E12Adaptivity(cfg Config) (*tablefmt.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			if !strong.SetupOK() {
+				return nil, fmt.Errorf("Theorem 2.3's setup event Φ(0) ≤ 0.8nk failed at n=%d (%s) under the %s adversary", n, c.algName, strong.Name())
+			}
 			tb.AddRowf(n, c.algName, "strong", res.Completed, res.Rounds,
 				res.Metrics.Broadcasts, res.Metrics.AmortizedPerToken(n), "n/a")
 
@@ -62,6 +65,9 @@ func E12Adaptivity(cfg Config) (*tablefmt.Table, error) {
 			})
 			if err != nil {
 				return nil, err
+			}
+			if !weak.SetupOK() {
+				return nil, fmt.Errorf("Theorem 2.3's setup event Φ(0) ≤ 0.8nk failed at n=%d (%s) under the %s adversary", n, c.algName, weak.Name())
 			}
 			tb.AddRowf(n, c.algName, "weak", res2.Completed, res2.Rounds,
 				res2.Metrics.Broadcasts, res2.Metrics.AmortizedPerToken(n),

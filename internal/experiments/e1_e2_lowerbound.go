@@ -45,6 +45,11 @@ func E1LowerBound(cfg Config) (*tablefmt.Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			// When no K' sample meets the event, the adversary falls back to
+			// its last one, and the run is no instance of the theorem.
+			if !adv.SetupOK() {
+				return nil, fmt.Errorf("Theorem 2.3's setup event Φ(0) ≤ 0.8nk failed at n=%d trial %d under the %s adversary", n, trial, adv.Name())
+			}
 			if !res.Completed {
 				return nil, fmt.Errorf("flooding incomplete at n=%d (rounds=%d)", n, res.Rounds)
 			}

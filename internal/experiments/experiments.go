@@ -20,11 +20,7 @@
 // cmd/experiments into EXPERIMENTS.md and exercised by bench_test.go.
 package experiments
 
-import (
-	"fmt"
-
-	"dynspread/internal/tablefmt"
-)
+import "dynspread/internal/tablefmt"
 
 // Config selects the experiment scale.
 type Config struct {
@@ -80,17 +76,4 @@ func All() []Runner {
 		{"E12", "Footnote 4: strong vs weak adaptivity", E12Adaptivity},
 		{"E13", "Section 3.2.2: parallel-walk congestion", E13WalkCongestion},
 	}
-}
-
-// RunAll executes every experiment and returns the tables in order.
-func RunAll(cfg Config) ([]*tablefmt.Table, error) {
-	var out []*tablefmt.Table
-	for _, r := range All() {
-		tb, err := r.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.ID, err)
-		}
-		out = append(out, tb)
-	}
-	return out, nil
 }

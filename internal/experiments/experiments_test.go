@@ -80,7 +80,7 @@ func TestRunAllOrder(t *testing.T) {
 	rs := All()
 	for i, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"} {
 		if rs[i].ID != want {
-			t.Fatalf("runner %d is %s, want %s (RunAll relies on paper order)", i, rs[i].ID, want)
+			t.Fatalf("runner %d is %s, want %s (cmd/experiments prints them in paper order)", i, rs[i].ID, want)
 		}
 	}
 }

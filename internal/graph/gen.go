@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Path returns the path 0-1-2-...-(n-1).
 func Path(n int) *Graph {
@@ -58,16 +55,8 @@ func (s *Scratch) intsFor(n int) []int {
 	return s.ints[:n]
 }
 
-// RandomTree returns a uniformly random labeled tree on n nodes, generated by
-// decoding a random Prüfer sequence.
-func RandomTree(n int, rng *rand.Rand) *Graph {
-	g := New(n)
-	RandomTreeInto(g, rng, new(Scratch))
-	return g
-}
-
 // RandomTreeInto overwrites g with a uniformly random labeled tree on its
-// g.N() nodes, making exactly the draws RandomTree makes.
+// g.N() nodes, generated by decoding a random Prüfer sequence.
 func RandomTreeInto(g *Graph, rng *rand.Rand, s *Scratch) {
 	g.Reset()
 	n := g.N()
@@ -143,20 +132,12 @@ func RandomConnectedInto(g *Graph, m int, rng *rand.Rand, s *Scratch) {
 	}
 }
 
-// RandomRegularish returns a connected graph where every node has degree at
-// least d and close to d on average, built as the union of ceil(d/2) random
-// Hamiltonian cycles (a standard construction for near-regular expanders).
-// The result is simple (duplicate edges merge), so degrees may be slightly
-// below 2*ceil(d/2) at small n; connectivity is guaranteed by the first
-// cycle. d is clamped to [2, n-1].
-func RandomRegularish(n, d int, rng *rand.Rand) *Graph {
-	g := New(n)
-	RandomRegularishInto(g, d, rng, new(Scratch))
-	return g
-}
-
-// RandomRegularishInto overwrites g with a RandomRegularish graph on its
-// g.N() nodes, making exactly the draws RandomRegularish makes.
+// RandomRegularishInto overwrites g with a connected graph on its g.N()
+// nodes where every node has degree at least d and close to d on average,
+// built as the union of ceil(d/2) random Hamiltonian cycles (a standard
+// construction for near-regular expanders). The result is simple (duplicate
+// edges merge), so degrees may be slightly below 2*ceil(d/2) at small n;
+// connectivity is guaranteed by the first cycle. d is clamped to [2, n-1].
 func RandomRegularishInto(g *Graph, d int, rng *rand.Rand, s *Scratch) {
 	g.Reset()
 	n := g.N()
@@ -180,25 +161,6 @@ func RandomRegularishInto(g *Graph, d int, rng *rand.Rand, s *Scratch) {
 			g.AddEdge(perm[i], perm[(i+1)%n])
 		}
 	}
-}
-
-// Grid returns an approximately square rows x cols grid covering n nodes
-// (node v at position (v/cols, v%cols)). Used for geometric-ish topologies.
-func Grid(rows, cols int) *Graph {
-	n := rows * cols
-	g := New(n)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			v := r*cols + c
-			if c+1 < cols {
-				g.AddEdge(v, v+1)
-			}
-			if r+1 < rows {
-				g.AddEdge(v, v+cols)
-			}
-		}
-	}
-	return g
 }
 
 // Connectify adds random edges between components until g is connected,
@@ -253,34 +215,4 @@ func Connectify(g *Graph, rng *rand.Rand) int {
 		}
 	}
 	return added
-}
-
-// Named returns a generator by name — used by the CLI tools.
-// Supported: "path", "cycle", "star", "complete", "grid", "tree",
-// "random" (m = 2n edges), "regular" (d = 4).
-func Named(name string, n int, rng *rand.Rand) (*Graph, error) {
-	switch name {
-	case "path":
-		return Path(n), nil
-	case "cycle":
-		return Cycle(n), nil
-	case "star":
-		return Star(n), nil
-	case "complete":
-		return Complete(n), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return Grid(side, side), nil
-	case "tree":
-		return RandomTree(n, rng), nil
-	case "random":
-		return RandomConnected(n, 2*n, rng), nil
-	case "regular":
-		return RandomRegularish(n, 4, rng), nil
-	default:
-		return nil, fmt.Errorf("graph: unknown generator %q", name)
-	}
 }

@@ -1,7 +1,9 @@
 // Package graph provides the dynamic-network substrate of the simulator:
 // undirected graph snapshots over a fixed node set V = {0..n-1}, connectivity
 // queries, per-round edge diffs (the paper's E+_r and E-_r), σ-edge-stability
-// tracking, and a library of graph generators used by the adversaries.
+// tracking, and graph generators: random ones the adversaries draw from, and
+// fixed shapes (Path, Cycle, Star, Complete) that tests build topologies
+// from.
 package graph
 
 import (
@@ -25,19 +27,6 @@ func NewEdge(a, b NodeID) Edge {
 		a, b = b, a
 	}
 	return Edge{U: a, V: b}
-}
-
-// Other returns the endpoint of e that is not x. It returns -1 if x is not an
-// endpoint.
-func (e Edge) Other(x NodeID) NodeID {
-	switch x {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	default:
-		return -1
-	}
 }
 
 // String renders the edge as {u,v}.
@@ -177,14 +166,6 @@ func (g *Graph) HasEdge(a, b NodeID) bool {
 		return false
 	}
 	return g.adj[a].Contains(b)
-}
-
-// Degree returns the degree of v (0 for out-of-range v).
-func (g *Graph) Degree(v NodeID) int {
-	if v < 0 || v >= g.n {
-		return 0
-	}
-	return g.adj[v].Count()
 }
 
 // Neighbors returns v's neighbors in increasing order. The slice is owned by
@@ -368,77 +349,9 @@ func (g *Graph) ConnectedWithout(e Edge) bool {
 	return d.Components() == 1
 }
 
-// BFSDistances returns the hop distances from src (-1 for unreachable nodes).
-func (g *Graph) BFSDistances(src NodeID) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	if src < 0 || src >= g.n {
-		return dist
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		g.adj[v].ForEach(func(u int) {
-			if dist[u] == -1 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		})
-	}
-	return dist
-}
-
-// BFSTree returns, for each node, its parent in a BFS tree rooted at src
-// (parent[src] = src; -1 for unreachable nodes).
-func (g *Graph) BFSTree(src NodeID) []NodeID {
-	parent := make([]NodeID, g.n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	if src < 0 || src >= g.n {
-		return parent
-	}
-	parent[src] = src
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		g.adj[v].ForEach(func(u int) {
-			if parent[u] == -1 {
-				parent[u] = v
-				queue = append(queue, u)
-			}
-		})
-	}
-	return parent
-}
-
-// Diameter returns the graph diameter (max over eccentricities), or -1 if the
-// graph is disconnected or empty.
-func (g *Graph) Diameter() int {
-	if g.n == 0 {
-		return -1
-	}
-	diam := 0
-	for v := 0; v < g.n; v++ {
-		for _, d := range g.BFSDistances(v) {
-			if d == -1 {
-				return -1
-			}
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
-
-// Validate returns an error if internal adjacency invariants are violated
-// (used by tests and the engine's paranoia checks).
+// Validate returns an error if internal adjacency invariants are violated.
+// No simulation path calls it: it is the invariant oracle of the graph,
+// adversary and trace tests.
 func (g *Graph) Validate() error {
 	count := 0
 	var err error

@@ -53,12 +53,13 @@ func TestIntoGeneratorsOnDirtyGraphs(t *testing.T) {
 			// row differs from the complete graph's.
 			for _, d := range []int{2, 6} {
 				fresh := rand.New(rand.NewSource(seed))
-				want := RandomRegularish(n, d, fresh)
+				want := New(n)
+				RandomRegularishInto(want, d, fresh, new(Scratch))
 				g := dirtyGraph(n, seed)
 				rng := rand.New(rand.NewSource(seed))
 				RandomRegularishInto(g, d, rng, &s)
 				if !g.Equal(want) || !sameDraws(rng, fresh) {
-					t.Fatalf("n=%d seed=%d d=%d: RandomRegularishInto on a dirty graph differs from RandomRegularish", n, seed, d)
+					t.Fatalf("n=%d seed=%d d=%d: RandomRegularishInto on a dirty graph differs from a fresh graph", n, seed, d)
 				}
 				checkCaches(t, g, want)
 			}
@@ -113,7 +114,12 @@ func connectifyReference(g *Graph, rng *rand.Rand) int {
 	if d.Components() <= 1 {
 		return 0
 	}
-	reps := d.Representatives()
+	var reps []NodeID // component roots in increasing order
+	for v := 0; v < g.N(); v++ {
+		if d.Find(v) == v {
+			reps = append(reps, v)
+		}
+	}
 	members := make(map[int][]NodeID, len(reps))
 	for v := 0; v < g.N(); v++ {
 		r := d.Find(v)

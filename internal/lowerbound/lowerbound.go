@@ -23,7 +23,7 @@ import (
 // Instance holds one sampled choice of the bookkeeping sets K'_v, plus the
 // scratch FreeGraph reuses from round to round.
 type Instance struct {
-	n, k   int
+	n      int
 	kprime []*bitset.Set
 
 	dsu           *unionfind.DSU
@@ -42,7 +42,7 @@ func Sample(n, k int, rng *rand.Rand) (*Instance, error) {
 	}
 	budget := (3 * n * k) / 10
 	for attempt := 0; attempt < 200; attempt++ {
-		inst := &Instance{n: n, k: k, kprime: make([]*bitset.Set, n)}
+		inst := &Instance{n: n, kprime: make([]*bitset.Set, n)}
 		total := 0
 		for v := 0; v < n; v++ {
 			s := bitset.New(k)
@@ -61,24 +61,6 @@ func Sample(n, k int, rng *rand.Rand) (*Instance, error) {
 	return nil, fmt.Errorf("lowerbound: could not sample K' with Σ|K'_v| <= 0.3nk for n=%d k=%d", n, k)
 }
 
-// N returns the node count.
-func (in *Instance) N() int { return in.n }
-
-// K returns the token count.
-func (in *Instance) K() int { return in.k }
-
-// KPrime returns K'_v (read-only; callers must not mutate).
-func (in *Instance) KPrime(v int) *bitset.Set { return in.kprime[v] }
-
-// KPrimeTotal returns Σ_v |K'_v|.
-func (in *Instance) KPrimeTotal() int {
-	total := 0
-	for _, s := range in.kprime {
-		total += s.Count()
-	}
-	return total
-}
-
 // Potential computes Φ = Σ_v |K_v ∪ K'_v| against the engine's current
 // knowledge (pre-delivery when called from an adversary's NextGraph). Each
 // per-node term is one fused union-count through the adaptive knowledge set
@@ -91,10 +73,6 @@ func (in *Instance) Potential(view *sim.View) int64 {
 	}
 	return phi
 }
-
-// MaxPotential returns nk, the value Φ must reach for the dissemination to be
-// complete.
-func (in *Instance) MaxPotential() int64 { return int64(in.n) * int64(in.k) }
 
 // Free reports whether edge {u,v} is free under the given broadcast choices
 // and the pre-round knowledge in view.

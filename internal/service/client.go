@@ -8,11 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
-	"dynspread/internal/store"
 	"dynspread/internal/tracing"
 	"dynspread/internal/wire"
 )
@@ -305,73 +303,6 @@ func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// Rounds fetches GET /v1/jobs/{id}/rounds: the flight-recorder round series
-// of a done recorded job, one per trial, without the result payloads.
-func (c *Client) Rounds(ctx context.Context, id string) (JobRounds, error) {
-	var jr JobRounds
-	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/rounds", nil, &jr)
-	return jr, err
-}
-
-// CaptureProfile asks the server to capture a pprof profile
-// (POST /v1/debug/profile): kind "cpu" or "heap", seconds bounding a CPU
-// capture's window (<= 0 selects the server default). The call blocks for
-// the capture window, so a CPU capture needs ctx (or c.Timeout) to allow at
-// least that long; a client-side abort mid-window still stores the partial
-// capture server-side.
-func (c *Client) CaptureProfile(ctx context.Context, kind string, seconds int) (store.ProfileInfo, error) {
-	path := "/v1/debug/profile?kind=" + url.QueryEscape(kind)
-	if seconds > 0 {
-		path += fmt.Sprintf("&seconds=%d", seconds)
-	}
-	var info store.ProfileInfo
-	_, err := c.do(ctx, http.MethodPost, path, nil, &info)
-	return info, err
-}
-
-// Profiles lists the server's captured profiles (GET /v1/debug/profiles) in
-// chronological order.
-func (c *Client) Profiles(ctx context.Context) ([]store.ProfileInfo, error) {
-	var pl ProfileList
-	_, err := c.do(ctx, http.MethodGet, "/v1/debug/profiles", nil, &pl)
-	return pl.Profiles, err
-}
-
-// Profile downloads one captured profile blob (GET /v1/debug/profiles/{id}):
-// the raw pprof bytes, ready for `go tool pprof`.
-func (c *Client) Profile(ctx context.Context, id string) ([]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
-	path := "/v1/debug/profiles/" + url.PathEscape(id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("service: GET %s: %w", path, ctxErr)
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		he := &HTTPError{StatusCode: resp.StatusCode, Method: http.MethodGet, Path: path}
-		var eb errorBody
-		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
-			he.Message = eb.Error
-		}
-		return nil, he
-	}
-	return io.ReadAll(resp.Body)
-}
-
 // Trace fetches GET /v1/traces/{id}: the span set of one trace, id being a
 // job ID or a 32-hex trace ID. Against a coordinator this is the fully
 // assembled distributed trace (coordinator + worker spans).
@@ -386,12 +317,6 @@ func (c *Client) Catalog(ctx context.Context) (Catalog, error) {
 	var cat Catalog
 	_, err := c.do(ctx, http.MethodGet, "/v1/catalog", nil, &cat)
 	return cat, err
-}
-
-// Health checks /v1/healthz (liveness: the process answers requests).
-func (c *Client) Health(ctx context.Context) error {
-	_, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
-	return err
 }
 
 // Ready checks /v1/readyz (readiness: a submission would be accepted); a

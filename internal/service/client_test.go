@@ -54,7 +54,7 @@ func TestClientTimeoutBoundsDeadlineFreeRequests(t *testing.T) {
 	c := &Client{BaseURL: hs.URL, HTTPClient: hs.Client(), Timeout: 50 * time.Millisecond}
 
 	start := time.Now()
-	err := c.Health(context.Background())
+	_, err := c.do(context.Background(), http.MethodGet, "/v1/healthz", nil, nil)
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout not applied: %v", err)
 	}
@@ -66,7 +66,10 @@ func TestClientTimeoutBoundsDeadlineFreeRequests(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- c.Health(ctx) }()
+	go func() {
+		_, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
@@ -83,7 +86,10 @@ func TestClientCancellationPropagates(t *testing.T) {
 	c := &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- c.Health(ctx) }()
+	go func() {
+		_, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
+		done <- err
+	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {

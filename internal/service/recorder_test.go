@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"runtime"
 	"testing"
 	"time"
@@ -61,8 +63,8 @@ func TestServiceRecordedRun(t *testing.T) {
 	}
 
 	// The rounds view serves the same series the results embed.
-	jr, err := h.client.Rounds(ctx, st.ID)
-	if err != nil {
+	var jr JobRounds
+	if _, err := h.client.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID+"/rounds", nil, &jr); err != nil {
 		t.Fatal(err)
 	}
 	if jr.ID != st.ID || len(jr.Series) != len(done.Results) {
@@ -185,7 +187,7 @@ func TestServiceRoundsErrors(t *testing.T) {
 		}
 	}
 
-	_, err := h.client.Rounds(ctx, "nope")
+	_, err := h.client.do(ctx, http.MethodGet, "/v1/jobs/nope/rounds", nil, nil)
 	wantStatus(err, 404)
 
 	// An unrecorded job exists but has no rounds view.
@@ -196,7 +198,7 @@ func TestServiceRoundsErrors(t *testing.T) {
 	if _, err := h.client.WaitJob(ctx, st.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	_, err = h.client.Rounds(ctx, st.ID)
+	_, err = h.client.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID+"/rounds", nil, nil)
 	wantStatus(err, 404)
 
 	// An out-of-range record spec is a 400 at submission, not a late failure.
@@ -221,32 +223,45 @@ func TestServiceProfileCapture(t *testing.T) {
 	h := newHarness(t, Config{JobWorkers: 1, Store: st})
 	ctx := context.Background()
 
-	heap, err := h.client.CaptureProfile(ctx, "heap", 0)
-	if err != nil {
+	var heap, cpu store.ProfileInfo
+	if _, err := h.client.do(ctx, http.MethodPost, "/v1/debug/profile?kind=heap", nil, &heap); err != nil {
 		t.Fatal(err)
 	}
 	if heap.Kind != "heap" || heap.Bytes == 0 {
 		t.Fatalf("heap capture: %+v", heap)
 	}
-	cpu, err := h.client.CaptureProfile(ctx, "cpu", 1)
-	if err != nil {
+	if _, err := h.client.do(ctx, http.MethodPost, "/v1/debug/profile?kind=cpu&seconds=1", nil, &cpu); err != nil {
 		t.Fatal(err)
 	}
 	if cpu.Kind != "cpu" || cpu.Bytes == 0 {
 		t.Fatalf("cpu capture: %+v", cpu)
 	}
 
-	list, err := h.client.Profiles(ctx)
-	if err != nil {
+	var list ProfileList
+	if _, err := h.client.do(ctx, http.MethodGet, "/v1/debug/profiles", nil, &list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 2 {
+	if len(list.Profiles) != 2 {
 		t.Fatalf("profile listing: %+v", list)
 	}
-	for _, info := range list {
-		data, err := h.client.Profile(ctx, info.ID)
+	// The download is raw pprof bytes, not JSON.
+	get := func(id string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(h.client.BaseURL + "/v1/debug/profiles/" + id)
 		if err != nil {
-			t.Fatalf("download %s: %v", info.ID, err)
+			t.Fatalf("download %s: %v", id, err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("download %s: %v", id, err)
+		}
+		return resp, data
+	}
+	for _, info := range list.Profiles {
+		resp, data := get(info.ID)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("download %s: HTTP %d", info.ID, resp.StatusCode)
 		}
 		if int64(len(data)) != info.Bytes {
 			t.Fatalf("profile %s: downloaded %d bytes, listed %d", info.ID, len(data), info.Bytes)
@@ -254,12 +269,11 @@ func TestServiceProfileCapture(t *testing.T) {
 	}
 
 	// Unknown kind and unknown ID are client errors, not captures.
-	if _, err := h.client.CaptureProfile(ctx, "goroutine", 0); err == nil {
+	if _, err := h.client.do(ctx, http.MethodPost, "/v1/debug/profile?kind=goroutine", nil, nil); err == nil {
 		t.Fatal("unknown profile kind accepted")
 	}
-	var he *HTTPError
-	if _, err := h.client.Profile(ctx, "profile-00000000000000000000-cpu.pprof"); !errors.As(err, &he) || he.StatusCode != 404 {
-		t.Fatalf("unknown profile download: %v", err)
+	if resp, _ := get("profile-00000000000000000000-cpu.pprof"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown profile download: HTTP %d", resp.StatusCode)
 	}
 
 	h.close(t, ctx)
@@ -274,10 +288,10 @@ func TestServiceProfilesDisabled(t *testing.T) {
 	ctx := context.Background()
 
 	var he *HTTPError
-	if _, err := h.client.CaptureProfile(ctx, "heap", 0); !errors.As(err, &he) || he.StatusCode != 503 {
+	if _, err := h.client.do(ctx, http.MethodPost, "/v1/debug/profile?kind=heap", nil, nil); !errors.As(err, &he) || he.StatusCode != 503 {
 		t.Fatalf("capture without store: %v", err)
 	}
-	if _, err := h.client.Profiles(ctx); !errors.As(err, &he) || he.StatusCode != 503 {
+	if _, err := h.client.do(ctx, http.MethodGet, "/v1/debug/profiles", nil, nil); !errors.As(err, &he) || he.StatusCode != 503 {
 		t.Fatalf("listing without store: %v", err)
 	}
 

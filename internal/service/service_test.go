@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -99,7 +100,7 @@ func TestServiceE2E(t *testing.T) {
 	h := newHarness(t, Config{SyncTrialLimit: 4, JobWorkers: 2})
 	ctx := context.Background()
 
-	if err := h.client.Health(ctx); err != nil {
+	if _, err := h.client.do(ctx, http.MethodGet, "/v1/healthz", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -272,7 +273,7 @@ func TestReadyz(t *testing.T) {
 	if !errors.As(err, &he) || he.StatusCode != 503 || !strings.Contains(he.Message, "queue_full") {
 		t.Fatalf("full queue readiness: %v", err)
 	}
-	if err := h.client.Health(ctx); err != nil {
+	if _, err := h.client.do(ctx, http.MethodGet, "/v1/healthz", nil, nil); err != nil {
 		t.Fatalf("liveness failed on a full queue: %v", err)
 	}
 
@@ -289,7 +290,7 @@ func TestReadyz(t *testing.T) {
 	if !errors.As(err, &he) || he.StatusCode != 503 || !strings.Contains(he.Message, "shutting_down") {
 		t.Fatalf("post-shutdown readiness: %v", err)
 	}
-	if err := c.Health(ctx); err != nil {
+	if _, err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil); err != nil {
 		t.Fatalf("post-shutdown liveness: %v", err)
 	}
 }

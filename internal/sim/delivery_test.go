@@ -25,7 +25,7 @@ func (p *recordProto) BeginRound(_ int, nbrs []graph.NodeID) { p.nbrs = nbrs }
 func (p *recordProto) Send(_ int) []Message {
 	out := make([]Message, 0, len(p.nbrs))
 	for _, u := range p.nbrs {
-		out = append(out, RequestMsg(p.env.ID, u, RequestPayload{Owner: 0, Index: 1}))
+		out = append(out, Message{From: p.env.ID, To: u, Kinds: KindRequest, Request: RequestPayload{Owner: 0, Index: 1}})
 	}
 	return out
 }

@@ -112,17 +112,6 @@ func TokenMsg(from, to graph.NodeID, p TokenPayload) Message {
 	return Message{From: from, To: to, Kinds: KindToken, Token: p}
 }
 
-// RequestMsg returns a message carrying exactly one request payload.
-func RequestMsg(from, to graph.NodeID, p RequestPayload) Message {
-	return Message{From: from, To: to, Kinds: KindRequest, Request: p}
-}
-
-// CompletenessMsg returns a message carrying exactly one completeness
-// announcement.
-func CompletenessMsg(from, to graph.NodeID, p CompletenessAnn) Message {
-	return Message{From: from, To: to, Kinds: KindCompleteness, Completeness: p}
-}
-
 // WalkMsg returns a message carrying exactly one random-walk step.
 func WalkMsg(from, to graph.NodeID, p WalkPayload) Message {
 	return Message{From: from, To: to, Kinds: KindWalk, Walk: p}
@@ -147,12 +136,6 @@ func (m *Message) SetCompleteness(p CompletenessAnn) {
 	m.Completeness = p
 	m.Kinds |= KindCompleteness
 }
-
-// SetWalk attaches a walk payload.
-func (m *Message) SetWalk(p WalkPayload) { m.Walk = p; m.Kinds |= KindWalk }
-
-// SetControl attaches a control payload.
-func (m *Message) SetControl(p ControlPayload) { m.Control = p; m.Kinds |= KindControl }
 
 // Empty reports whether the message has no payload.
 func (m *Message) Empty() bool { return m.Kinds == 0 }

@@ -109,12 +109,6 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	return &Recorder{stride: stride, ring: make([]RoundSample, capacity)}
 }
 
-// Stride returns the sampling stride the recorder was built with.
-func (rec *Recorder) Stride() int { return rec.stride }
-
-// Capacity returns the ring capacity the recorder was built with.
-func (rec *Recorder) Capacity() int { return len(rec.ring) }
-
 // start rebinds the recorder to a fresh execution: it empties the ring and
 // snapshots the metric/counter baselines so the first sample's window deltas
 // start from the engine's post-setup state (setup-time insertions and

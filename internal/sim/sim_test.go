@@ -193,17 +193,17 @@ func TestUnicastViolations(t *testing.T) {
 		want string
 	}{
 		{"forged sender", func() []Message {
-			return []Message{RequestMsg(2, 1, RequestPayload{Owner: 0, Index: 1})}
+			return []Message{{From: 2, To: 1, Kinds: KindRequest, Request: RequestPayload{Owner: 0, Index: 1}}}
 		}, "forged"},
 		{"self send", func() []Message {
-			return []Message{RequestMsg(0, 0, RequestPayload{Owner: 0, Index: 1})}
+			return []Message{{From: 0, To: 0, Kinds: KindRequest, Request: RequestPayload{Owner: 0, Index: 1}}}
 		}, "invalid destination"},
 		{"empty message", func() []Message {
 			return []Message{{From: 0, To: 1}}
 		}, "empty"},
 		{"two tokens", func() []Message {
-			m := TokenMsg(0, 1, TokenPayload{ID: 0})
-			m.SetWalk(WalkPayload{ID: 1})
+			m := WalkMsg(0, 1, WalkPayload{ID: 1})
+			m.SetToken(TokenPayload{ID: 0})
 			return []Message{m}
 		}, "two tokens"},
 		{"unknown payload kind", func() []Message {
@@ -215,7 +215,7 @@ func TestUnicastViolations(t *testing.T) {
 		{"bandwidth", func() []Message {
 			return []Message{
 				TokenMsg(0, 1, TokenPayload{ID: 0}),
-				RequestMsg(0, 1, RequestPayload{Owner: 0, Index: 1}),
+				Message{From: 0, To: 1, Kinds: KindRequest, Request: RequestPayload{Owner: 0, Index: 1}},
 			}
 		}, "bandwidth"},
 		{"invalid token id", func() []Message {
@@ -501,8 +501,8 @@ func TestViewKnows(t *testing.T) {
 			if !v.Knows(2, 0) || v.Knows(0, 0) || v.Knows(-1, 0) || v.Knows(99, 0) {
 				t.Error("Knows wrong")
 			}
-			if v.KnowledgeCount(2) != 3 || v.KnowledgeCount(0) != 0 || v.KnowledgeCount(-1) != 0 {
-				t.Error("KnowledgeCount wrong")
+			if v.know[2].Count() != 3 || v.know[0].Count() != 0 {
+				t.Error("knowledge counts wrong")
 			}
 			other := bitset.New(3)
 			other.Add(1)

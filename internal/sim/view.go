@@ -47,16 +47,6 @@ func (v *View) Knows(node graph.NodeID, t token.ID) bool {
 	return v.know[node].Contains(t)
 }
 
-// KnowledgeCount returns |K_v(t)|, the number of tokens node v holds.
-//
-//dynspread:hotpath
-func (v *View) KnowledgeCount(node graph.NodeID) int {
-	if node < 0 || node >= len(v.know) {
-		return 0
-	}
-	return v.know[node].Count()
-}
-
 // KnowledgeUnionCount returns |K_v ∪ other| for an adversary-supplied set
 // (used by the Section 2 adversary for the potential function Φ without
 // copying knowledge sets every round). It goes through the adaptive

@@ -24,8 +24,8 @@ func TestWorkspaceKnowForReusesInPlace(t *testing.T) {
 	if know[2] != first {
 		t.Fatal("k change replaced the cached bitsets")
 	}
-	if know[2].Len() != 5 || !know[2].Empty() {
-		t.Fatalf("set not reset: len=%d empty=%v", know[2].Len(), know[2].Empty())
+	if know[2].Len() != 5 || know[2].Count() != 0 {
+		t.Fatalf("set not reset: len=%d count=%d", know[2].Len(), know[2].Count())
 	}
 
 	// Larger n: existing sets survive, new slots are filled.

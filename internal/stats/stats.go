@@ -129,19 +129,3 @@ func PowerLawFit(xs, ys []float64) (exponent, constant, r2 float64, err error) {
 	}
 	return f.Slope, math.Exp(f.Intercept), f.R2, nil
 }
-
-// GeoMean returns the geometric mean of strictly positive samples (0 for an
-// empty sample; an error for non-positive entries).
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, nil
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: non-positive sample %g", x)
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}

@@ -106,22 +106,6 @@ func TestPowerLawFitRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(g, 2, 1e-12) {
-		t.Fatalf("GeoMean = %g", g)
-	}
-	if g, _ := GeoMean(nil); g != 0 {
-		t.Fatal("empty GeoMean != 0")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("zero accepted")
-	}
-}
-
 // Property: recovering a noiseless random power law.
 func TestQuickPowerLawRecovery(t *testing.T) {
 	f := func(seed int64) bool {

@@ -104,29 +104,12 @@ func (a *Assignment) N() int { return a.n }
 // Info returns the source/index info of token g.
 func (a *Assignment) Info(g ID) Info { return a.infos[g] }
 
-// Sources returns the distinct source nodes in increasing order. The slice is
-// shared; callers must not mutate it.
-func (a *Assignment) Sources() []graph.NodeID { return a.sources }
-
 // NumSources returns the number of distinct source nodes (the paper's s).
 func (a *Assignment) NumSources() int { return len(a.sources) }
 
 // TokensOf returns the global IDs of the tokens initially at src, in index
 // order. The slice is shared; callers must not mutate it.
 func (a *Assignment) TokensOf(src graph.NodeID) []ID { return a.bySrc[src] }
-
-// CountOf returns the number of tokens initially at src (the paper's k_x).
-func (a *Assignment) CountOf(src graph.NodeID) int { return len(a.bySrc[src]) }
-
-// Lookup returns the global ID of the token ⟨source, index⟩, or None if no
-// such token exists.
-func (a *Assignment) Lookup(src graph.NodeID, index int) ID {
-	toks := a.bySrc[src]
-	if index < 1 || index > len(toks) {
-		return None
-	}
-	return toks[index-1]
-}
 
 // RequiredLearnings returns the number of token-learning events any solving
 // execution must produce: Σ_tokens (n - holders of that token at time 0).

@@ -14,24 +14,17 @@ func TestSingleSource(t *testing.T) {
 	if a.K() != 5 || a.N() != 10 {
 		t.Fatalf("K=%d N=%d", a.K(), a.N())
 	}
-	if a.NumSources() != 1 || a.Sources()[0] != 3 {
-		t.Fatalf("sources = %v", a.Sources())
+	if a.NumSources() != 1 || a.sources[0] != 3 {
+		t.Fatalf("sources = %v", a.sources)
 	}
-	if a.CountOf(3) != 5 || a.CountOf(0) != 0 {
-		t.Fatal("CountOf wrong")
+	if len(a.TokensOf(3)) != 5 || len(a.TokensOf(0)) != 0 {
+		t.Fatal("token counts wrong")
 	}
-	for i := 1; i <= 5; i++ {
-		g := a.Lookup(3, i)
-		if g == None {
-			t.Fatalf("Lookup(3,%d) = None", i)
-		}
+	for i, g := range a.TokensOf(3) {
 		info := a.Info(g)
-		if info.Source != 3 || info.Index != i {
+		if info.Source != 3 || info.Index != i+1 {
 			t.Fatalf("Info(%d) = %+v", g, info)
 		}
-	}
-	if a.Lookup(3, 0) != None || a.Lookup(3, 6) != None || a.Lookup(2, 1) != None {
-		t.Fatal("Lookup out of range should be None")
 	}
 	if a.RequiredLearnings() != 45 {
 		t.Fatalf("RequiredLearnings = %d", a.RequiredLearnings())
@@ -47,8 +40,8 @@ func TestGossip(t *testing.T) {
 		t.Fatalf("K=%d s=%d", a.K(), a.NumSources())
 	}
 	for v := 0; v < 7; v++ {
-		if a.CountOf(v) != 1 {
-			t.Fatalf("CountOf(%d) = %d", v, a.CountOf(v))
+		if len(a.TokensOf(v)) != 1 {
+			t.Fatalf("len(TokensOf(%d)) = %d", v, len(a.TokensOf(v)))
 		}
 		toks := a.TokensOf(v)
 		if len(toks) != 1 || a.Info(toks[0]).Source != v || a.Info(toks[0]).Index != 1 {
@@ -66,10 +59,10 @@ func TestBalanced(t *testing.T) {
 		t.Fatalf("NumSources = %d", a.NumSources())
 	}
 	total := 0
-	for _, s := range a.Sources() {
-		c := a.CountOf(s)
+	for _, s := range a.sources {
+		c := len(a.TokensOf(s))
 		if c < 2 || c > 3 {
-			t.Fatalf("CountOf(%d) = %d, want 2 or 3", s, c)
+			t.Fatalf("len(TokensOf(%d)) = %d, want 2 or 3", s, c)
 		}
 		total += c
 	}
@@ -105,7 +98,7 @@ func TestSourcesSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{1, 3, 7, 9}
-	got := a.Sources()
+	got := a.sources
 	if len(got) != len(want) {
 		t.Fatalf("Sources = %v", got)
 	}
@@ -114,23 +107,21 @@ func TestSourcesSorted(t *testing.T) {
 			t.Fatalf("Sources = %v, want %v", got, want)
 		}
 	}
-	// Per-source indices are 1..count and map back via Lookup.
-	if a.CountOf(3) != 2 {
-		t.Fatalf("CountOf(3) = %d", a.CountOf(3))
+	// Per-source indices are 1..count, in TokensOf order.
+	if len(a.TokensOf(3)) != 2 {
+		t.Fatalf("len(TokensOf(3)) = %d", len(a.TokensOf(3)))
 	}
 	for _, src := range got {
 		for i, g := range a.TokensOf(src) {
-			if a.Info(g).Index != i+1 {
-				t.Fatalf("token %d of source %d has index %d", g, src, a.Info(g).Index)
-			}
-			if a.Lookup(src, i+1) != g {
-				t.Fatal("Lookup does not invert Info")
+			if info := a.Info(g); info.Source != src || info.Index != i+1 {
+				t.Fatalf("token %d of source %d has info %+v", g, src, info)
 			}
 		}
 	}
 }
 
-// Property: Lookup(Info(g)) == g for every token, and counts add to k.
+// Property: Info(g) points back at g's slot in TokensOf, and counts add to
+// k.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64, kk, nn uint8) bool {
 		n := int(nn)%30 + 1
@@ -145,8 +136,8 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		total := 0
-		for _, s := range a.Sources() {
-			total += a.CountOf(s)
+		for _, s := range a.sources {
+			total += len(a.TokensOf(s))
 		}
 		if total != k {
 			return false
@@ -156,7 +147,8 @@ func TestQuickRoundTrip(t *testing.T) {
 			if info.Source != holders[g] {
 				return false
 			}
-			if a.Lookup(info.Source, info.Index) != g {
+			toks := a.TokensOf(info.Source)
+			if info.Index < 1 || info.Index > len(toks) || toks[info.Index-1] != g {
 				return false
 			}
 		}

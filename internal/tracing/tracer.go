@@ -302,12 +302,3 @@ func (t *Tracer) Spans(traceID string) []SpanData {
 	t.mu.Unlock()
 	return out
 }
-
-// Dropped returns the cumulative dropped-span count (ring evictions plus
-// export write failures).
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}

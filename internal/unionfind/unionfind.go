@@ -56,26 +56,8 @@ func (d *DSU) Union(a, b int) bool {
 	return true
 }
 
-// Connected reports whether a and b are in the same component.
-func (d *DSU) Connected(a, b int) bool { return d.Find(a) == d.Find(b) }
-
 // Components returns the current number of components.
 func (d *DSU) Components() int { return d.comps }
-
-// ComponentSize returns the size of x's component.
-func (d *DSU) ComponentSize(x int) int { return d.size[d.Find(x)] }
-
-// Representatives returns one member (the canonical root) per component, in
-// increasing order of root index.
-func (d *DSU) Representatives() []int {
-	out := make([]int, 0, d.comps)
-	for i := range d.parent {
-		if d.Find(i) == i {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // Reset returns the DSU to n singleton components without reallocating.
 func (d *DSU) Reset() {

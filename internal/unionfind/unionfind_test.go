@@ -18,8 +18,8 @@ func TestNewSingletons(t *testing.T) {
 		if d.Find(i) != i {
 			t.Fatalf("Find(%d) = %d", i, d.Find(i))
 		}
-		if d.ComponentSize(i) != 1 {
-			t.Fatalf("ComponentSize(%d) = %d", i, d.ComponentSize(i))
+		if d.size[d.Find(i)] != 1 {
+			t.Fatalf("component size of %d = %d", i, d.size[d.Find(i)])
 		}
 	}
 }
@@ -39,16 +39,16 @@ func TestUnionBasic(t *testing.T) {
 	if d.Union(1, 0) {
 		t.Fatal("repeat union returned true")
 	}
-	if !d.Connected(0, 1) {
+	if d.Find(0) != d.Find(1) {
 		t.Fatal("0,1 not connected")
 	}
-	if d.Connected(0, 2) {
+	if d.Find(0) == d.Find(2) {
 		t.Fatal("0,2 connected")
 	}
 	if d.Components() != 3 {
 		t.Fatalf("Components = %d, want 3", d.Components())
 	}
-	if d.ComponentSize(0) != 2 || d.ComponentSize(1) != 2 {
+	if d.size[d.Find(0)] != 2 || d.size[d.Find(1)] != 2 {
 		t.Fatal("component size wrong")
 	}
 }
@@ -61,36 +61,32 @@ func TestChainTransitivity(t *testing.T) {
 	if d.Components() != 1 {
 		t.Fatalf("Components = %d, want 1", d.Components())
 	}
-	if !d.Connected(0, 99) {
+	if d.Find(0) != d.Find(99) {
 		t.Fatal("endpoints not connected")
 	}
-	if d.ComponentSize(42) != 100 {
-		t.Fatalf("ComponentSize = %d, want 100", d.ComponentSize(42))
+	if d.size[d.Find(42)] != 100 {
+		t.Fatalf("component size = %d, want 100", d.size[d.Find(42)])
 	}
 }
 
+// TestRepresentatives: Find names one canonical root per component.
 func TestRepresentatives(t *testing.T) {
 	d := New(6)
 	d.Union(0, 1)
 	d.Union(2, 3)
-	reps := d.Representatives()
-	if len(reps) != 4 {
-		t.Fatalf("got %d reps, want 4", len(reps))
-	}
-	seen := map[int]bool{}
-	for _, r := range reps {
+	roots := map[int]bool{}
+	for v := 0; v < 6; v++ {
+		r := d.Find(v)
 		if d.Find(r) != r {
-			t.Fatalf("rep %d is not a root", r)
+			t.Fatalf("Find(%d) = %d is not a root", v, r)
 		}
-		if seen[r] {
-			t.Fatalf("duplicate rep %d", r)
-		}
-		seen[r] = true
+		roots[r] = true
 	}
-	for i := 1; i < len(reps); i++ {
-		if reps[i] <= reps[i-1] {
-			t.Fatal("reps not sorted")
-		}
+	if len(roots) != 4 || d.Components() != 4 {
+		t.Fatalf("got %d roots and %d components, want 4", len(roots), d.Components())
+	}
+	if d.Find(0) != d.Find(1) || d.Find(2) != d.Find(3) || d.Find(0) == d.Find(2) {
+		t.Fatal("roots do not follow the unions")
 	}
 }
 
@@ -102,7 +98,7 @@ func TestReset(t *testing.T) {
 	if d.Components() != 10 {
 		t.Fatalf("Components after Reset = %d", d.Components())
 	}
-	if d.Connected(0, 9) {
+	if d.Find(0) == d.Find(9) {
 		t.Fatal("still connected after Reset")
 	}
 }
@@ -146,14 +142,16 @@ func TestQuickAgainstNaiveModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 100; i++ {
 			a, b := rng.Intn(n), rng.Intn(n)
-			if d.Connected(a, b) != (label[a] == label[b]) {
+			if (d.Find(a) == d.Find(b)) != (label[a] == label[b]) {
 				return false
 			}
 		}
-		// Sum of component sizes over representatives must equal n.
+		// Sum of component sizes over roots must equal n.
 		total := 0
-		for _, r := range d.Representatives() {
-			total += d.ComponentSize(r)
+		for v := 0; v < n; v++ {
+			if d.Find(v) == v {
+				total += d.size[v]
+			}
 		}
 		return total == n
 	}

@@ -37,16 +37,13 @@ import (
 	"dynspread/internal/tracing"
 )
 
-// Trace-context propagation headers (W3C Trace Context). Every hop of the
-// serving tier speaks them: service handlers extract HeaderTraceparent from
+// Trace-context propagation header (W3C Trace Context). Every hop of the
+// serving tier speaks it: service handlers extract HeaderTraceparent from
 // incoming requests so a job joins its submitter's trace, and service.Client
 // injects it on outgoing requests so coordinator→worker dispatch and the
-// worker's job land in ONE trace. HeaderTracestate is propagated opaquely
-// when present (this codebase sets no state of its own).
-const (
-	HeaderTraceparent = "traceparent"
-	HeaderTracestate  = "tracestate"
-)
+// worker's job land in ONE trace. The companion tracestate header is
+// neither read nor forwarded: this codebase keeps no vendor state.
+const HeaderTraceparent = "traceparent"
 
 // Trace is the body of GET /v1/traces/{id}: every finished span of one
 // trace that the daemon (and, on a coordinator, its workers) still retains,
