@@ -57,9 +57,13 @@ func facadeRun(t *testing.T, cfg dynspread.Config) func(rounds int) {
 // ±1 object into the differential — visible as spurious ±0.01 readings,
 // sometimes negative. A real hot-path allocation reproduces on every
 // attempt (even an amortized one, like a growing map, is consistently
-// non-zero), so only a persistent non-zero reading fails.
+// non-zero), so only a persistent non-zero reading fails. Under -race the
+// race runtime adds stray mallocs of its own, so the gate skips there.
 func gate(t *testing.T, mode string, run func(rounds int), r1, r2 int) {
 	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race (see raceEnabled)")
+	}
 	var got float64
 	for attempt := 0; attempt < 3; attempt++ {
 		if got = perRoundAllocs(run, r1, r2); got == 0 {
@@ -156,6 +160,19 @@ func TestAllocGateBroadcastFloodingRound(t *testing.T) {
 	}), 100, 200)
 }
 
+// TestAllocGateRandomBroadcastRound: random broadcast draws from its node's
+// NodeEnv.Rng every round, so this row covers the draw path: a node's
+// generator is seeded at its first draw, and after that a draw allocates
+// nothing. The trial completes at round 420.
+func TestAllocGateRandomBroadcastRound(t *testing.T) {
+	gate(t, "random broadcast", facadeRun(t, dynspread.Config{
+		N: 8, K: 64, Sources: 8,
+		Algorithm: dynspread.AlgRandomBroadcast,
+		Adversary: dynspread.AdvStatic,
+		Seed:      7,
+	}), 100, 200)
+}
+
 // TestAllocGateDynamicUnicast: dynamic adversaries serve every round from
 // two graphs they own, rewritten in place, and the engine diffs into
 // workspace buffers and checks connectivity with the graph's own
@@ -215,10 +232,16 @@ func TestAllocGateDynamicBroadcastChurn(t *testing.T) {
 // ratio to 1.80–1.85 — past the bound on every attempt — while the engine
 // ratio moves to 0.07–0.10 (kernels are about half the round, and the
 // engine bound deliberately carries headroom for the non-kernel half).
-// Timed inside one run (2026-10, 2-vCPU host), 20 isolated runs of the
-// engine gate (N=64 K=2048 Topkis static, rounds 201–400) read 0.030–0.069.
-// A per-round busy wait that about doubles the round still passes in most
-// runs; one that about quadruples it fails every attempt.
+// Timed inside one run (2026-10, 2-vCPU host), the engine gate (N=64
+// K=2048 Topkis static, rounds 201–400) read 0.033–0.054 (median 0.042) as
+// the best of three attempts over 70 isolated runs. With a busy wait that
+// doubles every round, 70 isolated runs read 0.066–0.110 (median 0.083),
+// so only a bound near 0.065 fails every doubled round. But beside parallel
+// package tests, as under `go test ./...`, unchanged code read up to 0.098
+// (1 of 16 runs; 0.065–0.078 in 7 more): a bound of 0.065 or 0.08 fails
+// such runs, and one that passes them catches a doubled round rarely. The
+// bound therefore stays at 0.12 until the window is measured so that load
+// from other processes does not reach it.
 const (
 	nsPerRoundMaxRatio  = 0.12
 	kernelBatchMaxRatio = 1.6

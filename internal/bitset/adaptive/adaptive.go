@@ -19,7 +19,7 @@
 //     simulator's graph rows at experiment scale land here.
 //   - Larger universes start sparse and promote once the element count
 //     exceeds sparsePerWord × ⌈n/64⌉ (~6% occupancy), where the word-batched
-//     dense kernels overtake O(count) list walks.
+//     dense union count overtakes the O(count) list walk.
 //
 // Promotion retains the sparse backing list and demotion (Reset) retains the
 // dense words, so a workspace-reused set switches representations without
@@ -27,15 +27,22 @@
 // allocation gates depend on.
 package adaptive
 
-import "dynspread/internal/bitset"
+import (
+	"math/bits"
+
+	"dynspread/internal/bitset"
+)
 
 const (
 	// startDenseWords: universes of at most this many dense words skip the
 	// sparse representation entirely.
 	startDenseWords = 8
 	// sparsePerWord: promotion threshold in elements per dense word. At 4
-	// elements/word (6.25% occupancy) the dense kernels beat the
-	// sorted-list walk on every kernel in BenchmarkKernels.
+	// elements/word (6.25% occupancy) the dense union count beats the
+	// sorted-list walk in BenchmarkKernels, and at 99% the list is about
+	// 100× slower. Scan is the exception: the list visits members only, so
+	// it beats the word scan at every occupancy (about 2× at 99%); the
+	// threshold follows the union count, which the hot path runs more.
 	sparsePerWord = 4
 )
 
@@ -297,12 +304,20 @@ func (s *Set) FirstNotIn(o *bitset.Set) int {
 }
 
 // ForEach calls fn for every member in increasing order without allocating.
+// It walks the dense words itself, to stay within the compiler's inlining
+// budget (cost 80 of 80 with go1.24): inlined, a caller's function literal
+// inlines into the loop too, where a call through fn per member would cost
+// about 1.5 ns each. ForEachFrom and ScanFrom do not fit and pay that call.
 func (s *Set) ForEach(fn func(int)) {
 	if s.dense {
-		s.dn.ForEach(fn)
-		return
+		for i, w := range s.dw {
+			for ; w != 0; w &= w - 1 {
+				fn(i*64 + bits.TrailingZeros64(w))
+			}
+		}
+	} else {
+		s.sp.ForEach(fn)
 	}
-	s.sp.ForEach(fn)
 }
 
 // ForEachFrom calls fn for every member >= from in increasing order.

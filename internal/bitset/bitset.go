@@ -6,8 +6,8 @@
 //
 //   - Set is the dense, fixed-capacity bitset: ⌈n/64⌉ words, O(1) membership,
 //     and word-at-a-time kernels that read two sets without writing either
-//     (UnionCount, FirstNotIn, ForEachNotInFrom); ForEach scans set bits
-//     without allocating.
+//     (UnionCount, FirstNotIn, ForEachNotInFrom); ForEachFrom scans set
+//     bits without allocating.
 //   - Sparse is a sorted small-list of element indices for near-empty sets:
 //     O(count) iteration independent of the universe size, at the price of
 //     O(log count) membership and O(count) insertion.
@@ -195,17 +195,6 @@ func (s *Set) Elements() []int {
 		}
 	}
 	return out
-}
-
-// ForEach calls fn for every member in increasing order without allocating —
-// the scan kernel that replaces Elements() at hot call sites.
-func (s *Set) ForEach(fn func(int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			fn(wi*wordBits + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }
 
 // ForEachFrom calls fn for every member >= from in increasing order without

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"dynspread/internal/bitset/adaptive"
@@ -208,7 +207,8 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 	st := &engineState{n: n, k: k, know: cfg.ws.knowFor(n, k)}
 	st.view = View{N: n, K: k, know: st.know}
 	mode.bind(st)
-	rootRng := rand.New(rand.NewSource(cfg.seed))
+	rngs := cfg.ws.nodeRngsFor(n, cfg.seed)
+	infoOf := cfg.assign.Info
 	for v := 0; v < n; v++ {
 		//dynspread:allow hotpath -- cold: one-time per-node setup before the round loop
 		initial := append([]token.ID(nil), cfg.assign.TokensOf(v)...)
@@ -232,8 +232,8 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			NumSources: cfg.assign.NumSources(),
 			Initial:    initial,
 			Know:       Knowledge{st.know[v]},
-			InfoOf:     cfg.assign.Info,
-			Rng:        rand.New(rand.NewSource(rootRng.Int63())),
+			InfoOf:     infoOf,
+			Rng:        &rngs[v].rng,
 		}); err != nil {
 			return nil, err
 		}

@@ -115,7 +115,10 @@ type NodeEnv struct {
 	// InfoOf returns the ⟨source, index⟩ labeling of a token. Protocols use
 	// it only to label tokens they hold (sources labeling their own tokens).
 	InfoOf func(token.ID) token.Info
-	// Rng is this node's private randomness stream.
+	// Rng is this node's private randomness stream, derived from the
+	// execution's Seed and seeded at the node's first draw, so a node that
+	// never draws costs no generator. Valid for this execution only; the
+	// Workspace reseeds it.
 	Rng *rand.Rand
 }
 

@@ -6,10 +6,12 @@ import (
 )
 
 // Workspace holds reusable per-execution buffers — knowledge bitsets,
-// protocol slices, delivery buffers, counting-sort buckets, and the round's
-// topology diff. A Workspace is NOT safe for concurrent use: give each
-// worker goroutine its own (the sweep layer does this) and reuse it across
-// that worker's sequential trials to cut per-trial allocations. A nil
+// protocol slices, delivery buffers, counting-sort buckets, the round's
+// topology diff, and the node generators behind NodeEnv.Rng (reseeded,
+// not reallocated, when a later execution's node first draws). A
+// Workspace is NOT safe for concurrent use: give each worker goroutine its
+// own (the sweep layer does this) and reuse it across that worker's
+// sequential trials to cut per-trial allocations. A nil
 // *Workspace is valid everywhere one is accepted and means "allocate
 // privately".
 //
@@ -34,6 +36,8 @@ type Workspace struct {
 	sendStamps []int
 	choices    []int // token.ID values; int keeps the import surface small
 	diff       graph.Diff
+	rngs       []nodeRng
+	seeds      nodeSeeds
 }
 
 // NewWorkspace returns an empty workspace.
@@ -173,4 +177,30 @@ func (w *Workspace) choicesFor(n int) []int {
 	}
 	w.choices = w.choices[:n]
 	return w.choices
+}
+
+// nodeRngsFor returns n node generators for an execution with root seed
+// seed (see nodeSeeds), each with a clean read state and nothing seeded. A
+// generator a node seeded in an earlier execution stays with its slot, so
+// a worker allocates each node's generator once and later only reseeds the
+// ones that draw.
+func (w *Workspace) nodeRngsFor(n int, seed int64) []nodeRng {
+	var seeds *nodeSeeds
+	var rngs []nodeRng
+	if w == nil {
+		seeds, rngs = new(nodeSeeds), make([]nodeRng, n)
+	} else {
+		if cap(w.rngs) < n {
+			grown := make([]nodeRng, n)
+			copy(grown, w.rngs[:cap(w.rngs)])
+			w.rngs = grown
+		}
+		w.rngs = w.rngs[:n]
+		seeds, rngs = &w.seeds, w.rngs
+	}
+	seeds.reset(seed, n)
+	for v := range rngs {
+		rngs[v].reset(seeds, v)
+	}
+	return rngs
 }
