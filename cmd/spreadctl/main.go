@@ -168,7 +168,7 @@ func cmdSubmit(ctx context.Context, args []string) error {
 	server := fs.String("server", "", "spreadd base URL")
 	grid := fs.String("grid", "", "GridSpec JSON file (- for stdin)")
 	async := fs.Bool("async", false, "force queued (202) execution")
-	watch := fs.Bool("watch", false, "poll a queued job until it finishes and print its results")
+	watch := fs.Bool("watch", false, "follow a queued job until it finishes and print its results, as spreadctl watch does")
 	out := fs.String("out", "", "write results JSON here instead of stdout")
 	record := fs.Bool("record", false, "attach a flight recorder: every trial's result carries a per-round dynamics series (inspect with `spreadctl inspect`); recorded jobs bypass the server's result cache")
 	recordStride := fs.Int("record-stride", 0, "record every Nth round (0 = every round; implies -record)")
@@ -200,37 +200,7 @@ func cmdSubmit(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "follow with: spreadctl job -server %s -id %s\n", *server, st.ID)
 		return nil
 	}
-	final, err := watchJob(ctx, c, st.ID)
-	if err != nil {
-		return err
-	}
-	summarize(final.Results)
-	return writeResults(*out, final.Results)
-}
-
-// watchJob polls a job to a terminal state, drawing progress on stderr.
-func watchJob(ctx context.Context, c *service.Client, id string) (service.JobStatus, error) {
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		fmt.Fprintf(os.Stderr, "\rjob %s %-8s %d/%d", st.ID, st.State, st.Completed, st.Total)
-		switch st.State {
-		case service.JobDone:
-			fmt.Fprintln(os.Stderr)
-			return st, nil
-		case service.JobFailed, service.JobCanceled:
-			fmt.Fprintln(os.Stderr)
-			return st, fmt.Errorf("job %s %s: %s", st.ID, st.State, st.Error)
-		}
-		select {
-		case <-ctx.Done():
-			fmt.Fprintln(os.Stderr)
-			return st, ctx.Err()
-		case <-time.After(250 * time.Millisecond):
-		}
-	}
+	return followAndWrite(ctx, c, st.ID, *out)
 }
 
 func cmdJobs(ctx context.Context, args []string) error {

@@ -42,20 +42,27 @@ func cmdWatch(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	st, err := followJob(ctx, c, *id, func(state string, completed, total int) {
-		fmt.Fprintf(os.Stderr, "\rjob %s %-8s %d/%d", *id, state, completed, total)
+	return followAndWrite(ctx, c, *id, *out)
+}
+
+// followAndWrite follows job id with followJob, drawing progress on
+// stderr, and writes the results of a done job to out ("" = stdout). It is
+// both watch and submit -watch.
+func followAndWrite(ctx context.Context, c *service.Client, id, out string) error {
+	st, err := followJob(ctx, c, id, func(state string, completed, total int) {
+		fmt.Fprintf(os.Stderr, "\rjob %s %-8s %d/%d", id, state, completed, total)
 	}, func(note string) {
-		fmt.Fprintf(os.Stderr, "\rjob %s: %s\n", *id, note)
+		fmt.Fprintf(os.Stderr, "\rjob %s: %s\n", id, note)
 	})
 	fmt.Fprintln(os.Stderr)
 	if err != nil {
 		return err
 	}
 	if st.State != service.JobDone {
-		return fmt.Errorf("job %s %s: %s", *id, st.State, st.Error)
+		return fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
 	}
 	summarize(st.Results)
-	return writeResults(*out, st.Results)
+	return writeResults(out, st.Results)
 }
 
 // followBackoff is followJob's reconnect schedule: attempt i sleeps

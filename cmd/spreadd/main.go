@@ -44,6 +44,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -60,97 +61,46 @@ import (
 	"dynspread/internal/tracing"
 )
 
+// options are the daemon's command-line flags.
+type options struct {
+	addr, peers, storeDir, traceLog, logFormat, logLevel string
+	parallelism, queueDepth, jobWorkers, cacheSize       int
+	syncLimit, shardSize, traceRing                      int
+	drainTimeout                                         time.Duration
+	pprof                                                bool
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		parallelism  = flag.Int("parallelism", 0, "sweep workers per job (0 = GOMAXPROCS)")
-		queueDepth   = flag.Int("queue", 64, "max queued jobs before submissions get 503")
-		jobWorkers   = flag.Int("job-workers", 2, "jobs executed concurrently")
-		cacheSize    = flag.Int("cache", 4096, "in-memory run-cache capacity in results (unused with -store)")
-		syncLimit    = flag.Int("sync-limit", 16, "largest job answered synchronously")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		peers        = flag.String("peers", "", "comma-separated spreadd worker base URLs; when set, this daemon coordinates: POST /v1/runs jobs are sharded across the peers")
-		storeDir     = flag.String("store", "", "persistent store directory: the run cache in place of the in-memory one (stored trials are served from disk, new results appended), and where captured debug profiles land")
-		shardSize    = flag.Int("shard-size", 0, "trials per shard in coordinator mode (0 = default)")
-		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; see docs for the profiling recipe)")
-		traceRing    = flag.Int("trace-ring", 4096, "finished spans kept in memory for GET /v1/traces (0 disables tracing)")
-		traceLog     = flag.String("trace-log", "", "append every finished span as a JSON line to this file")
-		logFormat    = flag.String("log-format", "text", "structured log format: text or json")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	)
+	var o options
+	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "sweep workers per job (0 = GOMAXPROCS)")
+	flag.IntVar(&o.queueDepth, "queue", 64, "max queued jobs before submissions get 503")
+	flag.IntVar(&o.jobWorkers, "job-workers", 2, "jobs executed concurrently")
+	flag.IntVar(&o.cacheSize, "cache", 4096, "in-memory run-cache capacity in results (unused with -store)")
+	flag.IntVar(&o.syncLimit, "sync-limit", 16, "largest job answered synchronously")
+	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
+	flag.StringVar(&o.peers, "peers", "", "comma-separated spreadd worker base URLs; when set, this daemon coordinates: POST /v1/runs jobs are sharded across the peers")
+	flag.StringVar(&o.storeDir, "store", "", "persistent store directory: the run cache in place of the in-memory one (stored trials are served from disk, new results appended), and where captured debug profiles land")
+	flag.IntVar(&o.shardSize, "shard-size", 0, "trials per shard in coordinator mode (0 = default)")
+	flag.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default; see docs for the profiling recipe)")
+	flag.IntVar(&o.traceRing, "trace-ring", 4096, "finished spans kept in memory for GET /v1/traces (0 disables tracing)")
+	flag.StringVar(&o.traceLog, "trace-log", "", "append every finished span as a JSON line to this file")
+	flag.StringVar(&o.logFormat, "log-format", "text", "structured log format: text or json")
+	flag.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn, error")
 	flag.Parse()
 
-	logger, err := buildLogger(*logFormat, *logLevel)
+	logger, err := buildLogger(o.logFormat, o.logLevel)
 	if err != nil {
 		log.Fatalf("spreadd: %v", err)
 	}
-
-	// One registry merges every layer's metrics — service, sweep pool or
-	// cluster coordinator, result store, tracer — onto GET /v1/metrics.
-	reg := obs.NewRegistry()
-
-	// One tracer per process: service, sweep pool, and cluster layers all
-	// record into the same ring, which is what GET /v1/traces serves.
-	var tracer *tracing.Tracer
-	if *traceRing > 0 {
-		tcfg := tracing.Config{Service: "spreadd@" + *addr, RingSize: *traceRing, Registry: reg}
-		if *traceLog != "" {
-			f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				log.Fatalf("spreadd: open -trace-log: %v", err)
-			}
-			defer f.Close()
-			tcfg.Output = f
-		}
-		tracer = tracing.New(tcfg)
+	d, err := assemble(o, logger)
+	if err != nil {
+		log.Fatalf("spreadd: %v", err)
 	}
+	defer d.close()
 
-	cfg := service.Config{
-		Parallelism:    *parallelism,
-		QueueDepth:     *queueDepth,
-		JobWorkers:     *jobWorkers,
-		CacheSize:      *cacheSize,
-		SyncTrialLimit: *syncLimit,
-		Registry:       reg,
-		Tracer:         tracer,
-		Logger:         logger,
-	}
-
-	// One store serves two planes in every mode: it is the run cache, so the
-	// service looks each trial up once before any runner (local pool or
-	// coordinator) sees it, and it holds the debug-profile blobs that POST
-	// /v1/debug/profile captures.
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			log.Fatalf("spreadd: %v", err)
-		}
-		defer st.Close()
-		st.Register(reg)
-		cfg.Store = st
-	}
-
-	mode := "worker"
-	if *peers != "" {
-		workers := service.SplitBaseURLs(*peers)
-		ccfg := cluster.Config{Workers: workers, ShardSize: *shardSize, Metrics: reg, Tracer: tracer, Logger: logger}
-		coord, err := cluster.New(ccfg)
-		if err != nil {
-			log.Fatalf("spreadd: %v", err)
-		}
-		cfg.Runner = coord.RunSpecs
-		// The coordinator's trace endpoint assembles the distributed trace:
-		// local spans plus every worker's, fetched on demand.
-		cfg.TraceFetch = coord.FetchSpans
-		mode = fmt.Sprintf("coordinator over %d workers %v", len(workers), workers)
-	}
-	if *storeDir != "" {
-		mode += " (store " + *storeDir + ")"
-	}
-
-	svc := service.New(cfg)
-	handler := svc.Handler()
-	if *pprofOn {
+	handler := d.svc.Handler()
+	if o.pprof {
 		// Explicit pprof routes on a wrapping mux rather than the
 		// DefaultServeMux side effect of importing net/http/pprof — nothing
 		// is exposed unless the flag asked for it.
@@ -165,7 +115,7 @@ func main() {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -175,9 +125,9 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "mode", mode,
-		"queue", *queueDepth, "job_workers", *jobWorkers, "cache", *cacheSize,
-		"tracing", tracer != nil)
+	logger.Info("serving", "addr", o.addr, "mode", d.mode,
+		"queue", o.queueDepth, "job_workers", o.jobWorkers, "cache", o.cacheSize,
+		"tracing", o.traceRing > 0)
 
 	select {
 	case err := <-errc:
@@ -185,14 +135,14 @@ func main() {
 	case <-ctx.Done():
 	}
 	stop()
-	logger.Info("shutting down", "drain_timeout", drainTimeout.String())
+	logger.Info("shutting down", "drain_timeout", o.drainTimeout.String())
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		logger.Warn("http shutdown", "error", err.Error())
 	}
-	if err := svc.Shutdown(drainCtx); err != nil {
+	if err := d.svc.Shutdown(drainCtx); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			logger.Warn("drain timed out, in-flight jobs cancelled")
 		} else {
@@ -200,6 +150,95 @@ func main() {
 		}
 	}
 	fmt.Println("spreadd: bye")
+}
+
+// daemon is an assembled spreadd: its service, the registry every layer
+// reports its metrics to, and what the service holds open.
+type daemon struct {
+	svc     *service.Server
+	reg     *obs.Registry
+	mode    string
+	closers []io.Closer
+}
+
+// assemble builds the daemon o describes. One registry merges every layer's
+// metrics — service, sweep pool or cluster coordinator, result store,
+// tracer — onto GET /v1/metrics, and one tracer records every layer's spans
+// into the ring GET /v1/traces serves. The caller shuts d.svc down before
+// it calls d.close.
+func assemble(o options, logger *slog.Logger) (_ *daemon, err error) {
+	d := &daemon{reg: obs.NewRegistry(), mode: "worker"}
+	defer func() {
+		if err != nil {
+			d.close()
+		}
+	}()
+
+	var tracer *tracing.Tracer
+	if o.traceRing > 0 {
+		tcfg := tracing.Config{Service: "spreadd@" + o.addr, RingSize: o.traceRing, Registry: d.reg}
+		if o.traceLog != "" {
+			f, err := os.OpenFile(o.traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return nil, fmt.Errorf("open -trace-log: %w", err)
+			}
+			d.closers = append(d.closers, f)
+			tcfg.Output = f
+		}
+		tracer = tracing.New(tcfg)
+	}
+
+	cfg := service.Config{
+		Parallelism:    o.parallelism,
+		QueueDepth:     o.queueDepth,
+		JobWorkers:     o.jobWorkers,
+		CacheSize:      o.cacheSize,
+		SyncTrialLimit: o.syncLimit,
+		Registry:       d.reg,
+		Tracer:         tracer,
+		Logger:         logger,
+	}
+
+	// One store serves two planes in every mode: it is the run cache, so the
+	// service looks each trial up once before any runner (local pool or
+	// coordinator) sees it, and it holds the debug-profile blobs that POST
+	// /v1/debug/profile captures.
+	if o.storeDir != "" {
+		st, err := store.Open(o.storeDir)
+		if err != nil {
+			return nil, err
+		}
+		d.closers = append(d.closers, st)
+		st.Register(d.reg)
+		cfg.Store = st
+	}
+
+	if o.peers != "" {
+		workers := service.SplitBaseURLs(o.peers)
+		ccfg := cluster.Config{Workers: workers, ShardSize: o.shardSize, Metrics: d.reg, Tracer: tracer, Logger: logger}
+		coord, err := cluster.New(ccfg)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Runner = coord.RunSpecs
+		// The coordinator's trace endpoint assembles the distributed trace:
+		// local spans plus every worker's, fetched on demand.
+		cfg.TraceFetch = coord.FetchSpans
+		d.mode = fmt.Sprintf("coordinator over %d workers %v", len(workers), workers)
+	}
+	if o.storeDir != "" {
+		d.mode += " (store " + o.storeDir + ")"
+	}
+
+	d.svc = service.New(cfg)
+	return d, nil
+}
+
+// close releases what the daemon holds open, newest first.
+func (d *daemon) close() {
+	for i := len(d.closers) - 1; i >= 0; i-- {
+		d.closers[i].Close()
+	}
 }
 
 // buildLogger constructs the daemon's structured logger: text (the default,

@@ -5,8 +5,8 @@
 //	go build -o bin/spreadvet ./cmd/spreadvet
 //	go vet -vettool=$PWD/bin/spreadvet ./...
 //
-// Run `spreadvet -help` for the list of analyzers; each can be disabled
-// with -<name>=false.
+// Run `spreadvet -help` for the list of analyzers; every one of them runs
+// on every package go vet names.
 package main
 
 import (
@@ -19,10 +19,6 @@ import (
 )
 
 func main() {
-	// Full analysis only for this module's packages: the go command also
-	// runs the tool over every dependency (standard library included) to
-	// collect facts, and those runs must stay O(1).
-	analysis.OnlyModule = "dynspread"
 	analysis.Main(
 		hotpath.Analyzer,
 		registryname.Analyzer,

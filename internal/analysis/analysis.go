@@ -1,9 +1,13 @@
 // Package analysis is a dependency-free (stdlib-only) static-analysis
 // framework in the spirit of golang.org/x/tools/go/analysis, sized to what
 // this repository needs: it defines the Analyzer/Pass/Diagnostic vocabulary,
-// typechecks one package at a time, carries cross-package "facts" between
-// runs, and speaks the `go vet -vettool` unit-checker protocol so a
-// multichecker binary (cmd/spreadvet) plugs straight into `go vet` and CI.
+// typechecks one package at a time, and speaks the `go vet -vettool`
+// unit-checker protocol so a multichecker binary (cmd/spreadvet) plugs
+// straight into `go vet` and CI. Every analyzer sees one package alone. A
+// name registered or created in two packages is caught where it already
+// fails: the registries panic at init in any test binary that links both
+// packages, and obs.Registry panics when a second metric family takes a
+// name on the registry that cmd/spreadd's test assembles.
 //
 // The suite mechanizes the conventions PRs 4-8 established by review and
 // runtime gate alone:
@@ -14,14 +18,14 @@
 //	           complement of alloc_gate_test.go's runtime gates
 //	registry   RegisterAlgorithm/RegisterAdversary/RegisterScenario calls
 //	           sit in init functions, use literal names, and are
-//	           duplicate-free across the build (via facts)
+//	           duplicate-free within the package
 //	spanend    every tracing span started reaches End on all control-flow
 //	           paths, and //dynspread:nilsafe types keep their exported
 //	           methods nil-receiver-safe
 //	wiretag    exported wire-schema fields carry JSON tags and numeric
 //	           fields are bounds-checked by the matching Validate
 //	metricname obs metric names are literal, Prometheus-conventional, and
-//	           collision-free across the build (via facts)
+//	           collision-free within the package
 //
 // A finding the reviewer decides to accept is suppressed IN CODE, never in
 // configuration: the line (or the line above it) carries
@@ -50,10 +54,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description, shown by cmd/spreadvet -help.
 	Doc string
-	// UsesFacts marks analyzers whose findings depend on state exported by
-	// runs over dependency packages (duplicate detection across the build).
-	// Facts-using analyzers also run in fact-only mode over dependencies.
-	UsesFacts bool
 	// Run executes the check. The returned error aborts the whole unit
 	// (reserve it for internal failures, not findings — findings go through
 	// pass.Reportf).
@@ -67,16 +67,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// DepFacts maps dependency package paths to the fact blob the same
-	// analyzer exported when it ran over that dependency (transitively
-	// merged, so indirect dependencies appear too). Nil for analyzers that
-	// do not use facts.
-	DepFacts map[string][]byte
-	// ReportAll disables suppression directives (used by the
-	// suppression-path tests to see through allows).
-	ReportAll bool
 
-	facts       []byte
 	diagnostics []Diagnostic
 	allows      map[string]map[int][]allowDirective // file -> line -> directives
 }
@@ -104,7 +95,7 @@ const allowPrefix = "//dynspread:allow"
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if d, ok := p.allowAt(position); ok {
-		if d.justified && !p.ReportAll {
+		if d.justified {
 			return
 		}
 		p.diagnostics = append(p.diagnostics, Diagnostic{
@@ -131,13 +122,6 @@ func (p *Pass) Diagnostics() []Diagnostic {
 	})
 	return p.diagnostics
 }
-
-// ExportFacts records the fact blob this run hands to future runs over
-// packages that import this one. Each analyzer owns its own encoding.
-func (p *Pass) ExportFacts(b []byte) { p.facts = b }
-
-// Facts returns the blob recorded by ExportFacts (nil if none).
-func (p *Pass) Facts() []byte { return p.facts }
 
 func (p *Pass) allowAt(pos token.Position) (allowDirective, bool) {
 	if p.allows == nil {

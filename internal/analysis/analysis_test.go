@@ -63,24 +63,18 @@ func a() {
 }
 `
 
-func suppressionPass(t *testing.T, reportAll bool) (*Pass, *token.File) {
-	t.Helper()
+func TestReportfSuppression(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "p.go", suppressionSrc, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pass := &Pass{
-		Analyzer:  &Analyzer{Name: "demo"},
-		Fset:      fset,
-		Files:     []*ast.File{f},
-		ReportAll: reportAll,
+		Analyzer: &Analyzer{Name: "demo"},
+		Fset:     fset,
+		Files:    []*ast.File{f},
 	}
-	return pass, fset.File(f.Pos())
-}
-
-func TestReportfSuppression(t *testing.T) {
-	pass, file := suppressionPass(t, false)
+	file := fset.File(f.Pos())
 	for _, line := range []int{5, 6, 8, 10} {
 		pass.Reportf(file.LineStart(line), "finding on line %d", line)
 	}
@@ -99,14 +93,6 @@ func TestReportfSuppression(t *testing.T) {
 	// Line 10's directive is unjustified: reported with the addendum.
 	if !strings.Contains(ds[2].Message, `allow directive present but has no "-- <justification>"`) {
 		t.Errorf("line 10 message lacks the unjustified-allow addendum: %s", ds[2].Message)
-	}
-}
-
-func TestReportAllSeesThroughAllows(t *testing.T) {
-	pass, file := suppressionPass(t, true)
-	pass.Reportf(file.LineStart(5), "finding on line 5")
-	if ds := pass.Diagnostics(); len(ds) != 1 {
-		t.Fatalf("ReportAll: got %d diagnostics, want 1", len(ds))
 	}
 }
 

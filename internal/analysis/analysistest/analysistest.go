@@ -32,24 +32,14 @@ import (
 	"dynspread/internal/analysis"
 )
 
-// Run analyzes each named package under dir/testdata/src in order and
-// compares diagnostics against the `// want` comments. Facts exported by
-// earlier packages in the list are fed as dependency facts to later ones,
-// so cross-package collision detection is testable by listing the
-// colliding packages after their "dependencies".
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
+// Run analyzes the package dir/testdata/src/<pkg> and compares its
+// diagnostics against the `// want` comments.
+func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	depFacts := map[string]map[string][]byte{}
-	for _, pkg := range pkgs {
-		runPackage(t, filepath.Join(dir, "testdata", "src", pkg), pkg, a, depFacts)
-	}
-}
-
-func runPackage(t *testing.T, pkgDir, pkgPath string, a *analysis.Analyzer, depFacts map[string]map[string][]byte) {
-	t.Helper()
+	pkgDir := filepath.Join(dir, "testdata", "src", pkg)
 	entries, err := os.ReadDir(pkgDir)
 	if err != nil {
-		t.Fatalf("%s: %v", pkgPath, err)
+		t.Fatalf("%s: %v", pkg, err)
 	}
 	var filenames []string
 	for _, e := range entries {
@@ -59,22 +49,22 @@ func runPackage(t *testing.T, pkgDir, pkgPath string, a *analysis.Analyzer, depF
 	}
 	sort.Strings(filenames)
 	if len(filenames) == 0 {
-		t.Fatalf("%s: no Go files in %s", pkgPath, pkgDir)
+		t.Fatalf("%s: no Go files in %s", pkg, pkgDir)
 	}
 
 	fset := token.NewFileSet()
 	files, err := analysis.ParseFiles(fset, filenames)
 	if err != nil {
-		t.Fatalf("%s: %v", pkgPath, err)
+		t.Fatalf("%s: %v", pkg, err)
 	}
 	imp := importer.ForCompiler(fset, "source", nil)
-	pkg, info, err := analysis.Typecheck(fset, pkgPath, files, imp, "")
+	typed, info, err := analysis.Typecheck(fset, pkg, files, imp, "")
 	if err != nil {
-		t.Fatalf("%s: typecheck: %v", pkgPath, err)
+		t.Fatalf("%s: typecheck: %v", pkg, err)
 	}
-	passes, err := analysis.RunAnalyzers(fset, files, pkg, info, []*analysis.Analyzer{a}, depFacts)
+	passes, err := analysis.RunAnalyzers(fset, files, typed, info, []*analysis.Analyzer{a})
 	if err != nil {
-		t.Fatalf("%s: %v", pkgPath, err)
+		t.Fatalf("%s: %v", pkg, err)
 	}
 	pass := passes[0]
 
@@ -91,15 +81,6 @@ func runPackage(t *testing.T, pkgDir, pkgPath string, a *analysis.Analyzer, depF
 				t.Errorf("%s:%d: expected diagnostic matching %q, got none", key.file, key.line, w.re.String())
 			}
 		}
-	}
-
-	if blob := pass.Facts(); blob != nil {
-		byPkg := depFacts[a.Name]
-		if byPkg == nil {
-			byPkg = map[string][]byte{}
-			depFacts[a.Name] = byPkg
-		}
-		byPkg[pkgPath] = blob
 	}
 }
 

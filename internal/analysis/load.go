@@ -48,9 +48,8 @@ func Typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 }
 
 // RunAnalyzers executes each analyzer over one typechecked package and
-// returns the per-analyzer passes (which carry diagnostics and facts).
-// depFacts maps analyzer name -> dependency package path -> fact blob.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, depFacts map[string]map[string][]byte) ([]*Pass, error) {
+// returns the per-analyzer passes, which carry the diagnostics.
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]*Pass, error) {
 	passes := make([]*Pass, 0, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -59,9 +58,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-		}
-		if a.UsesFacts {
-			pass.DepFacts = depFacts[a.Name]
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path(), err)

@@ -10,10 +10,11 @@
 //   - follow Prometheus conventions: lower_snake_case, a known namespace
 //     prefix (dynspread_, process_, or go_), counters ending in _total,
 //     and histograms ending in a unit suffix (_seconds or _bytes);
-//   - be unique across the build. The runtime registry panics on a
-//     duplicate; this analyzer moves that discovery from first scrape to
-//     compile time by exporting per-package name facts and checking
-//     collisions along the import graph.
+//   - be created once within the package. The runtime registry panics on
+//     a duplicate; this analyzer moves that discovery to vet time for the
+//     names one package creates. Names two packages create on one registry
+//     collide where that registry is assembled, and the test that builds
+//     it panics.
 //
 // Matching is structural: any method of the listed names on a type named
 // Registry is treated as a metric constructor, so the testdata fixtures
@@ -21,11 +22,9 @@
 package metricname
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -34,10 +33,9 @@ import (
 
 // Analyzer is the metricname analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:      "metricname",
-	Doc:       "require obs metric names to be literal, Prometheus-conventional, and collision-free across the build",
-	UsesFacts: true,
-	Run:       run,
+	Name: "metricname",
+	Doc:  "require obs metric names to be literal, Prometheus-conventional, and created once per package",
+	Run:  run,
 }
 
 // constructors maps obs Registry method names to the metric kind they
@@ -58,15 +56,9 @@ var constructors = map[string]string{
 // exports for compatibility with standard dashboards.
 var namespaces = []string{"dynspread_", "process_", "go_"}
 
-type site struct {
-	Pkg string `json:"pkg"`
-	Pos string `json:"pos"`
-}
-
-type facts map[string]site
-
 func run(pass *analysis.Pass) error {
-	local := facts{}
+	// seen maps each created name to the position of its first creation.
+	seen := map[string]string{}
 	for _, file := range pass.Files {
 		filename := pass.Fset.Position(file.Pos()).Filename
 		if strings.HasSuffix(filename, "_test.go") {
@@ -91,53 +83,15 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			checkConventions(pass, lit, name, kind)
-			pos := pass.Fset.Position(call.Pos())
-			s := site{Pkg: pass.Pkg.Path(), Pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line)}
-			if prev, dup := local[name]; dup {
-				pass.Reportf(lit.Pos(), "metric %q already created at %s (the runtime registry will panic on the duplicate)", name, prev.Pos)
+			if prev, dup := seen[name]; dup {
+				pass.Reportf(lit.Pos(), "metric %q already created at %s (the runtime registry will panic on the duplicate)", name, prev)
 			} else {
-				local[name] = s
+				pos := pass.Fset.Position(call.Pos())
+				seen[name] = fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 			}
 			return true
 		})
 	}
-
-	merged := facts{}
-	depPaths := make([]string, 0, len(pass.DepFacts))
-	for dep := range pass.DepFacts {
-		depPaths = append(depPaths, dep)
-	}
-	sort.Strings(depPaths)
-	for _, dep := range depPaths {
-		var ff facts
-		if err := json.Unmarshal(pass.DepFacts[dep], &ff); err != nil {
-			return fmt.Errorf("decoding metricname facts of %s: %w", dep, err)
-		}
-		for name, s := range ff {
-			prev, dup := merged[name]
-			if !dup {
-				merged[name] = s
-				continue
-			}
-			if prev.Pkg != s.Pkg {
-				pass.Reportf(pass.Files[0].Package, "imported packages %s and %s both create metric %q (at %s and %s)",
-					prev.Pkg, s.Pkg, name, prev.Pos, s.Pos)
-			}
-		}
-	}
-	for name, s := range local {
-		if prev, dup := merged[name]; dup && prev.Pkg != s.Pkg {
-			pass.Reportf(pass.Files[0].Package, "metric %q created in both %s (%s) and this package (%s)",
-				name, prev.Pkg, prev.Pos, s.Pos)
-		}
-		merged[name] = s
-	}
-
-	blob, err := json.Marshal(merged)
-	if err != nil {
-		return err
-	}
-	pass.ExportFacts(blob)
 	return nil
 }
 

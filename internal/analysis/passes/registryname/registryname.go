@@ -7,23 +7,21 @@
 //   - names its entry with a string literal in the composite-literal
 //     argument (or a literal first argument), so the full catalog is
 //     greppable and auditable without executing anything, and
-//   - is duplicate-free across the whole build: the analyzer exports each
-//     package's registered names as facts, and any package that (directly
-//     or transitively) imports two registrations of the same name in the
-//     same registry reports the collision — turning a panic at first use
-//     into a vet failure at compile time.
+//   - registers each name once per registry within the package.
+//
+// A name registered in two packages needs no check here: the registries
+// panic on a duplicate at init, so every test binary that links both
+// packages fails before its first test.
 //
 // Test files are exempt: tests register throwaway entries under
 // deliberately colliding or computed names.
 package registryname
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -32,10 +30,9 @@ import (
 
 // Analyzer is the registry analyzer.
 var Analyzer = &analysis.Analyzer{
-	Name:      "registry",
-	Doc:       "require Register{Algorithm,Adversary,Scenario} calls to run from init with literal, build-wide-unique names",
-	UsesFacts: true,
-	Run:       run,
+	Name: "registry",
+	Doc:  "require Register{Algorithm,Adversary,Scenario} calls to run from init with literal names, each registered once per package",
+	Run:  run,
 }
 
 // registrars maps the recognized registration entry points to the registry
@@ -48,17 +45,10 @@ var registrars = map[string]string{
 	"RegisterScenario":  "scenario",
 }
 
-// site records where one name was registered, for collision messages.
-type site struct {
-	Pkg string `json:"pkg"`
-	Pos string `json:"pos"`
-}
-
-// facts is the exported fact schema: kind -> name -> first site.
-type facts map[string]map[string]site
-
 func run(pass *analysis.Pass) error {
-	local := facts{}
+	// seen maps each registered (kind, name) to its first registration's
+	// position.
+	seen := map[[2]string]string{}
 	for _, file := range pass.Files {
 		filename := pass.Fset.Position(file.Pos()).Filename
 		if strings.HasSuffix(filename, "_test.go") {
@@ -81,77 +71,16 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(call.Pos(), "%s registration must use a string literal name (literal names make the catalog statically auditable)", kind)
 				return true
 			}
-			byName := local[kind]
-			if byName == nil {
-				byName = map[string]site{}
-				local[kind] = byName
-			}
-			pos := pass.Fset.Position(call.Pos())
-			s := site{Pkg: pass.Pkg.Path(), Pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line)}
-			if prev, dup := byName[name]; dup {
-				pass.Reportf(call.Pos(), "%s %q already registered at %s", kind, name, prev.Pos)
+			key := [2]string{kind, name}
+			if prev, dup := seen[key]; dup {
+				pass.Reportf(call.Pos(), "%s %q already registered at %s", kind, name, prev)
 			} else {
-				byName[name] = s
+				pos := pass.Fset.Position(call.Pos())
+				seen[key] = fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
 			}
 			return true
 		})
 	}
-
-	// Merge dependency facts: collisions between this package and a
-	// dependency report here with the dependency's site; collisions between
-	// two dependencies (siblings on the import graph) report at the first
-	// package that sees both.
-	merged := facts{}
-	depPaths := make([]string, 0, len(pass.DepFacts))
-	for dep := range pass.DepFacts {
-		depPaths = append(depPaths, dep)
-	}
-	sort.Strings(depPaths)
-	for _, dep := range depPaths {
-		var ff facts
-		if err := json.Unmarshal(pass.DepFacts[dep], &ff); err != nil {
-			return fmt.Errorf("decoding registry facts of %s: %w", dep, err)
-		}
-		for kind, byName := range ff {
-			dst := merged[kind]
-			if dst == nil {
-				dst = map[string]site{}
-				merged[kind] = dst
-			}
-			for name, s := range byName {
-				prev, dup := dst[name]
-				if !dup {
-					dst[name] = s
-					continue
-				}
-				if prev.Pkg != s.Pkg {
-					pass.Reportf(pass.Files[0].Package, "imported packages %s and %s both register %s %q (at %s and %s)",
-						prev.Pkg, s.Pkg, kind, name, prev.Pos, s.Pos)
-				}
-			}
-		}
-	}
-	for kind, byName := range local {
-		dst := merged[kind]
-		if dst == nil {
-			dst = map[string]site{}
-			merged[kind] = dst
-		}
-		for name, s := range byName {
-			if prev, dup := dst[name]; dup && prev.Pkg != s.Pkg {
-				// Re-report at the local registration site for precision.
-				pass.Reportf(pass.Files[0].Package, "%s %q registered in both %s (%s) and this package (%s)",
-					kind, name, prev.Pkg, prev.Pos, s.Pos)
-			}
-			dst[name] = s
-		}
-	}
-
-	blob, err := json.Marshal(merged)
-	if err != nil {
-		return err
-	}
-	pass.ExportFacts(blob)
 	return nil
 }
 

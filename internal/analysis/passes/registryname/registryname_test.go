@@ -7,14 +7,8 @@ import (
 	"dynspread/internal/analysis/passes/registryname"
 )
 
-func TestRegistry(t *testing.T) {
-	// regbeta runs after regalpha so it receives regalpha's exported facts
-	// and reports the cross-package name collision.
-	analysistest.Run(t, ".", registryname.Analyzer, "regalpha", "regbeta")
-}
-
 func TestRegistryInPackage(t *testing.T) {
-	// regbad runs alone: its findings are all local and it must not inherit
-	// the regalpha/regbeta collision noise.
+	// regbad holds every registry finding: all of them are local to one
+	// package.
 	analysistest.Run(t, ".", registryname.Analyzer, "regbad")
 }

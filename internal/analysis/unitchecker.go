@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,52 +21,31 @@ import (
 //   - `tool -V=full` prints "<arg0> version devel ... buildID=<hash>" so the
 //     go command can key its vet-result cache on the tool binary.
 //   - `tool -flags` prints a JSON description of the tool's flags so the go
-//     command knows which command-line flags it may forward.
-//   - `tool [flags] <unit>.cfg` analyzes one compilation unit described by
-//     the JSON config the go command wrote: source files, the import map,
-//     export-data files for every dependency, and vetx (fact) files from
-//     the vet runs over those dependencies.
+//     command knows which command-line flags it may forward: none.
+//   - `tool <unit>.cfg` analyzes one compilation unit described by the JSON
+//     config the go command wrote: source files, the import map, and
+//     export-data files for every dependency.
 //
 // Diagnostics go to stderr as "file:line:col: analyzer: message" and the
 // exit status is 2 when there are findings — `go vet` turns that into a
-// failed build step. Facts are written to cfg.VetxOutput as a gob-encoded
-// map[analyzer]map[package]blob, merged transitively so duplicate
-// detection sees every registration on the import path.
+// failed build step. The go command also runs the tool over every
+// dependency of a vetted package (standard library included) as a VetxOnly
+// unit, for facts this tool does not keep: such a unit only gets the empty
+// vetx file the go command may expect, so it costs nothing.
 
-// OnlyModule, when non-empty, restricts full analysis to compilation units
-// of that module: the go command runs the vet tool over every dependency of
-// a vetted package (standard library included) to produce facts, and those
-// runs must stay cheap — for foreign units the tool writes an empty fact
-// file without even parsing the source.
-var OnlyModule string
-
-// vetConfig mirrors cmd/go/internal/work.vetConfig (the JSON the go
-// command hands a vet tool).
+// vetConfig holds the fields of cmd/go/internal/work.vetConfig (the JSON
+// the go command hands a vet tool) that this tool reads.
 type vetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-
-	ModulePath    string
-	ModuleVersion string
-	ImportMap     map[string]string
-	PackageFile   map[string]string
-	Standard      map[string]bool
-	PackageVetx   map[string]string
-	VetxOnly      bool
-	VetxOutput    string
-	GoVersion     string
+	ImportPath  string
+	GoFiles     []string
+	ImportMap   map[string]string
+	PackageFile map[string]string
+	VetxOnly    bool
+	VetxOutput  string
+	GoVersion   string
 
 	SucceedOnTypecheckFailure bool
 }
-
-// factsFile is the on-disk vetx schema: analyzer name -> package path ->
-// that analyzer's fact blob for the package.
-type factsFile map[string]map[string][]byte
 
 // Main is the entry point of a multichecker binary. It never returns.
 func Main(analyzers ...*Analyzer) {
@@ -75,11 +53,6 @@ func Main(analyzers ...*Analyzer) {
 	flags := flag.NewFlagSet(progname, flag.ExitOnError)
 	printFlags := flags.Bool("flags", false, "print the tool's flags in JSON (used by the go command)")
 	version := flags.String("V", "", "print version information ('full' is the go command's cache-key probe)")
-	enabled := map[string]*bool{}
-	for _, a := range analyzers {
-		doc, _, _ := strings.Cut(a.Doc, "\n")
-		enabled[a.Name] = flags.Bool(a.Name, true, doc)
-	}
 	flags.Usage = func() {
 		fmt.Fprintf(os.Stderr, "%s is a multichecker for this repository's invariants; run it via\n\n\tgo vet -vettool=$(command -v %s) ./...\n\nAnalyzers:\n\n", progname, progname)
 		for _, a := range analyzers {
@@ -97,7 +70,7 @@ func Main(analyzers ...*Analyzer) {
 		os.Exit(0)
 	}
 	if *printFlags {
-		printFlagDescriptors(os.Stdout, enabled)
+		fmt.Println("[]")
 		os.Exit(0)
 	}
 
@@ -106,14 +79,7 @@ func Main(analyzers ...*Analyzer) {
 		fmt.Fprintf(os.Stderr, "%s: expected one <unit>.cfg argument (this tool is run by `go vet -vettool`, not directly)\n", progname)
 		os.Exit(2)
 	}
-
-	active := make([]*Analyzer, 0, len(analyzers))
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-	os.Exit(runUnit(args[0], active, os.Stderr))
+	os.Exit(runUnit(args[0], analyzers, os.Stderr))
 }
 
 // printVersion emulates the output the go command's toolID probe expects:
@@ -131,19 +97,6 @@ func printVersion() {
 	fmt.Printf("%s version devel buildID=%x\n", os.Args[0], h.Sum(nil)[:16])
 }
 
-func printFlagDescriptors(w io.Writer, enabled map[string]*bool) {
-	type flagDesc struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	descs := []flagDesc{}
-	for name := range enabled {
-		descs = append(descs, flagDesc{Name: name, Bool: true, Usage: "enable the " + name + " analyzer"})
-	}
-	json.NewEncoder(w).Encode(descs)
-}
-
 // runUnit analyzes one compilation unit and returns the process exit code.
 func runUnit(cfgPath string, analyzers []*Analyzer, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
@@ -156,70 +109,43 @@ func runUnit(cfgPath string, analyzers []*Analyzer, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "spreadvet: parsing %s: %v\n", cfgPath, err)
 		return 1
 	}
-
-	ours := OnlyModule == "" || cfg.ModulePath == OnlyModule ||
-		cfg.ImportPath == OnlyModule || strings.HasPrefix(cfg.ImportPath, OnlyModule+"/")
-	if !ours {
-		// Foreign unit (standard library or another module): nothing to
-		// analyze, but the go command may still expect a vetx file.
-		return writeFacts(cfg.VetxOutput, factsFile{}, stderr)
-	}
-
-	if cfg.VetxOnly {
-		// Fact-producing run over a dependency: only facts-using analyzers
-		// matter, and their diagnostics are not reported here (the unit is
-		// vetted for real when it is itself on the command line).
-		facts := make([]*Analyzer, 0, len(analyzers))
-		for _, a := range analyzers {
-			if a.UsesFacts {
-				facts = append(facts, a)
-			}
+	// Every unit leaves the empty vetx file the go command may expect.
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			fmt.Fprintf(stderr, "spreadvet: %v\n", err)
+			return 1
 		}
-		analyzers = facts
 	}
-
-	depFacts, err := readDepFacts(cfg.PackageVetx)
-	if err != nil {
-		fmt.Fprintf(stderr, "spreadvet: %v\n", err)
-		return 1
+	if cfg.VetxOnly {
+		return 0
 	}
 
 	fset := token.NewFileSet()
 	files, err := ParseFiles(fset, cfg.GoFiles)
+	var pkg *types.Package
+	var info *types.Info
+	if err == nil {
+		pkg, info, err = Typecheck(fset, cfg.ImportPath, files, newUnitImporter(fset, &cfg), cfg.GoVersion)
+	}
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
-			return writeFacts(cfg.VetxOutput, mergeFacts(depFacts, nil, ""), stderr)
+			return 0
 		}
 		fmt.Fprintf(stderr, "spreadvet: %v\n", err)
 		return 1
 	}
-	pkg, info, err := Typecheck(fset, cfg.ImportPath, files, newUnitImporter(fset, &cfg), cfg.GoVersion)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return writeFacts(cfg.VetxOutput, mergeFacts(depFacts, nil, ""), stderr)
-		}
-		fmt.Fprintf(stderr, "spreadvet: %v\n", err)
-		return 1
-	}
 
-	passes, err := RunAnalyzers(fset, files, pkg, info, analyzers, depFacts)
+	passes, err := RunAnalyzers(fset, files, pkg, info, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "spreadvet: %v\n", err)
 		return 1
 	}
-
-	if code := writeFacts(cfg.VetxOutput, mergeFacts(depFacts, passes, cfg.ImportPath), stderr); code != 0 {
-		return code
-	}
-
 	exit := 0
-	if !cfg.VetxOnly {
-		cwd, _ := os.Getwd()
-		for _, pass := range passes {
-			for _, d := range pass.Diagnostics() {
-				fmt.Fprintf(stderr, "%s: %s: %s\n", relPosition(d.Pos, cwd), pass.Analyzer.Name, d.Message)
-				exit = 2
-			}
+	cwd, _ := os.Getwd()
+	for _, pass := range passes {
+		for _, d := range pass.Diagnostics() {
+			fmt.Fprintf(stderr, "%s: %s: %s\n", relPosition(d.Pos, cwd), pass.Analyzer.Name, d.Message)
+			exit = 2
 		}
 	}
 	return exit
@@ -235,81 +161,6 @@ func relPosition(pos token.Position, dir string) string {
 		}
 	}
 	return pos.String()
-}
-
-func readDepFacts(vetx map[string]string) (map[string]map[string][]byte, error) {
-	merged := map[string]map[string][]byte{}
-	for dep, file := range vetx {
-		f, err := os.Open(file)
-		if err != nil {
-			// A dependency whose vet run predates the facts schema (or was
-			// produced by a different tool) contributes nothing.
-			continue
-		}
-		var ff factsFile
-		err = gob.NewDecoder(f).Decode(&ff)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("reading facts of %s from %s: %w", dep, file, err)
-		}
-		for analyzer, byPkg := range ff {
-			dst := merged[analyzer]
-			if dst == nil {
-				dst = map[string][]byte{}
-				merged[analyzer] = dst
-			}
-			for pkgPath, blob := range byPkg {
-				if _, ok := dst[pkgPath]; !ok {
-					dst[pkgPath] = blob
-				}
-			}
-		}
-	}
-	return merged, nil
-}
-
-// mergeFacts unions the dependency facts with the facts the given passes
-// exported for this unit, producing the transitive vetx to write.
-func mergeFacts(depFacts map[string]map[string][]byte, passes []*Pass, importPath string) factsFile {
-	out := factsFile{}
-	for analyzer, byPkg := range depFacts {
-		dst := map[string][]byte{}
-		for pkgPath, blob := range byPkg {
-			dst[pkgPath] = blob
-		}
-		out[analyzer] = dst
-	}
-	for _, pass := range passes {
-		if blob := pass.Facts(); blob != nil {
-			dst := out[pass.Analyzer.Name]
-			if dst == nil {
-				dst = map[string][]byte{}
-				out[pass.Analyzer.Name] = dst
-			}
-			dst[importPath] = blob
-		}
-	}
-	return out
-}
-
-func writeFacts(path string, ff factsFile, stderr io.Writer) int {
-	if path == "" {
-		return 0
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "spreadvet: %v\n", err)
-		return 1
-	}
-	err = gob.NewEncoder(f).Encode(ff)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "spreadvet: writing facts: %v\n", err)
-		return 1
-	}
-	return 0
 }
 
 // newUnitImporter builds a types.Importer that resolves imports through the

@@ -11,7 +11,9 @@
 // worker that dies mid-sweep has its outstanding shards re-dispatched to
 // the survivors; a worker that keeps failing is marked dead and stops
 // receiving work. Permanent errors (HTTP 4xx — the request itself is bad)
-// fail the run immediately, matching sweep.Run's first-error-wins contract.
+// fail the run immediately, matching sweep.Run's first-error-wins contract;
+// a 404 while polling an accepted shard means the worker restarted and lost
+// it, so that shard is retried like any transient failure.
 //
 // An optional persistent result store (internal/store) short-circuits
 // every trial whose content address is already on disk and logs every newly
@@ -461,6 +463,14 @@ func (c *Coordinator) runShard(ctx context.Context, w int, sh wire.ShardRequest,
 	}
 	if st.State != service.JobDone {
 		st, err = client.WaitJob(ctx, st.ID, c.cfg.Poll)
+		var he *service.HTTPError
+		if errors.As(err, &he) && he.StatusCode == http.StatusNotFound {
+			// The worker no longer knows the job it accepted: it restarted
+			// and lost the shard. A re-dispatch can still run it, so the
+			// cause is wrapped with %v to keep it from reading as a
+			// permanent 4xx.
+			return fmt.Errorf("cluster: worker %s lost shard %d: %v", c.cfg.Workers[w], sh.Shard, err)
+		}
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -252,6 +253,57 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 	}
 	if alive, total := coord.Workers(); alive != 1 || total != 2 {
 		t.Fatalf("workers alive=%d total=%d", alive, total)
+	}
+}
+
+// TestClusterWorkerRestartLosesShard: a worker that restarts right after
+// accepting a shard answers the coordinator's poll with 404 "unknown job".
+// The shard is lost, not bad: it is re-dispatched to the restarted worker
+// and the run still returns the local sweep's results.
+func TestClusterWorkerRestartLosesShard(t *testing.T) {
+	specs := testSpecs(t)
+	before := service.New(service.Config{JobWorkers: 2})
+	after := service.New(service.Config{JobWorkers: 2})
+	var (
+		mu        sync.Mutex
+		current   = before.Handler()
+		restarted bool
+	)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		h := current
+		if !restarted && r.Method == http.MethodPost && r.URL.Path == "/v1/runs" {
+			// The old server accepts this shard; every later request,
+			// the poll for it included, reaches the fresh one.
+			restarted = true
+			current = after.Handler()
+		}
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		before.Shutdown(context.Background())
+		after.Shutdown(context.Background())
+	})
+
+	coord, err := New(Config{Workers: []string{hs.URL}, ShardSize: 4, Poll: 5 * time.Millisecond, Backoff: testBackoff()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := coord.Run(context.Background(), specs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := wire.RunSpecs(context.Background(), specs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist, local) {
+		t.Fatal("results after a worker restart diverge from the local sweep")
+	}
+	if st := coord.Stats(); st.Retries != 1 || st.DeadWorkers != 0 {
+		t.Fatalf("want the lost shard retried once on a live worker: %+v", st)
 	}
 }
 
