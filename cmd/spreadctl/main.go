@@ -4,10 +4,10 @@
 //
 //	spreadctl submit -server http://localhost:8080 -grid grid.json -watch
 //	spreadctl jobs   -server http://localhost:8080
-//	spreadctl job    -server http://localhost:8080 -id j000003
-//	spreadctl watch  -server http://localhost:8080 j000003
+//	spreadctl job    -server http://localhost:8080 -id j482913057000003
+//	spreadctl watch  -server http://localhost:8080 j482913057000003
 //	spreadctl top    -server http://localhost:8080
-//	spreadctl trace  -server http://localhost:8080 j000003
+//	spreadctl trace  -server http://localhost:8080 j482913057000003
 //	spreadctl sweep  -workers localhost:8081,localhost:8082 \
 //	                 -store ./results -grid grid.json -out results.json
 //	spreadctl catalog -server http://localhost:8080

@@ -54,10 +54,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description, shown by cmd/spreadvet -help.
 	Doc string
-	// Run executes the check. The returned error aborts the whole unit
-	// (reserve it for internal failures, not findings — findings go through
-	// pass.Reportf).
-	Run func(pass *Pass) error
+	// Run executes the check and reports findings through pass.Reportf.
+	Run func(pass *Pass)
 }
 
 // A Pass carries one analyzer's view of one package.

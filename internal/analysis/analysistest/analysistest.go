@@ -62,11 +62,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	if err != nil {
 		t.Fatalf("%s: typecheck: %v", pkg, err)
 	}
-	passes, err := analysis.RunAnalyzers(fset, files, typed, info, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("%s: %v", pkg, err)
-	}
-	pass := passes[0]
+	pass := analysis.RunAnalyzers(fset, files, typed, info, []*analysis.Analyzer{a})[0]
 
 	wants := collectWants(t, fset, files)
 	for _, d := range pass.Diagnostics() {

@@ -49,7 +49,7 @@ func Typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 
 // RunAnalyzers executes each analyzer over one typechecked package and
 // returns the per-analyzer passes, which carry the diagnostics.
-func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]*Pass, error) {
+func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []*Pass {
 	passes := make([]*Pass, 0, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -59,10 +59,8 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Pkg:       pkg,
 			TypesInfo: info,
 		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path(), err)
-		}
+		a.Run(pass)
 		passes = append(passes, pass)
 	}
-	return passes, nil
+	return passes
 }

@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 // bannedPkgs are packages whose every call allocates or reflects.
 var bannedPkgs = map[string]bool{"fmt": true, "reflect": true}
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -57,7 +57,6 @@ func run(pass *analysis.Pass) error {
 			checkFunc(pass, fn)
 		}
 	}
-	return nil
 }
 
 func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {

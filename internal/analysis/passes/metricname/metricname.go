@@ -56,7 +56,7 @@ var constructors = map[string]string{
 // exports for compatibility with standard dashboards.
 var namespaces = []string{"dynspread_", "process_", "go_"}
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	// seen maps each created name to the position of its first creation.
 	seen := map[string]string{}
 	for _, file := range pass.Files {
@@ -92,7 +92,6 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 func checkConventions(pass *analysis.Pass, lit *ast.BasicLit, name, kind string) {

@@ -45,7 +45,7 @@ var registrars = map[string]string{
 	"RegisterScenario":  "scenario",
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	// seen maps each registered (kind, name) to its first registration's
 	// position.
 	seen := map[[2]string]string{}
@@ -81,7 +81,6 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // registrarKind resolves whether call invokes one of the registration

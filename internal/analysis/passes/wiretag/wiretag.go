@@ -39,9 +39,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-func run(pass *analysis.Pass) error {
+func run(pass *analysis.Pass) {
 	if pass.Pkg.Name() != "wire" {
-		return nil
+		return
 	}
 	validates := collectValidates(pass)
 	for _, file := range pass.Files {
@@ -67,7 +67,6 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
 func checkStruct(pass *analysis.Pass, typeName string, st *ast.StructType, validate *ast.FuncDecl) {

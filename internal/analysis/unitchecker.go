@@ -135,11 +135,7 @@ func runUnit(cfgPath string, analyzers []*Analyzer, stderr io.Writer) int {
 		return 1
 	}
 
-	passes, err := RunAnalyzers(fset, files, pkg, info, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "spreadvet: %v\n", err)
-		return 1
-	}
+	passes := RunAnalyzers(fset, files, pkg, info, analyzers)
 	exit := 0
 	cwd, _ := os.Getwd()
 	for _, pass := range passes {

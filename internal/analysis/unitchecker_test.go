@@ -14,7 +14,7 @@ import (
 // has a finding.
 var funcReporter = &Analyzer{
 	Name: "demo",
-	Run: func(pass *Pass) error {
+	Run: func(pass *Pass) {
 		for _, f := range pass.Files {
 			for _, d := range f.Decls {
 				if fn, ok := d.(*ast.FuncDecl); ok {
@@ -22,7 +22,6 @@ var funcReporter = &Analyzer{
 				}
 			}
 		}
-		return nil
 	},
 }
 

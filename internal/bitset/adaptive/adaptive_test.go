@@ -94,7 +94,7 @@ func TestAdaptiveRandomOpsAgainstDense(t *testing.T) {
 			if s.Contains(e) != ref.Contains(e) {
 				t.Fatalf("n=%d op=%d: Contains(%d) diverged", n, op, e)
 			}
-			if got, want := s.FirstNotIn(other), ref.FirstNotIn(other); got != want {
+			if got, want := s.FirstNotIn(other), ref.FirstNotInFrom(other, 0); got != want {
 				t.Fatalf("n=%d op=%d: FirstNotIn = %d, want %d", n, op, got, want)
 			}
 			if got, want := s.UnionCount(other), ref.UnionCount(other); got != want {
@@ -269,6 +269,54 @@ func TestAdaptiveForEachNotInFrom(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d from=%d: %v != %v", n, from, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAdaptiveFirstNotInFrom checks FirstNotInFrom in both representations
+// against a naive loop, at scan starts below 0, at 0, inside a word, on
+// word boundaries and at or above n.
+func TestAdaptiveFirstNotInFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range []struct {
+		n, count int
+		dense    bool
+	}{
+		{300, 40, true},    // small universe: dense from the start
+		{2000, 100, false}, // below the promotion threshold (128)
+		{2000, 900, true},  // promoted
+	} {
+		s := New(tc.n)
+		for s.Count() < tc.count {
+			s.Insert(rng.Intn(tc.n))
+		}
+		if s.dense != tc.dense {
+			t.Fatalf("n=%d count=%d: dense=%v, want %v", tc.n, tc.count, s.dense, tc.dense)
+		}
+		// o holds a prefix of the universe plus scattered elements beyond
+		// it: the shape Topkis's sent-sets take.
+		o := bitset.New(tc.n)
+		for i := 0; i < tc.n; i++ {
+			if i < tc.n/4 || rng.Intn(2) == 0 {
+				o.Add(i)
+			}
+		}
+		for _, from := range []int{-70, -1, 0, 1, 37, 63, 64, 65, 128, tc.n / 4, tc.n - 1, tc.n, tc.n + 1} {
+			want := -1
+			for i := max(from, 0); i < tc.n; i++ {
+				if s.Contains(i) && !o.Contains(i) {
+					want = i
+					break
+				}
+			}
+			if got := s.FirstNotInFrom(o, from); got != want {
+				t.Fatalf("n=%d dense=%v: FirstNotInFrom(o, %d) = %d, want %d", tc.n, s.dense, from, got, want)
+			}
+			if from == 0 {
+				if got := s.FirstNotIn(o); got != want {
+					t.Fatalf("n=%d dense=%v: FirstNotIn(o) = %d, want %d", tc.n, s.dense, got, want)
 				}
 			}
 		}

@@ -9,7 +9,8 @@ import (
 // FuzzSparsePromotion round-trips arbitrary operation tapes through the
 // adaptive set across Sparse↔dense promotion boundaries and cross-checks the
 // dense reference after every operation. The tape is a byte stream: each
-// pair (op, val) applies one operation, with val scaled into the universe.
+// pair (op, val) applies one operation, with val scaled into the universe
+// (or, for FirstNotInFrom, into a scan start around it).
 func FuzzSparsePromotion(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 1, 1, 2, 0})
 	f.Add([]byte{3, 3, 3, 7, 0, 200, 1, 200})
@@ -20,13 +21,23 @@ func FuzzSparsePromotion(f *testing.F) {
 	}
 	f.Add(long)
 
+	f.Add([]byte{0, 5, 0, 30, 4, 32, 4, 40, 4, 200})
+
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		const n = 600 // > 512: starts sparse, promotes at 40 elements
 		s := New(n)
 		ref := bitset.New(n)
+		// other is the set FirstNotInFrom scans against: a prefix plus
+		// every third element, like a Topkis sent-set.
+		other := bitset.New(n)
+		for e := 0; e < n; e++ {
+			if e < 100 || e%3 == 0 {
+				other.Add(e)
+			}
+		}
 		for i := 0; i+1 < len(tape); i += 2 {
 			op, val := tape[i], int(tape[i+1])*3%n
-			switch op % 4 {
+			switch op % 5 {
 			case 0:
 				if s.Insert(val) != ref.Insert(val) {
 					t.Fatalf("Insert(%d) diverged at tape[%d]", val, i)
@@ -41,6 +52,12 @@ func FuzzSparsePromotion(f *testing.F) {
 			case 3:
 				if s.Contains(val) != ref.Contains(val) {
 					t.Fatalf("Contains(%d) diverged at tape[%d]", val, i)
+				}
+			case 4:
+				// from spans -128..892: below 0, 0, word boundaries, >= n.
+				from := int(tape[i+1])*4 - 128
+				if got, want := s.FirstNotInFrom(other, from), ref.FirstNotInFrom(other, from); got != want {
+					t.Fatalf("FirstNotInFrom(other, %d) = %d, want %d at tape[%d] (dense=%v)", from, got, want, i, s.dense)
 				}
 			}
 			if s.Count() != ref.Count() {

@@ -6,7 +6,7 @@
 //
 //   - Set is the dense, fixed-capacity bitset: ⌈n/64⌉ words, O(1) membership,
 //     and word-at-a-time kernels that read two sets without writing either
-//     (UnionCount, FirstNotIn, ForEachNotInFrom); ForEachFrom scans set
+//     (UnionCount, FirstNotInFrom, ForEachNotInFrom); ForEachFrom scans set
 //     bits without allocating.
 //   - Sparse is a sorted small-list of element indices for near-empty sets:
 //     O(count) iteration independent of the universe size, at the price of
@@ -274,19 +274,28 @@ func (s *Set) ForEachNotInFrom(o *Set, from int, fn func(int)) {
 	}
 }
 
-// FirstNotIn returns the smallest element of s \ o, or -1 when the
-// difference is empty. It never allocates (unlike filtering Elements).
-// Capacities need not match: elements of s beyond o's capacity count as
-// absent from o.
+// FirstNotInFrom returns the smallest element >= from of s \ o, or -1 when
+// there is none. It never allocates (unlike filtering Elements). A from
+// below 0 scans from 0. Capacities need not match: elements of s beyond o's
+// capacity count as absent from o.
 //
 //dynspread:hotpath
-func (s *Set) FirstNotIn(o *Set) int {
-	for i, w := range s.words {
-		if i < len(o.words) {
-			w &^= o.words[i]
+func (s *Set) FirstNotInFrom(o *Set, from int) int {
+	if from < 0 {
+		from = 0
+	}
+	if from >= s.n {
+		return -1
+	}
+	mask := ^uint64(0) << uint(from%wordBits)
+	for wi := from / wordBits; wi < len(s.words); wi++ {
+		w := s.words[wi] & mask
+		mask = ^uint64(0)
+		if wi < len(o.words) {
+			w &^= o.words[wi]
 		}
 		if w != 0 {
-			return i*wordBits + bits.TrailingZeros64(w)
+			return wi*wordBits + bits.TrailingZeros64(w)
 		}
 	}
 	return -1

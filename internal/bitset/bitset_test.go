@@ -131,8 +131,8 @@ func TestUnionIntersectDifference(t *testing.T) {
 	if !equalInts(got, diff) {
 		t.Fatalf("ForEachNotInFrom = %v, want %v", got, diff)
 	}
-	if got := a.FirstNotIn(b); got != diff[0] {
-		t.Fatalf("FirstNotIn = %d, want %d", got, diff[0])
+	if got := a.FirstNotInFrom(b, 0); got != diff[0] {
+		t.Fatalf("FirstNotInFrom(o, 0) = %d, want %d", got, diff[0])
 	}
 }
 
@@ -211,7 +211,7 @@ func TestQuickAgainstMapModel(t *testing.T) {
 				first = i
 			}
 		}
-		if a.FirstNotIn(b) != first {
+		if a.FirstNotInFrom(b, 0) != first {
 			return false
 		}
 		// Random probes agree with the model.
@@ -249,7 +249,7 @@ func TestQuickSetAlgebra(t *testing.T) {
 		if ab.UnionCount(b) != ab.Count() || ab.UnionCount(ab) != ab.Count() {
 			return false
 		}
-		return a.FirstNotIn(ab) == -1 && b.FirstNotIn(ab) == -1
+		return a.FirstNotInFrom(ab, 0) == -1 && b.FirstNotInFrom(ab, 0) == -1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -288,30 +288,30 @@ func TestReset(t *testing.T) {
 
 func TestFirstNotIn(t *testing.T) {
 	s, o := New(200), New(200)
-	if s.FirstNotIn(o) != -1 {
+	if s.FirstNotInFrom(o, 0) != -1 {
 		t.Fatal("empty \\ empty should be -1")
 	}
 	s.Add(70)
 	s.Add(130)
-	if got := s.FirstNotIn(o); got != 70 {
-		t.Fatalf("FirstNotIn = %d, want 70", got)
+	if got := s.FirstNotInFrom(o, 0); got != 70 {
+		t.Fatalf("FirstNotInFrom(o, 0) = %d, want 70", got)
 	}
 	o.Add(70)
-	if got := s.FirstNotIn(o); got != 130 {
-		t.Fatalf("FirstNotIn = %d, want 130", got)
+	if got := s.FirstNotInFrom(o, 0); got != 130 {
+		t.Fatalf("FirstNotInFrom(o, 0) = %d, want 130", got)
 	}
 	o.Add(130)
-	if s.FirstNotIn(o) != -1 {
+	if s.FirstNotInFrom(o, 0) != -1 {
 		t.Fatal("covered set should yield -1")
 	}
 	// Mismatched capacities: elements of s beyond o's range count as absent.
 	short := New(64)
-	if got := s.FirstNotIn(short); got != 70 {
-		t.Fatalf("FirstNotIn(short) = %d, want 70", got)
+	if got := s.FirstNotInFrom(short, 0); got != 70 {
+		t.Fatalf("FirstNotInFrom(short, 0) = %d, want 70", got)
 	}
 	// Must never allocate: it replaces an Elements() loop on the hot path.
-	if avg := testing.AllocsPerRun(100, func() { _ = s.FirstNotIn(o) }); avg != 0 {
-		t.Fatalf("FirstNotIn allocates %.1f per call", avg)
+	if avg := testing.AllocsPerRun(100, func() { _ = s.FirstNotInFrom(o, 0) }); avg != 0 {
+		t.Fatalf("FirstNotInFrom allocates %.1f per call", avg)
 	}
 }
 

@@ -183,11 +183,71 @@ func TestSparseVsDenseRandom(t *testing.T) {
 		if !equalInts(sparseElements(&sp), dn.Elements()) {
 			t.Fatalf("elements diverged: %v vs %v", sparseElements(&sp), dn.Elements())
 		}
-		if got, want := sp.FirstNotIn(other), dn.FirstNotIn(other); got != want {
-			t.Fatalf("FirstNotIn = %d, want %d", got, want)
+		if got, want := sp.FirstNotInFrom(other, 0), dn.FirstNotInFrom(other, 0); got != want {
+			t.Fatalf("FirstNotInFrom(o, 0) = %d, want %d", got, want)
 		}
 		if got, want := sp.UnionCountDense(other), dn.UnionCount(other); got != want {
 			t.Fatalf("UnionCountDense = %d, want %d", got, want)
+		}
+	}
+}
+
+// firstNotInFromNaive is the reference for FirstNotInFrom: the lowest i >=
+// from below n with member(i) and i not in o, or -1.
+func firstNotInFromNaive(member func(int) bool, n int, o *Set, from int) int {
+	for i := max(from, 0); i < n; i++ {
+		if member(i) && !o.Contains(i) {
+			return i
+		}
+	}
+	return -1
+}
+
+// fromProbes returns the scan starts FirstNotInFrom is checked at for a
+// universe of n: below 0, at 0, inside a word, on word boundaries, the last
+// element, and at or above n.
+func fromProbes(n int) []int {
+	return []int{-70, -1, 0, 1, 37, 63, 64, 65, 128, 191, n / 2, n - 1, n, n + 1, n + 64}
+}
+
+func TestFirstNotInFromAgainstNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 63, 64, 65, 130, 200, 700} {
+		// Occupancies from empty to full, against an o of the same
+		// capacity, a shorter one, and one that holds a prefix of s.
+		for _, occ := range []int{0, 1, 10, 50, 90, 100} {
+			dn := New(n)
+			var sp Sparse
+			sp.Reset(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(100) < occ {
+					dn.Add(i)
+					sp.Insert(i)
+				}
+			}
+			same, short, prefix := New(n), New(n/2), New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					same.Add(i)
+				}
+				if i < n/2 && rng.Intn(3) == 0 {
+					short.Add(i)
+				}
+				if i < n/3 {
+					prefix.Add(i)
+				}
+			}
+			for _, o := range []*Set{same, short, prefix} {
+				for _, from := range fromProbes(n) {
+					want := firstNotInFromNaive(dn.Contains, n, o, from)
+					if got := dn.FirstNotInFrom(o, from); got != want {
+						t.Fatalf("n=%d occ=%d: Set.FirstNotInFrom(o of %d, %d) = %d, want %d", n, occ, o.Len(), from, got, want)
+					}
+					if got := sp.FirstNotInFrom(o, from); got != want {
+						t.Fatalf("n=%d occ=%d: Sparse.FirstNotInFrom(o of %d, %d) = %d, want %d", n, occ, o.Len(), from, got, want)
+					}
+				}
+			}
 		}
 	}
 }

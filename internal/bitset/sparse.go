@@ -113,13 +113,17 @@ func (s *Sparse) ScanFrom(from int, fn func(int) bool) bool {
 	return true
 }
 
-// FirstNotIn returns the smallest element of s \ o, or -1 when the
-// difference is empty. Elements beyond o's capacity count as absent from o,
-// mirroring Set.FirstNotIn.
+// FirstNotInFrom returns the smallest element >= from of s \ o, or -1 when
+// there is none. A from below 0 scans from 0. Elements beyond o's capacity
+// count as absent from o, mirroring Set.FirstNotInFrom.
 //
 //dynspread:hotpath
-func (s *Sparse) FirstNotIn(o *Set) int {
-	for _, e := range s.elems {
+func (s *Sparse) FirstNotInFrom(o *Set, from int) int {
+	i := 0
+	if from > 0 {
+		i = s.search(int32(min(from, s.n)))
+	}
+	for _, e := range s.elems[i:] {
 		if !o.Contains(int(e)) {
 			return int(e)
 		}

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -256,11 +258,15 @@ func TestClusterSurvivesWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestClusterWorkerRestartLosesShard: a worker that restarts right after
-// accepting a shard answers the coordinator's poll with 404 "unknown job".
-// The shard is lost, not bad: it is re-dispatched to the restarted worker
-// and the run still returns the local sweep's results.
-func TestClusterWorkerRestartLosesShard(t *testing.T) {
+// runThroughRestart runs the test grid through a coordinator whose one
+// worker restarts right after accepting a shard: the first POST /v1/runs
+// reaches one service.Server and every later request, the poll for that
+// shard included, a fresh one. onRestart, when non-nil, gets the fresh
+// server's handler and the accepted shard's request body before the old
+// server sees that request. The run must return the local sweep's results
+// through exactly one retry of the lost shard on the live worker.
+func runThroughRestart(t *testing.T, onRestart func(fresh http.Handler, body []byte)) {
+	t.Helper()
 	specs := testSpecs(t)
 	before := service.New(service.Config{JobWorkers: 2})
 	after := service.New(service.Config{JobWorkers: 2})
@@ -273,10 +279,16 @@ func TestClusterWorkerRestartLosesShard(t *testing.T) {
 		mu.Lock()
 		h := current
 		if !restarted && r.Method == http.MethodPost && r.URL.Path == "/v1/runs" {
-			// The old server accepts this shard; every later request,
-			// the poll for it included, reaches the fresh one.
 			restarted = true
 			current = after.Handler()
+			if onRestart != nil {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Error(err)
+				}
+				onRestart(current, body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
 		}
 		mu.Unlock()
 		h.ServeHTTP(w, r)
@@ -305,6 +317,44 @@ func TestClusterWorkerRestartLosesShard(t *testing.T) {
 	if st := coord.Stats(); st.Retries != 1 || st.DeadWorkers != 0 {
 		t.Fatalf("want the lost shard retried once on a live worker: %+v", st)
 	}
+}
+
+// TestClusterWorkerRestartLosesShard: a worker that restarts right after
+// accepting a shard answers the coordinator's poll with 404 "unknown job".
+// The shard is lost, not bad: it is re-dispatched to the restarted worker
+// and the run still returns the local sweep's results.
+func TestClusterWorkerRestartLosesShard(t *testing.T) {
+	runThroughRestart(t, nil)
+}
+
+// TestClusterWorkerRestartIssuesFreshJobIDs: the restarted worker runs a
+// decoy job with as many trials as the lost shard (other seeds, so other
+// results) before the coordinator first polls for that shard. Had the
+// fresh server numbered its jobs like the old one, the decoy would carry
+// the lost shard's ID, and the poll would read the decoy's results, which
+// pass the result-count check.
+func TestClusterWorkerRestartIssuesFreshJobIDs(t *testing.T) {
+	runThroughRestart(t, func(fresh http.Handler, body []byte) {
+		var req wire.RunRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := range req.Trials {
+			req.Trials[i].Seed += 1000
+		}
+		req.Async = false
+		decoy, err := json.Marshal(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rec := httptest.NewRecorder()
+		fresh.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(decoy)))
+		if rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+			t.Errorf("decoy job: HTTP %d: %s", rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestClusterStoreResume is the persistence acceptance flow: an interrupted

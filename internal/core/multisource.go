@@ -35,7 +35,7 @@ type OwnedToken struct {
 // indexed by source ID and carved from per-node slabs, sized for s sources
 // and k tokens, when the source is first learned; announcement bookkeeping
 // is therefore 2·s·n bits per node. I_v and the set of sources with
-// S_v(x) ≠ ∅ are n-bit sets, so the request target is one FirstNotIn.
+// S_v(x) ≠ ∅ are n-bit sets, so the request target is one FirstNotInFrom.
 // Requests to answer and requests in flight sit in NodeID-indexed slots
 // stamped with the round they are due, so nothing is cleared between
 // rounds, and Send fills one message slot per neighbor in a reused buffer.
@@ -324,7 +324,7 @@ func (p *MultiSource) minUnannounced(u graph.NodeID) graph.NodeID {
 //
 //dynspread:hotpath
 func (p *MultiSource) sendRequests(r int, out []sim.Message) {
-	x := p.heardSources.FirstNotIn(&p.iv)
+	x := p.heardSources.FirstNotInFrom(&p.iv, 0)
 	if x < 0 || p.src[x].count == 0 {
 		return
 	}

@@ -17,27 +17,36 @@ import (
 // exists as the contrast point to Algorithm 1's frugality.
 type Topkis struct {
 	env sim.NodeEnv
-	// sent[u] is the set of tokens already forwarded to neighbor u, indexed
-	// by node ID and allocated lazily on first contact. A slice, not a map:
-	// the per-neighbor lookup is on the round hot path. Each stays dense: it
-	// only grows and is probed by K_v's FirstNotIn, never unioned.
-	sent []*bitset.Set
-	// contacts counts the non-nil entries of sent: the neighbors this node
-	// has ever had.
+	// sent[u] records what this node has forwarded to neighbor u, indexed
+	// by node ID; its set is allocated on first contact. A slice, not a
+	// map: the per-neighbor lookup is on the round hot path.
+	sent []sentTo
+	// contacts counts the entries of sent with a set: the neighbors this
+	// node has ever had.
 	contacts int
 	nbrs     []graph.NodeID
-	// out is the reusable Send buffer; the engine copies messages out of it
-	// before the next round. Its capacity covers every neighbor ever
+	// out is the reusable Send buffer, which the engine reads until the
+	// round's Deliver calls. Its capacity covers every neighbor ever
 	// contacted, so it grows only on a first contact, alongside sent[u] —
 	// never when the degree rises among neighbors the node already knows,
 	// which a dynamic adversary can do at any round.
 	out []sim.Message
 }
 
+// sentTo is what one node has forwarded to one neighbor: the tokens, and
+// next, the lowest token not among them. The set stays dense: it only
+// grows and is probed by K_v's FirstNotIn, never unioned. Every token below
+// next has been sent, so however K_v grows, its lowest token not yet sent
+// is at or above next, and the search starts there instead of at token 0.
+type sentTo struct {
+	tokens *bitset.Set
+	next   token.ID
+}
+
 // NewTopkis returns the baseline factory.
 func NewTopkis() sim.Factory {
 	return func(env sim.NodeEnv) sim.Protocol {
-		return &Topkis{env: env, sent: make([]*bitset.Set, env.N)}
+		return &Topkis{env: env, sent: make([]sentTo, env.N)}
 	}
 }
 
@@ -53,24 +62,29 @@ func (p *Topkis) BeginRound(_ int, neighbors []graph.NodeID) { p.nbrs = neighbor
 func (p *Topkis) Send(_ int) []sim.Message {
 	out := p.out[:0]
 	for _, u := range p.nbrs {
-		s := p.sent[int(u)]
-		if s == nil {
-			s = bitset.New(p.env.K)
-			p.sent[int(u)] = s
+		s := &p.sent[int(u)]
+		if s.tokens == nil {
+			s.tokens = bitset.New(p.env.K)
 			p.contacts++
 			out = growOut(out, p.contacts, p.env.N)
 		}
-		t := p.env.Know.FirstNotIn(s)
+		t := p.env.Know.FirstNotIn(s.tokens, s.next)
 		if t == token.None {
 			continue
 		}
-		s.Add(t)
+		s.tokens.Add(t)
+		for s.tokens.Contains(s.next) {
+			s.next++
+		}
 		info := p.env.InfoOf(t)
 		// No append: out's capacity covers every neighbor ever contacted,
-		// so one more message always fits.
+		// so one more message always fits. The message is written in
+		// place: only these fields are ever set in out, so the others stay
+		// zero, and no 104-byte Message value is built and copied.
 		out = out[:len(out)+1]
-		out[len(out)-1] = sim.TokenMsg(p.env.ID, u,
-			sim.TokenPayload{ID: t, Owner: info.Source, Index: info.Index})
+		m := &out[len(out)-1]
+		m.From, m.To, m.Kinds = p.env.ID, u, sim.KindToken
+		m.Token = sim.TokenPayload{ID: t, Owner: info.Source, Index: info.Index}
 	}
 	p.out = out
 	return out

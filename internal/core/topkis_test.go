@@ -1,10 +1,14 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dynspread/internal/adversary"
+	"dynspread/internal/bitset"
 	"dynspread/internal/graph"
+	"dynspread/internal/registry"
 	"dynspread/internal/sim"
 	"dynspread/internal/token"
 )
@@ -118,5 +122,112 @@ func TestTopkisUnderChurn(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatal("incomplete")
+	}
+}
+
+// scanFromZeroTopkis is the obviously-correct reference for Topkis's
+// per-neighbor cursor: it searches K_v for the lowest token not yet sent
+// to a neighbor from token 0 every time, and builds each message with
+// sim.TokenMsg.
+type scanFromZeroTopkis struct {
+	env  sim.NodeEnv
+	sent []*bitset.Set
+	nbrs []graph.NodeID
+}
+
+func (p *scanFromZeroTopkis) BeginRound(_ int, nbrs []graph.NodeID) { p.nbrs = nbrs }
+
+func (p *scanFromZeroTopkis) Send(int) []sim.Message {
+	var out []sim.Message
+	for _, u := range p.nbrs {
+		if p.sent[u] == nil {
+			p.sent[u] = bitset.New(p.env.K)
+		}
+		t := p.env.Know.FirstNotIn(p.sent[u], 0)
+		if t == token.None {
+			continue
+		}
+		p.sent[u].Add(t)
+		info := p.env.InfoOf(t)
+		out = append(out, sim.TokenMsg(p.env.ID, u, sim.TokenPayload{ID: t, Owner: info.Source, Index: info.Index}))
+	}
+	return out
+}
+
+func (p *scanFromZeroTopkis) Arrive(int, token.ID)       {}
+func (p *scanFromZeroTopkis) Deliver(int, []sim.Message) {}
+
+// TestTopkisCursorMatchesScanFromZero runs Topkis against the scan-from-0
+// reference under every registered unicast adversary, with and without a
+// late-arrival schedule: dynamic graphs and late tokens leave gaps in a
+// sent-set, which is where a cursor that skipped an unsent token would
+// show. Every round's messages, the metrics, the round count and the
+// completion flag must be identical.
+func TestTopkisCursorMatchesScanFromZero(t *testing.T) {
+	const n, k, s = 12, 40, 3
+	assign, err := token.Balanced(n, k, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	late := make([]int, k)
+	for i := range late {
+		if rng.Intn(2) == 0 {
+			late[i] = 1 + rng.Intn(30)
+		}
+	}
+	ref := func(env sim.NodeEnv) sim.Protocol {
+		return &scanFromZeroTopkis{env: env, sent: make([]*bitset.Set, env.N)}
+	}
+	run := func(t *testing.T, spec registry.Adversary, f sim.Factory, sched []int) (*sim.Result, []sim.Message) {
+		t.Helper()
+		adv, err := spec.New(registry.Params{N: n, K: k, Sources: s, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []sim.Message
+		res, err := sim.RunUnicast(sim.UnicastConfig{
+			Assign:          assign,
+			Factory:         f,
+			Adversary:       adv,
+			Seed:            3,
+			ArrivalSchedule: sched,
+			MaxRounds:       5000,
+			OnRound: func(_ int, _ graph.Diff, sent []sim.Message, _ int64) {
+				log = append(log, sent...)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, log
+	}
+	advs := 0
+	for _, spec := range registry.Adversaries() {
+		if !spec.Modes.Has(registry.Unicast) {
+			continue
+		}
+		advs++
+		for _, sched := range []struct {
+			name string
+			s    []int
+		}{{"classic", nil}, {"arrivals", late}} {
+			t.Run(spec.Name+"/"+sched.name, func(t *testing.T) {
+				got, gotLog := run(t, spec, NewTopkis(), sched.s)
+				want, wantLog := run(t, spec, ref, sched.s)
+				if *got != *want {
+					t.Fatalf("cursor run %+v, scan-from-0 run %+v", *got, *want)
+				}
+				if !slices.Equal(gotLog, wantLog) {
+					t.Fatal("cursor run sent different messages than the scan-from-0 run")
+				}
+				if !got.Completed {
+					t.Fatalf("incomplete after %d rounds", got.Rounds)
+				}
+			})
+		}
+	}
+	if advs == 0 {
+		t.Fatal("no unicast adversary registered")
 	}
 }

@@ -42,7 +42,7 @@ type JobStatus struct {
 // job is one unit on the queue: a batch of specs with live progress.
 type job struct {
 	id    string
-	seq   int // submission order; the sort key of GET /v1/jobs
+	seq   int64 // submission order; the sort key of GET /v1/jobs
 	specs []wire.TrialSpec
 	// record, when non-nil, asks every trial for a flight-recorder round
 	// series (and routes the job around the result cache — see store.Lookup).
@@ -141,7 +141,7 @@ func (j *job) deliver(i int, r wire.TrialResult) {
 	j.mu.Unlock()
 }
 
-func newJob(id string, seq int, specs []wire.TrialSpec) *job {
+func newJob(id string, seq int64, specs []wire.TrialSpec) *job {
 	return &job{
 		id:      id,
 		seq:     seq,

@@ -41,8 +41,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,9 +191,13 @@ type Server struct {
 	jobWG    sync.WaitGroup // every runJob, inline or queued
 	busy     atomic.Int64
 
-	mu      sync.Mutex
-	closed  bool
-	nextID  int
+	mu     sync.Mutex
+	closed bool
+	// nextID is the number in the last job ID handed out. It starts at a
+	// random 9-digit number times 10⁶, so two servers (a worker before and
+	// after a restart, say) hand out different IDs, and a poll for a job
+	// the worker lost cannot read a job submitted since.
+	nextID  int64
 	jobs    map[string]*job
 	retired []string // terminal job IDs, oldest first, capped at JobHistory
 }
@@ -224,6 +230,7 @@ func New(cfg Config) *Server {
 		quit:    make(chan struct{}),
 		queue:   make(chan *job, cfg.QueueDepth),
 		syncSem: make(chan struct{}, cfg.JobWorkers),
+		nextID:  (1e8 + rand.Int64N(9e8)) * 1e6,
 		jobs:    make(map[string]*job),
 	}
 	if cfg.Store != nil {
@@ -330,7 +337,8 @@ func (s *Server) submit(specs []wire.TrialSpec, record *wire.RecordSpec, tctx co
 		return nil, errServerClosed
 	}
 	s.nextID++
-	j := newJob(fmt.Sprintf("j%06d", s.nextID), s.nextID, specs)
+	var id [24]byte
+	j := newJob(string(strconv.AppendInt(append(id[:0], 'j'), s.nextID, 10)), s.nextID, specs)
 	j.record = record
 	tctx, j.span = s.cfg.Tracer.Start(tctx, "job")
 	j.tctx = tctx

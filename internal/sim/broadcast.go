@@ -126,23 +126,26 @@ func (m *broadcastMode) commit(r int) error {
 // exchange delivers every committed broadcast to the round's neighbors and
 // hands each node the tokens it learned. Senders are visited in increasing
 // ID, so a node's list holds each new token once, at its first delivery, in
-// increasing sender order.
+// increasing sender order. A token every node already holds is not
+// delivered at all: each of its deliveries would teach no one, so skipping
+// them changes no learned list and no counter (commit has already counted
+// the broadcast).
 //
 //dynspread:hotpath
 func (m *broadcastMode) exchange(r int, g *graph.Graph) (int64, error) {
-	n := m.st.n
-	know, metrics := m.st.know, &m.st.metrics
+	st := m.st
+	n, holders, metrics := st.n, st.holders, &st.metrics
 	for v := range m.learned {
 		m.learned[v] = m.learned[v][:0]
 	}
 	var learned int64
 	for v := 0; v < n; v++ {
 		c := m.choices[v]
-		if c == token.None {
+		if c == token.None || holders[c] == n {
 			continue
 		}
 		for _, u := range g.NeighborsShared(v) {
-			if know[u].Insert(c) {
+			if st.learn(u, c) {
 				metrics.Learnings++
 				learned++
 				//dynspread:allow hotpath -- amortized: per-node learned buffers are truncated and reused across rounds; capacity stabilizes after the first few rounds

@@ -140,13 +140,31 @@ func buildArrivals(sched []int, k int) ([]arrival, int, error) {
 }
 
 // engineState is the execution state shared between the round loop and the
-// communication mode: per-node knowledge sets, the metrics accumulator, and
-// the View the engine hands the adversary each round.
+// communication mode: per-node knowledge sets, the number of holders of
+// each token, the metrics accumulator, and the View the engine hands the
+// adversary each round.
 type engineState struct {
-	n, k    int
-	know    []*adaptive.Set
+	n, k int
+	know []*adaptive.Set
+	// holders[t] is the number of nodes whose K_v holds token t. learn
+	// keeps it exact, so holders[t] == n means no delivery of t can teach
+	// anyone anything.
+	holders []int
 	metrics Metrics
 	view    View
+}
+
+// learn inserts token t into node v's K_v and reports whether v did not
+// hold it before. Every insertion into a knowledge set goes through here,
+// so holders stays exact.
+//
+//dynspread:hotpath
+func (st *engineState) learn(v graph.NodeID, t token.ID) bool {
+	if !st.know[v].Insert(t) {
+		return false
+	}
+	st.holders[t]++
+	return true
 }
 
 // complete costs one integer compare per node: adaptive.Full is O(1).
@@ -204,7 +222,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 		return nil, fmt.Errorf("sim: max rounds %d is below the last scheduled token arrival (round %d)", maxRounds, lastArrival)
 	}
 
-	st := &engineState{n: n, k: k, know: cfg.ws.knowFor(n, k)}
+	st := &engineState{n: n, k: k, know: cfg.ws.knowFor(n, k), holders: cfg.ws.holdersFor(k)}
 	st.view = View{N: n, K: k, know: st.know}
 	mode.bind(st)
 	rngs := cfg.ws.nodeRngsFor(n, cfg.seed)
@@ -223,7 +241,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			initial = kept
 		}
 		for _, t := range initial {
-			st.know[v].Add(t)
+			st.learn(v, t)
 		}
 		if err := mode.newProto(NodeEnv{
 			ID:         v,
@@ -277,7 +295,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			a := late[next]
 			next++
 			src := cfg.assign.Info(a.tok).Source
-			st.know[src].Add(a.tok)
+			st.learn(src, a.tok)
 			mode.arriver(src).Arrive(r, a.tok)
 			injected++
 		}

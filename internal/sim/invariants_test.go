@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dynspread/internal/graph"
+	"dynspread/internal/token"
 )
 
 // TestBroadcastMetricsInvariants pins the broadcast-mode accounting: every
@@ -141,5 +142,113 @@ func TestDefaultMaxRoundsOverflow(t *testing.T) {
 	// Normal instances keep the exact historical formula.
 	if got := DefaultMaxRounds(32, 32); got != 40*32*32+40*32 {
 		t.Fatalf("DefaultMaxRounds(32, 32) = %d changed", got)
+	}
+}
+
+// checkHolders fails unless the engine's holder count of every token is
+// the number of nodes whose K_v holds it.
+func checkHolders(t *testing.T, ws *Workspace, r int) {
+	t.Helper()
+	for tok, got := range ws.holders {
+		want := 0
+		for _, s := range ws.know {
+			if s.Contains(tok) {
+				want++
+			}
+		}
+		if got != want {
+			t.Fatalf("round %d: holders[%d] = %d, but %d nodes hold it", r, tok, got, want)
+		}
+	}
+}
+
+// TestHoldersExactBroadcast checks after every round that holders[t] counts
+// the nodes holding t, and that every neighbor of a node that broadcast t
+// holds t: skipping the delivery of a token every node holds must never
+// skip one that teaches someone. Gossip on a path keeps most tokens short
+// of n holders for many rounds; the arrival schedule adds late injections.
+func TestHoldersExactBroadcast(t *testing.T) {
+	const n = 8
+	g := graph.Path(n)
+	for _, tc := range []struct {
+		name    string
+		factory BroadcastFactory
+		sched   []int
+	}{
+		{"classic", newFloodB, nil},
+		{"arrivals", newBFloodProto, []int{0, 3, 0, 9, 1, 0, 14, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := NewWorkspace()
+			rounds := 0
+			res, err := RunBroadcast(BroadcastConfig{
+				Assign:          gossip(t, n),
+				Factory:         tc.factory,
+				Adversary:       staticAdv{g},
+				ArrivalSchedule: tc.sched,
+				Workspace:       ws,
+				OnRound: func(r int, _ graph.Diff, choices []token.ID, _ int64) {
+					rounds++
+					checkHolders(t, ws, r)
+					for v, c := range choices {
+						if c == token.None {
+							continue
+						}
+						for _, u := range g.Neighbors(v) {
+							if !ws.know[u].Contains(c) {
+								t.Fatalf("round %d: node %d broadcast token %d, but neighbor %d does not hold it", r, v, c, u)
+							}
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed || rounds != res.Rounds {
+				t.Fatalf("res = %+v after %d observed rounds, want completion", res, rounds)
+			}
+		})
+	}
+}
+
+// TestHoldersExactUnicast is TestHoldersExactBroadcast's unicast twin:
+// holders stays exact under token deliveries and late arrivals, and every
+// delivered token is held by its receiver.
+func TestHoldersExactUnicast(t *testing.T) {
+	const n, k = 8, 6
+	for _, tc := range []struct {
+		name  string
+		sched []int
+	}{
+		{"classic", nil},
+		{"arrivals", []int{0, 4, 0, 11, 2, 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := NewWorkspace()
+			rounds := 0
+			res, err := RunUnicast(UnicastConfig{
+				Assign:          singleSource(t, n, k, 3),
+				Factory:         newPushProto,
+				Adversary:       staticAdv{graph.Cycle(n)},
+				ArrivalSchedule: tc.sched,
+				Workspace:       ws,
+				OnRound: func(r int, _ graph.Diff, sent []Message, _ int64) {
+					rounds++
+					checkHolders(t, ws, r)
+					for i := range sent {
+						if tok := sent[i].carriedToken(); tok != token.None && !ws.know[sent[i].To].Contains(tok) {
+							t.Fatalf("round %d: token %d delivered to %d, which does not hold it", r, tok, sent[i].To)
+						}
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed || rounds != res.Rounds {
+				t.Fatalf("res = %+v after %d observed rounds, want completion", res, rounds)
+			}
+		})
 	}
 }

@@ -68,12 +68,13 @@ type unicastMode struct {
 	cfg    UnicastConfig
 	st     *engineState
 	protos []Protocol
-	// raw collects the round's sends in protocol order; sortBuf and lastSent
-	// ping-pong between rounds: each round's delivery-sorted messages become
+	// sends[v] is the slice node v's Send returned this round, read where
+	// the protocol left it (see Protocol). sortBuf and lastSent ping-pong
+	// between rounds: each round's delivery-sorted messages become
 	// LastSent for the adversary's view, and the buffer holding the
 	// round-before-last's sends (no longer referenced) is the next sort
 	// target. Steady-state rounds therefore allocate nothing.
-	raw      []Message
+	sends    [][]Message
 	sortBuf  []Message
 	lastSent []Message
 	// counts is the counting-sort bucket array (len n+1).
@@ -90,7 +91,8 @@ func (m *unicastMode) check() error {
 func (m *unicastMode) bind(st *engineState) {
 	m.st = st
 	m.protos = m.cfg.Workspace.protocolsFor(st.n)
-	m.raw, m.sortBuf, m.lastSent, m.counts = m.cfg.Workspace.unicastBuffers()
+	m.sends = m.cfg.Workspace.sendsFor(st.n)
+	m.sortBuf, m.lastSent, m.counts = m.cfg.Workspace.unicastBuffers()
 }
 
 func (m *unicastMode) newProto(env NodeEnv) error {
@@ -133,15 +135,27 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 		m.protos[v].BeginRound(r, g.NeighborsShared(v))
 	}
 
-	sent := m.raw[:0]
+	// The counting sort's buckets are counted as the sends are validated.
+	counts := m.counts
+	if cap(counts) < n+1 {
+		counts = make([]int, n+1)
+	} else {
+		counts = counts[:n+1]
+		clear(counts)
+	}
+	m.counts = counts
+	total := 0
 	// Bandwidth check (at most one message per directed edge per round):
 	// validate pins msg.From == v and the loop visits senders in order, so
 	// stamps[to] == v+1 marks "v already sent to to this round" — a flat
 	// array probe where a map[{from,to}]bool used to hash on the hot path.
 	stamps := m.cfg.Workspace.sendStampsFor(n)
 	for v := 0; v < n; v++ {
-		for _, raw := range m.protos[v].Send(r) {
-			msg := raw
+		out := m.protos[v].Send(r)
+		// Each message is checked and counted where Send left it; the sort
+		// below is the one copy it makes.
+		for i := range out {
+			msg := &out[i]
 			if err := msg.validate(v, n); err != nil {
 				return 0, err
 			}
@@ -177,11 +191,11 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 			if kinds&KindControl != 0 {
 				metrics.ControlPayloads++
 			}
-			//dynspread:allow hotpath -- amortized: appends into the workspace buffer retained across rounds; regrowth stops once per-round message counts plateau
-			sent = append(sent, msg)
+			counts[msg.To+1]++
 		}
+		m.sends[v] = out
+		total += len(out)
 	}
-	m.raw = sent // keep any regrown capacity for the next round
 
 	// Deliver in (To, From) order. The send loop visits senders in
 	// increasing ID order and the bandwidth check makes (To, From) unique,
@@ -191,38 +205,29 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 	// to its end offset during placement, so afterwards bucket t spans
 	// [counts[t-1], counts[t]).
 	sorted := m.sortBuf
-	if cap(sorted) < len(sent) {
+	if cap(sorted) < total {
 		// Grow with headroom: while per-round message counts are still
 		// ramping up, exact-fit sizing would reallocate every round.
-		sorted = make([]Message, len(sent), 2*len(sent))
+		sorted = make([]Message, total, 2*total)
 	} else {
-		sorted = sorted[:len(sent)]
-	}
-	counts := m.counts
-	if cap(counts) < n+1 {
-		counts = make([]int, n+1)
-	} else {
-		counts = counts[:n+1]
-		clear(counts)
-	}
-	m.counts = counts
-	for i := range sent {
-		counts[sent[i].To+1]++
+		sorted = sorted[:total]
 	}
 	for t := 1; t <= n; t++ {
 		counts[t] += counts[t-1]
 	}
-	for i := range sent {
-		t := sent[i].To
-		sorted[counts[t]] = sent[i]
-		counts[t]++
+	for _, out := range m.sends {
+		for i := range out {
+			t := out[i].To
+			sorted[counts[t]] = out[i]
+			counts[t]++
+		}
 	}
 
 	var learned int64
 	for i := range sorted {
 		// Insert fuses the membership test with the set: one probe per
 		// delivered token instead of Contains-then-Add.
-		if t := sorted[i].carriedToken(); t != token.None && know[sorted[i].To].Insert(t) {
+		if t := sorted[i].carriedToken(); t != token.None && m.st.learn(sorted[i].To, t) {
 			metrics.Learnings++
 			learned++
 		}
@@ -241,7 +246,7 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 	// holding the round-before-last's sends is the next sort target.
 	m.sortBuf, m.lastSent = m.lastSent[:0], sorted
 	m.st.view.LastSent = sorted
-	m.cfg.Workspace.storeUnicastBuffers(m.raw, m.sortBuf, m.lastSent, m.counts)
+	m.cfg.Workspace.storeUnicastBuffers(m.sortBuf, m.lastSent, m.counts)
 	return learned, nil
 }
 

@@ -134,11 +134,15 @@ type Knowledge struct{ s *adaptive.Set }
 //dynspread:hotpath
 func (k Knowledge) Contains(t token.ID) bool { return k.s.Contains(t) }
 
-// FirstNotIn returns the lowest token the node holds that is not in o, or
-// token.None (adaptive.Set.FirstNotIn's -1) when it holds none outside o.
+// FirstNotIn returns the lowest token at or above from that the node holds
+// and o lacks, or token.None (adaptive.Set.FirstNotInFrom's -1) when there
+// is none. A caller that knows o holds every token below some bound passes
+// that bound as from and skips the scan of that prefix.
 //
 //dynspread:hotpath
-func (k Knowledge) FirstNotIn(o *bitset.Set) token.ID { return k.s.FirstNotIn(o) }
+func (k Knowledge) FirstNotIn(o *bitset.Set, from token.ID) token.ID {
+	return k.s.FirstNotInFrom(o, from)
+}
 
 // Protocol is a unicast token-forwarding algorithm instance at one node.
 // Each round the engine calls BeginRound (delivering the paper's round-start
@@ -151,8 +155,11 @@ func (k Knowledge) FirstNotIn(o *bitset.Set) token.ID { return k.s.FirstNotIn(o)
 //
 //   - neighbors is shared with the round's graph: read-only, valid until the
 //     next BeginRound.
-//   - The slice returned by Send is copied out before the protocol's next
-//     Send, so implementations may reuse one buffer across rounds.
+//   - The engine reads the slice returned by Send where it lies, until the
+//     round's Deliver calls: nothing may change it before then, the other
+//     nodes' Send calls included, so each node needs its own buffer. From
+//     Deliver on it is the protocol's again, so one buffer per node can
+//     serve every round.
 //   - in is delivered sorted by sender ID (the engine's (To, From) delivery
 //     order); it aliases engine state, so it is read-only and must not be
 //     retained or mutated past the Deliver call.

@@ -5,15 +5,15 @@ import (
 	"dynspread/internal/graph"
 )
 
-// Workspace holds reusable per-execution buffers — knowledge bitsets,
-// protocol slices, delivery buffers, counting-sort buckets, the round's
-// topology diff, and the node generators behind NodeEnv.Rng (reseeded,
-// not reallocated, when a later execution's node first draws). A
-// Workspace is NOT safe for concurrent use: give each worker goroutine its
-// own (the sweep layer does this) and reuse it across that worker's
-// sequential trials to cut per-trial allocations. A nil
-// *Workspace is valid everywhere one is accepted and means "allocate
-// privately".
+// Workspace holds reusable per-execution buffers — knowledge bitsets and
+// their per-token holder counts, protocol slices, per-node Send slices,
+// delivery buffers, counting-sort buckets, the round's topology diff, and
+// the node generators behind NodeEnv.Rng (reseeded, not reallocated, when
+// a later execution's node first draws). A Workspace is NOT safe for
+// concurrent use: give each worker goroutine its own (the sweep layer does
+// this) and reuse it across that worker's sequential trials to cut
+// per-trial allocations. A nil *Workspace is valid everywhere one is
+// accepted and means "allocate privately".
 //
 // Reuse never changes results: buffers are handed out cleared, and the
 // engine's semantics (delivery order, RNG draws, accounting) do not depend on
@@ -23,21 +23,24 @@ type Workspace struct {
 	protosU []Protocol
 	protosB []BroadcastProtocol
 	learned [][]int // token.ID values, as choices
-	// sendRaw collects a round's sends in protocol order; sendA/sendB are
+	// sends holds each node's Send slice for the round; sendA/sendB are
 	// the sorted-delivery buffers the unicast mode ping-pongs between rounds
 	// (current delivery vs. the previous round's LastSent); counts is the
 	// counting-sort bucket array.
-	sendRaw []Message
-	sendA   []Message
-	sendB   []Message
-	counts  []int
+	sends  [][]Message
+	sendA  []Message
+	sendB  []Message
+	counts []int
 	// sendStamps is the bandwidth-check scratch: stamps[to] == v+1 marks "v
 	// already sent to to this round" (see unicastMode.exchange).
 	sendStamps []int
 	choices    []int // token.ID values; int keeps the import surface small
-	diff       graph.Diff
-	rngs       []nodeRng
-	seeds      nodeSeeds
+	// holders counts, per token, the nodes whose K_v holds it (see
+	// engineState.holders).
+	holders []int
+	diff    graph.Diff
+	rngs    []nodeRng
+	seeds   nodeSeeds
 }
 
 // NewWorkspace returns an empty workspace.
@@ -124,21 +127,36 @@ func (w *Workspace) learnedFor(n int) [][]int {
 	return w.learned
 }
 
-// unicastBuffers returns the unicast mode's four delivery buffers (raw
-// sends, sort target, LastSent, counting-sort buckets), all emptied.
-func (w *Workspace) unicastBuffers() (raw, sortBuf, last []Message, counts []int) {
-	if w == nil {
-		return nil, nil, nil, nil
+// sendsFor returns a length-n nil-filled slice for the nodes' per-round
+// Send slices.
+func (w *Workspace) sendsFor(n int) [][]Message {
+	if w == nil || cap(w.sends) < n {
+		s := make([][]Message, n)
+		if w != nil {
+			w.sends = s
+		}
+		return s
 	}
-	return w.sendRaw[:0], w.sendA[:0], w.sendB[:0], w.counts[:0]
+	w.sends = w.sends[:n]
+	clear(w.sends)
+	return w.sends
+}
+
+// unicastBuffers returns the unicast mode's three delivery buffers (sort
+// target, LastSent, counting-sort buckets), all emptied.
+func (w *Workspace) unicastBuffers() (sortBuf, last []Message, counts []int) {
+	if w == nil {
+		return nil, nil, nil
+	}
+	return w.sendA[:0], w.sendB[:0], w.counts[:0]
 }
 
 // storeUnicastBuffers saves the (possibly regrown) buffers back for reuse.
-func (w *Workspace) storeUnicastBuffers(raw, sortBuf, last []Message, counts []int) {
+func (w *Workspace) storeUnicastBuffers(sortBuf, last []Message, counts []int) {
 	if w == nil {
 		return
 	}
-	w.sendRaw, w.sendA, w.sendB, w.counts = raw, sortBuf, last, counts
+	w.sendA, w.sendB, w.counts = sortBuf, last, counts
 }
 
 // sendStampsFor returns a zeroed length-n stamp array for the per-round
@@ -164,6 +182,20 @@ func (w *Workspace) diffBuf() *graph.Diff {
 		return new(graph.Diff)
 	}
 	return &w.diff
+}
+
+// holdersFor returns a zeroed length-k holder count per token.
+func (w *Workspace) holdersFor(k int) []int {
+	if w == nil || cap(w.holders) < k {
+		h := make([]int, k)
+		if w != nil {
+			w.holders = h
+		}
+		return h
+	}
+	h := w.holders[:k]
+	clear(h)
+	return h
 }
 
 // choicesFor returns a length-n scratch slice for broadcast choices.
