@@ -333,6 +333,13 @@ func (s *Set) ForEach(fn func(int)) {
 	}
 }
 
+// DenseWords returns the set's words while it is dense (bit i of word i/64
+// is element i) and nil while it is sparse. The slice aliases the set: it is
+// read-only, and valid only until the set's next mutation. It lets a caller
+// combine whole words with its own bitsets, as the graph's reachability
+// sweep does.
+func (s *Set) DenseWords() []uint64 { return s.dw }
+
 // ForEachFrom calls fn for every member >= from in increasing order.
 func (s *Set) ForEachFrom(from int, fn func(int)) {
 	if s.dense {

@@ -16,6 +16,11 @@ import (
 type Flooding struct {
 	env       sim.NodeEnv
 	windowLen int
+	// scheduled is the token of the window that ends at round windowEnd.
+	// Choose recomputes both only when a round passes windowEnd, so two
+	// integer divisions run once per window instead of once per round.
+	scheduled token.ID
+	windowEnd int
 }
 
 // NewFlooding returns the flooding factory. windowLen <= 0 selects n (the
@@ -32,16 +37,22 @@ func NewFlooding(windowLen int) sim.BroadcastFactory {
 }
 
 // Choose implements sim.BroadcastProtocol: broadcast the window's scheduled
-// token iff this node holds it.
+// token iff this node holds it. Rounds reach Choose in increasing order,
+// but a wrapper may skip some (SilentBroadcast asks only its
+// broadcasters), so a passed window is recomputed from r, not stepped.
 //
 //dynspread:hotpath
 func (f *Flooding) Choose(r int) token.ID {
 	if f.env.K == 0 {
 		return token.None
 	}
-	scheduled := ((r - 1) / f.windowLen) % f.env.K
-	if f.env.Know.Contains(scheduled) {
-		return scheduled
+	if r > f.windowEnd {
+		w := (r - 1) / f.windowLen
+		f.scheduled = w % f.env.K
+		f.windowEnd = (w + 1) * f.windowLen
+	}
+	if f.env.Know.Contains(f.scheduled) {
+		return f.scheduled
 	}
 	return token.None
 }

@@ -127,6 +127,56 @@ func TestFloodingWindowSchedule(t *testing.T) {
 	}
 }
 
+// everyNth asks the wrapped protocol to choose only in every nth round,
+// as SilentBroadcast asks only its broadcasters.
+type everyNth struct {
+	inner sim.BroadcastProtocol
+	nth   int
+}
+
+func (p everyNth) Choose(r int) token.ID {
+	if r%p.nth != 0 {
+		return token.None
+	}
+	return p.inner.Choose(r)
+}
+
+func (p everyNth) Deliver(r int, learned []token.ID) { p.inner.Deliver(r, learned) }
+
+// TestFloodingScheduleAfterSkippedRounds: flooding keeps its window's token
+// between calls, so a node asked only every 5th round, with windows of 2
+// rounds, passes whole windows between calls and must still choose the
+// token of the window r falls in.
+func TestFloodingScheduleAfterSkippedRounds(t *testing.T) {
+	const n, k, window, nth, rounds = 8, 3, 2, 5, 40
+	assign, err := token.SingleSource(n, k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flood := NewFlooding(window)
+	var source []token.ID
+	_, err = sim.RunBroadcast(sim.BroadcastConfig{
+		Assign:    assign,
+		Factory:   func(env sim.NodeEnv) sim.BroadcastProtocol { return everyNth{flood(env), nth} },
+		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Path(n))),
+		MaxRounds: rounds,
+		OnRound: func(_ int, _ graph.Diff, c []token.ID, _ int64) {
+			source = append(source, c[0])
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(source) != rounds {
+		t.Fatalf("observed %d rounds, want %d", len(source), rounds)
+	}
+	for r := nth; r <= rounds; r += nth {
+		if got, want := source[r-1], ((r-1)/window)%k; got != want {
+			t.Fatalf("round %d: source chose %d, want window %d's token %d", r, got, (r-1)/window, want)
+		}
+	}
+}
+
 func TestFloodingZeroTokens(t *testing.T) {
 	choices, res := floodingChoices(t, 4, 0, 0, 10)
 	if !res.Completed || res.Rounds != 0 || res.Metrics.Broadcasts != 0 || len(choices) != 0 {

@@ -116,6 +116,17 @@ func (p *SpanningTree) Send(r int) []sim.Message {
 	return out
 }
 
+// growOut returns out with capacity for at least need messages, with
+// headroom up to n-1, the largest possible degree.
+func growOut(out []sim.Message, need, n int) []sim.Message {
+	if cap(out) >= need {
+		return out
+	}
+	grown := make([]sim.Message, len(out), min(2*need, n-1))
+	copy(grown, out)
+	return grown
+}
+
 // put appends m to out and marks its receiver as sent to in round r. Every
 // message of a round goes to a distinct neighbor and out has capacity for
 // the round's degree, so the append is a reslice within capacity.

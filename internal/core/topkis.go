@@ -17,20 +17,22 @@ import (
 // exists as the contrast point to Algorithm 1's frugality.
 type Topkis struct {
 	env sim.NodeEnv
-	// sent[u] records what this node has forwarded to neighbor u, indexed
-	// by node ID; its set is allocated on first contact. A slice, not a
-	// map: the per-neighbor lookup is on the round hot path.
+	// contact[u] is 1 + the index in sent of neighbor u's entry, or 0
+	// before their first contact. A slice indexed by node ID, not a map:
+	// the lookup is on the round hot path.
+	contact []int32
+	// sent holds what this node has forwarded to each neighbor it has ever
+	// had, in first-contact order; its sets are carved from slab. out is
+	// the reusable Send buffer, which the engine reads until the round's
+	// Deliver calls. All three grow together, only when a first contact
+	// finds sent full (see addContact), so out's capacity always covers
+	// every neighbor ever contacted: a degree that rises among neighbors
+	// the node already knows, which a dynamic adversary can do at any
+	// round, grows nothing.
 	sent []sentTo
-	// contacts counts the entries of sent with a set: the neighbors this
-	// node has ever had.
-	contacts int
-	nbrs     []graph.NodeID
-	// out is the reusable Send buffer, which the engine reads until the
-	// round's Deliver calls. Its capacity covers every neighbor ever
-	// contacted, so it grows only on a first contact, alongside sent[u] —
-	// never when the degree rises among neighbors the node already knows,
-	// which a dynamic adversary can do at any round.
-	out []sim.Message
+	slab []uint64
+	nbrs []graph.NodeID
+	out  []sim.Message
 }
 
 // sentTo is what one node has forwarded to one neighbor: the tokens, and
@@ -39,14 +41,14 @@ type Topkis struct {
 // next has been sent, so however K_v grows, its lowest token not yet sent
 // is at or above next, and the search starts there instead of at token 0.
 type sentTo struct {
-	tokens *bitset.Set
+	tokens bitset.Set
 	next   token.ID
 }
 
 // NewTopkis returns the baseline factory.
 func NewTopkis() sim.Factory {
 	return func(env sim.NodeEnv) sim.Protocol {
-		return &Topkis{env: env, sent: make([]sentTo, env.N)}
+		return &Topkis{env: env, contact: make([]int32, env.N)}
 	}
 }
 
@@ -62,13 +64,13 @@ func (p *Topkis) BeginRound(_ int, neighbors []graph.NodeID) { p.nbrs = neighbor
 func (p *Topkis) Send(_ int) []sim.Message {
 	out := p.out[:0]
 	for _, u := range p.nbrs {
-		s := &p.sent[int(u)]
-		if s.tokens == nil {
-			s.tokens = bitset.New(p.env.K)
-			p.contacts++
-			out = growOut(out, p.contacts, p.env.N)
+		i := p.contact[u]
+		if i == 0 {
+			out = p.addContact(u, out)
+			i = p.contact[u]
 		}
-		t := p.env.Know.FirstNotIn(s.tokens, s.next)
+		s := &p.sent[i-1]
+		t := p.env.Know.FirstNotIn(&s.tokens, s.next)
 		if t == token.None {
 			continue
 		}
@@ -90,15 +92,27 @@ func (p *Topkis) Send(_ int) []sim.Message {
 	return out
 }
 
-// growOut returns out with capacity for at least contacts messages, with
-// headroom up to n-1, the largest possible degree.
-func growOut(out []sim.Message, contacts, n int) []sim.Message {
-	if cap(out) >= contacts {
-		return out
+// addContact gives neighbor u an entry in sent, with an empty set carved
+// from slab, and returns out, the round's messages so far. When sent is
+// full it first grows sent, slab and out to one capacity: the round's
+// degree at the node's first contact, which on a static graph covers
+// every neighbor the node will have, and twice the old capacity after
+// that, but never more than n-1, the largest possible degree.
+func (p *Topkis) addContact(u graph.NodeID, out []sim.Message) []sim.Message {
+	w := bitset.WordsFor(p.env.K)
+	if have := len(p.sent); have == cap(p.sent) {
+		size := len(p.nbrs)
+		if have > 0 {
+			size = min(2*have, p.env.N-1)
+		}
+		p.sent = append(make([]sentTo, 0, size), p.sent...)
+		p.slab = make([]uint64, (size-have)*w)
+		out = append(make([]sim.Message, 0, size), out...)
 	}
-	grown := make([]sim.Message, len(out), min(2*contacts, n-1))
-	copy(grown, out)
-	return grown
+	p.sent = append(p.sent, sentTo{tokens: bitset.Wrap(p.env.K, p.slab[:w:w])})
+	p.slab = p.slab[w:]
+	p.contact[u] = int32(len(p.sent))
+	return out
 }
 
 // Arrive implements sim.TokenArriver, declaring that Topkis supports

@@ -231,3 +231,53 @@ func TestTopkisCursorMatchesScanFromZero(t *testing.T) {
 		t.Fatal("no unicast adversary registered")
 	}
 }
+
+// silentProtocol sends nothing and allocates nothing.
+type silentProtocol struct{}
+
+func (silentProtocol) BeginRound(int, []graph.NodeID) {}
+func (silentProtocol) Send(int) []sim.Message         { return nil }
+func (silentProtocol) Deliver(int, []sim.Message)     {}
+
+// TestTopkisAllocsPerNode: a node carves its sent-sets from slabs, and
+// grows them with its sent entries and its Send buffer, to its degree at
+// its first Send. On a static graph that Send meets every neighbor the
+// node will ever have, so the node allocates five objects whatever its
+// degree: the Topkis value and its contact index in the factory, then its
+// sent entries, one slab and its Send buffer. (A set per contact cost two
+// objects, 36 per node in all on K_16.) An engine run whose protocol
+// allocates nothing is the baseline; on a warm workspace the engine adds
+// no per-node or per-round objects of its own.
+func TestTopkisAllocsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race (see raceEnabled)")
+	}
+	const n, k = 16, 64
+	assign, err := token.SingleSource(n, k, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := staticAdv(graph.Complete(n))
+	allocs := func(f sim.Factory) float64 {
+		cfg := sim.UnicastConfig{
+			Assign:    assign,
+			Factory:   f,
+			Adversary: adv,
+			MaxRounds: 4 * (n + k),
+			Workspace: sim.NewWorkspace(),
+		}
+		run := func() {
+			if _, err := sim.RunUnicast(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the workspace and the graph's memoized state
+		return testing.AllocsPerRun(5, run)
+	}
+	base := allocs(func(sim.NodeEnv) sim.Protocol { return silentProtocol{} })
+	per := (allocs(NewTopkis()) - base) / n
+	t.Logf("Topkis allocates %.1f objects per node on K_%d", per, n)
+	if per > 5 {
+		t.Fatalf("Topkis allocates %.1f objects per node on K_%d, want at most 5", per, n)
+	}
+}

@@ -1,11 +1,20 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"dynspread/internal/tablefmt"
 )
 
-func quickCfg() Config { return Config{Quick: true, Seed: 42} }
+var update = flag.Bool("update", false, "rewrite testdata/quick-seed*.md from this code's tables")
+
+// quickSeeds are the seeds whose quick tables testdata pins.
+var quickSeeds = []int64{1, 2, 3}
 
 func TestAllRunnersListed(t *testing.T) {
 	rs := All()
@@ -41,37 +50,103 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestExperimentsQuickSmoke runs every E1–E13 entry point at quick (tiny-N)
-// scale and asserts each produces a non-empty, renderable table without
-// error. These are integration tests across the whole stack (engine,
-// adversaries, algorithms, sweep); the subtests run in parallel since each
-// experiment is independent.
+// scale at each of quickSeeds and asserts each produces a non-empty,
+// renderable table without error. These are integration tests across the
+// whole stack (engine, adversaries, algorithms, sweep); the subtests run in
+// parallel since each experiment is independent. Once all have run, each
+// seed's tables, rendered as cmd/experiments prints them, must equal
+// testdata/quick-seedS.md byte for byte, which is the output of
+// "go run ./cmd/experiments -quick -seed S". A change that moves a number
+// fails here; "go test ./internal/experiments -update" rewrites the files,
+// and the diff is then the change's table diff.
 func TestExperimentsQuickSmoke(t *testing.T) {
 	rs := All()
 	if len(rs) != 13 {
 		t.Fatalf("got %d runners, want the paper's 13 (E1–E13)", len(rs))
 	}
-	for _, r := range rs {
-		r := r
+	tables := make([][]*tablefmt.Table, len(quickSeeds)) // [seed][runner]
+	for i := range tables {
+		tables[i] = make([]*tablefmt.Table, len(rs))
+	}
+	// Cleanup runs after every parallel subtest has finished.
+	t.Cleanup(func() { checkQuickTables(t, tables) })
+	for ri, r := range rs {
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
-			tb, err := r.Run(quickCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tb.Title == "" || len(tb.Header) == 0 || len(tb.Rows) == 0 {
-				t.Fatalf("%s produced empty table", r.ID)
-			}
-			for i, row := range tb.Rows {
-				if len(row) != len(tb.Header) {
-					t.Fatalf("%s row %d has %d cells for %d columns", r.ID, i, len(row), len(tb.Header))
-				}
-			}
-			// Render paths must not panic and must contain the data.
-			if !strings.Contains(tb.Markdown(), tb.Rows[0][0]) {
-				t.Fatalf("%s markdown missing first cell", r.ID)
+			for si, seed := range quickSeeds {
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					t.Parallel()
+					tb, err := r.Run(Config{Quick: true, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tb.Title == "" || len(tb.Header) == 0 || len(tb.Rows) == 0 {
+						t.Fatalf("%s produced empty table", r.ID)
+					}
+					for i, row := range tb.Rows {
+						if len(row) != len(tb.Header) {
+							t.Fatalf("%s row %d has %d cells for %d columns", r.ID, i, len(row), len(tb.Header))
+						}
+					}
+					// Render paths must not panic and must contain the data.
+					if !strings.Contains(tb.Markdown(), tb.Rows[0][0]) {
+						t.Fatalf("%s markdown missing first cell", r.ID)
+					}
+					tables[si][ri] = tb
+				})
 			}
 		})
 	}
+}
+
+// checkQuickTables compares each seed's tables with its testdata file, or
+// rewrites the file under -update. A seed with a failed experiment is
+// skipped: its subtest has already failed.
+func checkQuickTables(t *testing.T, tables [][]*tablefmt.Table) {
+seeds:
+	for si, seed := range quickSeeds {
+		var b strings.Builder
+		for _, tb := range tables[si] {
+			if tb == nil {
+				continue seeds
+			}
+			b.WriteString(tb.Markdown())
+			b.WriteString("\n") // cmd/experiments prints each table with Println
+		}
+		path := filepath.Join("testdata", fmt.Sprintf("quick-seed%d.md", seed))
+		if *update {
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("%v (go test -update writes it)", err)
+			continue
+		}
+		if got := b.String(); got != string(want) {
+			t.Errorf("seed %d: quick tables differ from %s (go test -update rewrites it) at line %s", seed, path, firstDiff(got, string(want)))
+		}
+	}
+}
+
+// firstDiff describes the first line at which got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < max(len(g), len(w)); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("%d:\n got  %q\n want %q", i+1, gl, wl)
+		}
+	}
+	return "?"
 }
 
 // The runner list is the contract cmd/experiments and EXPERIMENTS.md rely

@@ -8,7 +8,9 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 
+	"dynspread/internal/bitset"
 	"dynspread/internal/bitset/adaptive"
 	"dynspread/internal/unionfind"
 )
@@ -45,11 +47,11 @@ func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 // (NeighborsShared, Connected) memoize their answer; any successful AddEdge
 // or RemoveEdge, and every Reset and CopyFrom, marks the memo stale and
 // bumps Mutations. The flattened adjacency is then rebuilt in its old
-// storage, and every connectivity query reuses one union-find the graph
-// owns. A Graph is not safe for concurrent use, even read-only, because of
-// this lazy memoization, and it must never be copied by value: the copy
-// would share its rows, caches and union-find with the original (use Clone
-// or CopyFrom).
+// storage, and every connectivity query reuses one reachability sweep's
+// scratch the graph owns. A Graph is not safe for concurrent use, even
+// read-only, because of this lazy memoization and scratch, and it must
+// never be copied by value: the copy would share its rows, caches and
+// scratch with the original (use Clone or CopyFrom).
 //
 // A graph an adversary serves for round r must keep its edges until the
 // engine has diffed round r+1 against it; the adversary may rewrite it from
@@ -70,11 +72,13 @@ type Graph struct {
 	flatOK   bool
 	conn     int8
 
-	// dsu is the union-find every connectivity query resets and refills;
-	// comp is Connectify's component-layout scratch. Both are allocated
-	// on first use.
-	dsu  *unionfind.DSU
-	comp []int
+	// seen and stack are the reachability sweep's scratch (see sweep); dsu
+	// is the union-find DSU resets and refills; comp is Connectify's
+	// component-layout scratch. All are allocated on first use.
+	seen  []uint64
+	stack []NodeID
+	dsu   *unionfind.DSU
+	comp  []int
 }
 
 // invalidate marks the lazy snapshot caches stale after a mutation,
@@ -110,7 +114,7 @@ func (g *Graph) CopyFrom(src *Graph) {
 	if g.n != src.n {
 		g.n = src.n
 		g.adj = adaptive.NewSlice(src.n, src.n)
-		g.dsu = nil
+		g.seen, g.stack, g.dsu, g.comp = nil, nil, nil, nil
 	}
 	g.m = src.m
 	for v := range src.adj {
@@ -292,25 +296,21 @@ func (g *Graph) forEachEdge(fn func(u, v NodeID)) {
 }
 
 // DSU returns g's union-find with g's edges applied in canonical sorted
-// order, so component-root identity (and hence everything derived from
-// Representatives) is deterministic. The union-find belongs to g: every
-// connectivity query (Connected, ConnectedWithout, Components, Connectify
-// and DSU itself) resets and refills it, so a caller may read it, and
-// Union into it, only until the next such query.
+// order, so the root Find names for each component is deterministic:
+// Connectify's draws and the mobility adversary's repair edges depend on
+// it. The union-find belongs to g: every DSU call, Connectify's included,
+// resets and refills it, so a caller may read it, and Union into it, only
+// until the next such call. Connected, ConnectedWithout and Components do
+// not touch it.
 func (g *Graph) DSU() *unionfind.DSU {
-	d := g.resetDSU()
-	g.forEachEdge(func(u, v NodeID) { d.Union(u, v) })
-	return d
-}
-
-// resetDSU returns g's union-find as n singletons.
-func (g *Graph) resetDSU() *unionfind.DSU {
 	if g.dsu == nil {
 		g.dsu = unionfind.New(g.n)
 	} else {
 		g.dsu.Reset()
 	}
-	return g.dsu
+	d := g.dsu
+	g.forEachEdge(func(u, v NodeID) { d.Union(u, v) })
+	return d
 }
 
 // Connected reports whether the graph is connected (true for n <= 1). The
@@ -321,7 +321,8 @@ func (g *Graph) Connected() bool {
 		return true
 	}
 	if g.conn == 0 {
-		if g.DSU().Components() == 1 {
+		g.resetSweep()
+		if g.sweep(0, noEdge) == g.n {
 			g.conn = 1
 		} else {
 			g.conn = -1
@@ -330,23 +331,107 @@ func (g *Graph) Connected() bool {
 	return g.conn == 1
 }
 
-// Components returns the number of connected components.
-func (g *Graph) Components() int { return g.DSU().Components() }
+// Components returns the number of connected components: one sweep per
+// component, each from the lowest node no earlier sweep reached.
+func (g *Graph) Components() int {
+	g.resetSweep()
+	comps := 0
+	for v := 0; v < g.n; v++ {
+		if g.seen[v>>6]&(1<<(v&63)) == 0 {
+			g.sweep(v, noEdge)
+			comps++
+		}
+	}
+	return comps
+}
 
 // ConnectedWithout reports whether the graph stays connected after removing
-// edge e (which need not exist; then it is just Connected).
+// edge e. An e that is not an edge of g (absent, out of range, or not in
+// canonical U < V form) removes nothing: the answer is then Connected's.
 func (g *Graph) ConnectedWithout(e Edge) bool {
 	if g.n <= 1 {
 		return true
 	}
-	d := g.resetDSU()
-	g.forEachEdge(func(u, v NodeID) {
-		if u == e.U && v == e.V {
-			return
+	if e.U >= e.V || !g.HasEdge(e.U, e.V) {
+		return g.Connected()
+	}
+	g.resetSweep()
+	return g.sweep(0, e) == g.n
+}
+
+// noEdge is the sweep's skip argument when it skips no edge: no node
+// matches either endpoint.
+var noEdge = Edge{U: -1, V: -1}
+
+// resetSweep clears the sweep's seen set, allocating it and the stack on
+// first use.
+func (g *Graph) resetSweep() {
+	if g.seen == nil {
+		g.seen = make([]uint64, bitset.WordsFor(g.n))
+		g.stack = make([]NodeID, g.n)
+		return
+	}
+	clear(g.seen)
+}
+
+// sweep marks in g.seen every node reachable from src, which must be
+// unmarked, without crossing edge skip, and returns how many nodes it
+// marked. A dense row is read a 64-bit word at a time: row &^ seen is the
+// word's unreached neighbours, all marked and pushed at once, so a node is
+// pushed at most once and the stack never holds more than n nodes. A
+// sparse row (only at n > 512) is walked neighbour by neighbour through the
+// inlined ForEach. skip is left out by marking its far end seen while its
+// near end's row is read. The sweep stops as soon as every node is marked.
+func (g *Graph) sweep(src NodeID, skip Edge) int {
+	seen, stack := g.seen, g.stack
+	seen[src>>6] |= 1 << (src & 63)
+	stack[0] = src
+	top, count := 1, 1
+	for top > 0 && count < g.n {
+		top--
+		v := stack[top]
+		hide := -1
+		if v == skip.U {
+			hide = skip.V
+		} else if v == skip.V {
+			hide = skip.U
 		}
-		d.Union(u, v)
-	})
-	return d.Components() == 1
+		if hide >= 0 {
+			if seen[hide>>6]&(1<<(hide&63)) != 0 {
+				hide = -1 // already reached: nothing to hide
+			} else {
+				seen[hide>>6] |= 1 << (hide & 63)
+			}
+		}
+		row := &g.adj[v]
+		if words := row.DenseWords(); words != nil {
+			for i, w := range words {
+				w &^= seen[i]
+				if w == 0 {
+					continue
+				}
+				seen[i] |= w
+				count += bits.OnesCount64(w)
+				for ; w != 0; w &= w - 1 {
+					stack[top] = i<<6 | bits.TrailingZeros64(w)
+					top++
+				}
+			}
+		} else {
+			row.ForEach(func(u int) {
+				if seen[u>>6]&(1<<(u&63)) == 0 {
+					seen[u>>6] |= 1 << (u & 63)
+					stack[top] = u
+					top++
+					count++
+				}
+			})
+		}
+		if hide >= 0 {
+			seen[hide>>6] &^= 1 << (hide & 63)
+		}
+	}
+	return count
 }
 
 // Validate returns an error if internal adjacency invariants are violated.

@@ -1,7 +1,10 @@
 // Package unionfind implements a disjoint-set union (DSU) structure with path
-// compression and union by size. The simulator uses it to count connected
-// components of round graphs and of the "free-edge" graphs in the Section 2
-// lower-bound adversary.
+// compression and union by size. The simulator uses it where the identity
+// of a component's root matters: Graph.DSU, whose roots fix which nodes
+// graph.Connectify and the mobility adversary join, and the "free-edge"
+// graphs of the Section 2 lower-bound adversary. Round-graph connectivity
+// questions (Graph.Connected, ConnectedWithout, Components) are answered
+// by a reachability sweep instead.
 package unionfind
 
 // DSU is a disjoint-set union over elements 0..n-1.
