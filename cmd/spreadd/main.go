@@ -34,9 +34,11 @@
 // watch/top render these live). -pprof additionally exposes /debug/pprof/.
 //
 // Small jobs answer synchronously; large ones return 202 with a
-// /v1/jobs/{id} to poll. SIGINT/SIGTERM shut the daemon down gracefully:
-// the listener stops, in-flight jobs drain (bounded by -drain-timeout, after
-// which they are cancelled), and the process exits cleanly.
+// /v1/jobs/{id} to poll (?wait= holds the answer until the job ends).
+// SIGINT/SIGTERM shut the daemon down gracefully: the listener stops, held
+// status requests are answered at once, in-flight jobs drain (bounded by
+// -drain-timeout, after which they are cancelled), and the process exits
+// cleanly.
 package main
 
 import (
@@ -139,17 +141,30 @@ func main() {
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		logger.Warn("http shutdown", "error", err.Error())
+	httpErr, drainErr := shutdown(drainCtx, httpSrv, d.svc)
+	if httpErr != nil {
+		logger.Warn("http shutdown", "error", httpErr.Error())
 	}
-	if err := d.svc.Shutdown(drainCtx); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
+	if drainErr != nil {
+		if errors.Is(drainErr, context.DeadlineExceeded) {
 			logger.Warn("drain timed out, in-flight jobs cancelled")
 		} else {
-			logger.Warn("drain", "error", err.Error())
+			logger.Warn("drain", "error", drainErr.Error())
 		}
 	}
 	fmt.Println("spreadd: bye")
+}
+
+// shutdown stops the daemon within ctx. The service's drain starts at
+// once, beside the HTTP server's: it refuses submissions and answers every
+// held status request (GET /v1/jobs/{id}?wait=), so the HTTP server, which
+// stops listening and waits for the requests in flight, is not held up for
+// as long as a hold lasts.
+func shutdown(ctx context.Context, httpSrv *http.Server, svc *service.Server) (httpErr, drainErr error) {
+	drained := make(chan error, 1)
+	go func() { drained <- svc.Shutdown(ctx) }()
+	httpErr = httpSrv.Shutdown(ctx)
+	return httpErr, <-drained
 }
 
 // daemon is an assembled spreadd: its service, the registry every layer

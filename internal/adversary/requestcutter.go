@@ -106,8 +106,7 @@ func (a *RequestCutter) NextGraph(view *sim.View) *graph.Graph {
 		}
 		// Insert a replacement first so connectivity never breaks, then cut.
 		a.addReplacement(e)
-		if a.cur.ConnectedWithout(e) {
-			a.cur.RemoveEdge(e.U, e.V)
+		if a.cur.RemoveNonBridge(e) {
 			a.cuts++
 		}
 	}
@@ -133,7 +132,9 @@ func (a *RequestCutter) backgroundChurn() {
 		return
 	}
 	a.addReplacement(e)
-	a.cur.RemoveEdge(e.U, e.V)
+	// Still no bridge after the replacement went in, so this removes e;
+	// unlike RemoveEdge it keeps the graph's connectivity memo.
+	a.cur.RemoveNonBridge(e)
 }
 
 // addReplacement inserts one random edge distinct from the forbidden edge.

@@ -1,8 +1,10 @@
 package adversary
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dynspread/internal/graph"
 )
@@ -51,14 +53,23 @@ type ChurnOpts struct {
 // when removal keeps the graph connected) and inserting fresh random edges.
 // The produced sequence is always connected and Sigma-edge-stable.
 type ChurnSeq struct {
-	name       string
-	n          int
-	opts       ChurnOpts
-	rng        *rand.Rand
-	cur        *graph.Graph
-	insertedAt map[graph.Edge]int
-	served     pair
-	edges      []graph.Edge // scratch: cur's edges, shuffled each round
+	name string
+	n    int
+	opts ChurnOpts
+	rng  *rand.Rand
+	cur  *graph.Graph
+	// live is cur's edges in canonical order, each with the round it was
+	// inserted in, updated by binary search as edges come and go; order is
+	// the scratch copy of it shuffled each round.
+	live   []agedEdge
+	order  []agedEdge
+	served pair
+}
+
+// agedEdge is an edge of a churn graph and the round it was inserted in.
+type agedEdge struct {
+	e  graph.Edge
+	at int
 }
 
 // NewChurn returns a churn sequence over n nodes.
@@ -86,15 +97,16 @@ func NewChurn(n int, opts ChurnOpts, seed int64) (*ChurnSeq, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	c := &ChurnSeq{
-		name:       fmt.Sprintf("churn(m=%d,c=%d,sigma=%d)", opts.Edges, opts.ChurnPerRound, opts.Sigma),
-		n:          n,
-		opts:       opts,
-		rng:        rng,
-		cur:        graph.RandomConnected(n, opts.Edges, rng),
-		insertedAt: make(map[graph.Edge]int),
+		name:  fmt.Sprintf("churn(m=%d,c=%d,sigma=%d)", opts.Edges, opts.ChurnPerRound, opts.Sigma),
+		n:     n,
+		opts:  opts,
+		rng:   rng,
+		cur:   graph.RandomConnected(n, opts.Edges, rng),
+		live:  make([]agedEdge, 0, opts.Edges),
+		order: make([]agedEdge, 0, opts.Edges),
 	}
 	for _, e := range c.cur.Edges() {
-		c.insertedAt[e] = 1
+		c.live = append(c.live, agedEdge{e: e, at: 1})
 	}
 	return c, nil
 }
@@ -107,35 +119,43 @@ func (c *ChurnSeq) Graph(r int) *graph.Graph {
 	if r <= 1 {
 		return c.served.copyOf(c.cur)
 	}
-	// Remove up to ChurnPerRound aged, non-bridge edges.
+	// Remove up to ChurnPerRound aged, non-bridge edges, in a random order.
 	removed := 0
-	edges := c.cur.AppendEdges(c.edges[:0])
-	c.edges = edges
-	c.rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	for _, e := range edges {
+	order := append(c.order[:0], c.live...)
+	c.order = order
+	c.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, x := range order {
 		if removed >= c.opts.ChurnPerRound {
 			break
 		}
-		if r-c.insertedAt[e] < c.opts.Sigma {
+		if r-x.at < c.opts.Sigma {
 			continue // too young: σ-stability
 		}
-		if !c.cur.ConnectedWithout(e) {
+		if !c.cur.RemoveNonBridge(x.e) {
 			continue
 		}
-		c.cur.RemoveEdge(e.U, e.V)
-		delete(c.insertedAt, e)
+		i := c.find(x.e)
+		c.live = slices.Delete(c.live, i, i+1)
 		removed++
 	}
 	// Insert fresh random edges back up to the target count.
 	for c.cur.M() < c.opts.Edges {
 		a, b := c.rng.Intn(c.n), c.rng.Intn(c.n)
-		if a == b || c.cur.HasEdge(a, b) {
-			continue
+		if !c.cur.AddEdge(a, b) {
+			continue // a self-loop or an edge already present
 		}
-		c.cur.AddEdge(a, b)
-		c.insertedAt[graph.NewEdge(a, b)] = r
+		e := graph.NewEdge(a, b)
+		c.live = slices.Insert(c.live, c.find(e), agedEdge{e: e, at: r})
 	}
 	return c.served.copyOf(c.cur)
+}
+
+// find returns e's position in live, or the position it would take.
+func (c *ChurnSeq) find(e graph.Edge) int {
+	i, _ := slices.BinarySearchFunc(c.live, e, func(x agedEdge, e graph.Edge) int {
+		return cmp.Or(cmp.Compare(x.e.U, e.U), cmp.Compare(x.e.V, e.V))
+	})
+	return i
 }
 
 // RewireSeq serves a fresh random connected graph every round — maximal

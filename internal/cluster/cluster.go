@@ -4,7 +4,10 @@
 // size-balanced — see Plan), dispatches them concurrently to a pool of
 // spreadd workers through service.Client, and merges the streamed per-trial
 // results back into input order, bit-identical to a local sweep.Run over
-// the same specs.
+// the same specs. Each worker has one shard in flight at a time: the shard
+// is submitted as an async job, and its status request is a long poll
+// (GET /v1/jobs/{id}?wait=) that the worker answers the moment the job
+// ends, so the worker's next shard follows without an idle poll interval.
 //
 // Fault tolerance is per shard: a failed dispatch is retried on a
 // deterministic backoff schedule and re-enqueued for ANY live worker, so a
@@ -48,9 +51,10 @@ type Config struct {
 	// HTTPClient, when non-nil, is shared by every worker client.
 	HTTPClient *http.Client
 	// RequestTimeout backstops every single worker request made with a
-	// deadline-free context (default 2m; shard execution itself is
-	// dispatched asynchronously and polled, so no request legitimately
-	// takes long).
+	// deadline-free context (default 2m). Shards are submitted
+	// asynchronously, and each status request asks the worker to hold it
+	// for at most half this bound (and at most 10 s), so no request
+	// legitimately comes near it and it never caps shard execution time.
 	RequestTimeout time.Duration
 	// ShardSize is the target trials per shard (<= 0 = DefaultShardSize).
 	ShardSize int
@@ -64,7 +68,11 @@ type Config struct {
 	// MaxShardAttempts caps total dispatch attempts of one shard before the
 	// run fails (default 4 × len(Workers)).
 	MaxShardAttempts int
-	// Poll is the job-progress poll interval (default 25ms).
+	// Poll is the least time between two status requests for one shard
+	// (default 25ms). Each request is held by the worker until the shard's
+	// job ends (see RequestTimeout), so a result arrives as soon as it is
+	// ready; Poll paces only a worker that answers at once, such as an
+	// older build that ignores the hold.
 	Poll time.Duration
 	// Store, when non-nil, is the persistent result log: trials already
 	// stored are served from it without dispatch, and every new result is
@@ -439,8 +447,9 @@ func (c *Coordinator) dispatch(ctx context.Context, plan []wire.ShardRequest, de
 	return nil
 }
 
-// runShard executes one shard on worker w: an async submit, a poll to
-// terminal state, and delivery of every per-trial result.
+// runShard executes one shard on worker w: an async submit, long-polled
+// status requests to terminal state, and delivery of every per-trial
+// result.
 func (c *Coordinator) runShard(ctx context.Context, w int, sh wire.ShardRequest, deliver func(key string, res wire.TrialResult) error) (err error) {
 	// One span per dispatch ATTEMPT (a retried shard has several), dispatched
 	// under its context: service.Client stamps it onto the request as a
@@ -454,8 +463,8 @@ func (c *Coordinator) runShard(ctx context.Context, w int, sh wire.ShardRequest,
 	}
 	client := c.clients[w]
 	req := sh.RunRequest()
-	// Async keeps every HTTP request short (submit + cheap polls), so
-	// RequestTimeout can stay tight without capping shard execution time.
+	// Async keeps the submit short, and WaitJob fits each held status
+	// request inside RequestTimeout, so it never caps shard execution time.
 	req.Async = true
 	st, err := client.Run(ctx, req)
 	if err != nil {

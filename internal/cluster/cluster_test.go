@@ -579,3 +579,66 @@ func TestClusterRunGridMatchesSweepRunGrid(t *testing.T) {
 		t.Fatalf("rounds aggregate diverged: %+v vs %+v", got, want)
 	}
 }
+
+// statusCounter is a RoundTripper that counts job-status GETs.
+type statusCounter struct {
+	base http.RoundTripper
+	gets atomic.Int64
+}
+
+func (c *statusCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+		c.gets.Add(1)
+	}
+	return c.base.RoundTrip(r)
+}
+
+// TestClusterLongPollsShards: with a 10 s poll interval, a run of six
+// shards, each still running when its first status request arrives,
+// finishes far inside one interval, because the worker holds each status
+// request until the shard's job ends: at most 2 status GETs per shard.
+func TestClusterLongPollsShards(t *testing.T) {
+	specs, err := wire.GridSpec{
+		Ns: []int{32}, Ks: []int{32},
+		Algorithms:  []string{"single-source", "topkis"},
+		Adversaries: []string{"static", "churn"},
+		Seeds:       []int64{1, 2, 3},
+	}.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, w2 := newWorker(t), newWorker(t)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	counter := &statusCounter{base: tr}
+	const poll = 10 * time.Second
+	coord, err := New(Config{
+		Workers:    []string{w1.URL, w2.URL},
+		HTTPClient: &http.Client{Transport: counter},
+		ShardSize:  2,
+		Poll:       poll,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	dist, err := coord.Run(context.Background(), specs, nil)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > poll/2 {
+		t.Fatalf("run took %v at a %v poll interval", elapsed, poll)
+	}
+	shards := coord.Stats().Shards
+	if gets := counter.gets.Load(); shards != 6 || gets > 2*shards {
+		t.Fatalf("%d status GETs for %d shards", gets, shards)
+	}
+	local, err := wire.RunSpecs(context.Background(), specs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist, local) {
+		t.Fatal("long-polled results diverge from the local sweep")
+	}
+}

@@ -24,6 +24,8 @@ const (
 	opReset
 	opSwap // CopyFrom the spare graph, which takes the old edge set
 	opConnectify
+	opRemoveNonBridge // of {a,b} if it is an edge, else of the (a+b)th edge
+	opCopyMemo        // CopyFrom the spare graph once its memo is set
 	numOps
 
 	opBytes = 6
@@ -111,31 +113,46 @@ func refComponents(n int, edges []Edge, skip Edge) int {
 	return d.Components()
 }
 
+// fuzzEdge picks the edge an op or check on {a,b} works on: {a,b} if it
+// is an edge of g, else the (a+b)th of g's edges, if g has any.
+func fuzzEdge(g *Graph, edges []Edge, a, b int) (Edge, bool) {
+	if g.HasEdge(a, b) {
+		return NewEdge(a, b), true
+	}
+	if len(edges) == 0 {
+		return Edge{}, false
+	}
+	return edges[(a+b)%len(edges)], true
+}
+
 // checkConnectivity compares Connected, Components and ConnectedWithout
-// with a union-find over Edges(). ConnectedWithout is checked on {a,b} if
-// it is an edge and on the (a+b)th edge otherwise, on that edge written
-// backwards, which removes nothing, and on an absent pair. The queries
-// must not change the graph.
+// with a union-find over Edges(). ConnectedWithout is checked on fuzzEdge's
+// edge twice, first with the connectivity memo as the last op left it
+// (stale, kept or copied) and again once Connected has set it, then on that
+// edge written backwards, which removes nothing, and on an absent pair.
+// The queries must not change the graph.
 func checkConnectivity(g *Graph, a, b int) error {
 	n, muts := g.N(), g.Mutations()
 	edges := g.Edges()
 	comps := refComponents(n, edges, noEdge)
+	e, ok := fuzzEdge(g, edges, a, b)
+	without := ok && refComponents(n, edges, e) <= 1
+	for range 2 {
+		if ok {
+			if got := g.ConnectedWithout(e); got != without {
+				return fmt.Errorf("ConnectedWithout(%v) = %v, reference %v", e, got, without)
+			}
+		}
+		for range 2 { // the second call reads the memo
+			if got, want := g.Connected(), comps <= 1; got != want {
+				return fmt.Errorf("Connected = %v with %d components", got, comps)
+			}
+		}
+	}
 	if got := g.Components(); got != comps {
 		return fmt.Errorf("Components = %d, reference %d", got, comps)
 	}
-	for range 2 { // the second call reads the memo
-		if got, want := g.Connected(), comps <= 1; got != want {
-			return fmt.Errorf("Connected = %v with %d components", got, comps)
-		}
-	}
-	if len(edges) > 0 {
-		e := NewEdge(a, b)
-		if !g.HasEdge(a, b) {
-			e = edges[(a+b)%len(edges)]
-		}
-		if got, want := g.ConnectedWithout(e), refComponents(n, edges, e) <= 1; got != want {
-			return fmt.Errorf("ConnectedWithout(%v) = %v, reference %v", e, got, want)
-		}
+	if ok {
 		if got, want := g.ConnectedWithout(Edge{U: e.V, V: e.U}), comps <= 1; got != want {
 			return fmt.Errorf("ConnectedWithout(%d,%d backwards) = %v, want Connected's %v", e.V, e.U, got, want)
 		}
@@ -157,9 +174,11 @@ func checkConnectivity(g *Graph, a, b int) error {
 }
 
 // FuzzGraphConnectivity checks the reachability sweep behind Connected,
-// Components and ConnectedWithout against a union-find over Edges() after
-// every op of a fuzzed sequence of edge edits, links, Resets, CopyFroms
-// (across node counts) and Connectify calls.
+// Components and ConnectedWithout, and the connectivity memo, against a
+// union-find over Edges() after every op of a fuzzed sequence of edge
+// edits, links, Resets, CopyFroms (across node counts, of graphs with and
+// without a memo), Connectify calls and RemoveNonBridge calls, whose
+// answer is checked against the union-find too.
 func FuzzGraphConnectivity(f *testing.F) {
 	for _, seed := range [][]byte{
 		fuzzSeed(4, 4, recheck(5, pathThroughMiddle(65)...)...),                                  // rows of two words
@@ -180,6 +199,20 @@ func FuzzGraphConnectivity(f *testing.F) {
 			fuzzOp(opLink, 0, 1, 63), fuzzOp(opLink, 599, 300, 63), fuzzOp(opAdd, 0, 599, 0),
 			fuzzOp(opConnectify, 3, 0, 0), fuzzOp(opRemove, 0, 599, 0), fuzzOp(opSwap, 0, 0, 0),
 			fuzzOp(opAdd, 1, 3, 0), fuzzOp(opSwap, 0, 0, 0), fuzzOp(opReset, 0, 0, 0)),
+		// A 65-cycle thinned by RemoveNonBridge: the first removal succeeds,
+		// the rest meet bridges. Then a memoized copy of the disconnected
+		// spare, an edge that joins it, and a memoized copy of a path.
+		fuzzSeed(4, 4, append(recheck(5, append(pathThroughMiddle(65), fuzzOp(opAdd, 1, 64, 0))...),
+			fuzzOp(opRemoveNonBridge, 1, 64, 0), fuzzOp(opRemoveNonBridge, 0, 1, 0),
+			fuzzOp(opRemoveNonBridge, 7, 8, 0), fuzzOp(opSwap, 0, 0, 0), fuzzOp(opRemove, 3, 4, 0),
+			fuzzOp(opSwap, 0, 0, 0), fuzzOp(opCopyMemo, 0, 0, 0), fuzzOp(opAdd, 3, 4, 0),
+			fuzzOp(opRemoveNonBridge, 2, 3, 0), fuzzOp(opReset, 0, 0, 0), fuzzOp(opCopyMemo, 0, 0, 0))...),
+		// Sparse and dense rows at n = 600: RemoveNonBridge inside a star's
+		// triangle, on a chain bridge, and after CopyFrom of a memoized graph.
+		fuzzSeed(6, 6, append(starChain(),
+			fuzzOp(opAdd, 1, 2, 0), fuzzOp(opRemoveNonBridge, 0, 1, 0), fuzzOp(opRemoveNonBridge, 0, 2, 0),
+			fuzzOp(opRemoveNonBridge, 320, 599, 0), fuzzOp(opCopyMemo, 0, 0, 0),
+			fuzzOp(opRemoveNonBridge, 64, 65, 0))...),
 	} {
 		f.Add(seed)
 	}
@@ -210,6 +243,22 @@ func FuzzGraphConnectivity(f *testing.F) {
 				spare = old
 			case opConnectify:
 				Connectify(g, rand.New(rand.NewSource(int64(a))))
+			case opRemoveNonBridge:
+				edges := g.Edges()
+				e, ok := fuzzEdge(g, edges, a, b)
+				if !ok {
+					break
+				}
+				if g.RemoveNonBridge(Edge{U: e.V, V: e.U}) {
+					t.Fatalf("RemoveNonBridge removed %v written backwards", e)
+				}
+				want := refComponents(n, edges, e) <= 1
+				if got := g.RemoveNonBridge(e); got != want || g.HasEdge(e.U, e.V) == want {
+					t.Fatalf("RemoveNonBridge(%v) = %v, edge still present %v; reference %v", e, got, g.HasEdge(e.U, e.V), want)
+				}
+			case opCopyMemo:
+				spare.Connected()
+				g.CopyFrom(spare)
 			}
 			if err := checkConnectivity(g, a, b); err != nil {
 				t.Fatalf("after op %d on a %d-node graph with %d edges: %v", data[0]%numOps, g.N(), g.M(), err)

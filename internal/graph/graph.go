@@ -48,10 +48,12 @@ func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 // or RemoveEdge, and every Reset and CopyFrom, marks the memo stale and
 // bumps Mutations. The flattened adjacency is then rebuilt in its old
 // storage, and every connectivity query reuses one reachability sweep's
-// scratch the graph owns. A Graph is not safe for concurrent use, even
-// read-only, because of this lazy memoization and scratch, and it must
-// never be copied by value: the copy would share its rows, caches and
-// scratch with the original (use Clone or CopyFrom).
+// scratch the graph owns. The connectivity memo survives the changes that
+// cannot disconnect a connected graph (AddEdge on a connected graph and
+// RemoveNonBridge), and CopyFrom takes src's memo. A Graph is not safe for
+// concurrent use, even read-only, because of this lazy memoization and
+// scratch, and it must never be copied by value: the copy would share its
+// rows, caches and scratch with the original (use Clone or CopyFrom).
 //
 // A graph an adversary serves for round r must keep its edges until the
 // engine has diffed round r+1 against it; the adversary may rewrite it from
@@ -108,8 +110,8 @@ func (g *Graph) Reset() {
 }
 
 // CopyFrom makes g an exact copy of src's nodes and edges, reusing g's row
-// storage when the node counts match. Afterwards g shares no storage with
-// src.
+// storage when the node counts match, and takes src's connectivity memo.
+// Afterwards g shares no storage with src.
 func (g *Graph) CopyFrom(src *Graph) {
 	if g.n != src.n {
 		g.n = src.n
@@ -121,6 +123,7 @@ func (g *Graph) CopyFrom(src *Graph) {
 		g.adj[v].CopyFrom(&src.adj[v])
 	}
 	g.invalidate()
+	g.conn = src.conn
 }
 
 // Mutations returns how many times g's edge set has changed: every AddEdge
@@ -146,7 +149,11 @@ func (g *Graph) AddEdge(a, b NodeID) bool {
 	}
 	g.adj[b].Insert(a)
 	g.m++
+	conn := g.conn
 	g.invalidate()
+	if conn == 1 {
+		g.conn = 1 // an added edge cannot disconnect
+	}
 	return true
 }
 
@@ -314,15 +321,16 @@ func (g *Graph) DSU() *unionfind.DSU {
 }
 
 // Connected reports whether the graph is connected (true for n <= 1). The
-// answer is memoized until the graph mutates, so the engine's once-per-round
-// validation of a long-lived graph is free after the first round.
+// answer is memoized (see Graph), so the engine's once-per-round validation
+// is free for a long-lived graph after its first round, and for the copy of
+// a graph an adversary keeps connected through AddEdge and RemoveNonBridge.
 func (g *Graph) Connected() bool {
 	if g.n <= 1 {
 		return true
 	}
 	if g.conn == 0 {
 		g.resetSweep()
-		if g.sweep(0, noEdge) == g.n {
+		if g.sweep(0, noEdge, -1) == g.n {
 			g.conn = 1
 		} else {
 			g.conn = -1
@@ -338,7 +346,7 @@ func (g *Graph) Components() int {
 	comps := 0
 	for v := 0; v < g.n; v++ {
 		if g.seen[v>>6]&(1<<(v&63)) == 0 {
-			g.sweep(v, noEdge)
+			g.sweep(v, noEdge, -1)
 			comps++
 		}
 	}
@@ -348,6 +356,9 @@ func (g *Graph) Components() int {
 // ConnectedWithout reports whether the graph stays connected after removing
 // edge e. An e that is not an edge of g (absent, out of range, or not in
 // canonical U < V form) removes nothing: the answer is then Connected's.
+// On a graph known to be connected the answer is whether e.V is reachable
+// from e.U without e, and the sweep stops as soon as it reaches e.V; a
+// full sweep that reaches every node records that g is connected.
 func (g *Graph) ConnectedWithout(e Edge) bool {
 	if g.n <= 1 {
 		return true
@@ -356,7 +367,28 @@ func (g *Graph) ConnectedWithout(e Edge) bool {
 		return g.Connected()
 	}
 	g.resetSweep()
-	return g.sweep(0, e) == g.n
+	if g.conn == 1 {
+		g.sweep(e.U, e, e.V)
+		return g.seen[e.V>>6]&(1<<(e.V&63)) != 0
+	}
+	if g.sweep(0, e, -1) < g.n {
+		return false
+	}
+	g.conn = 1
+	return true
+}
+
+// RemoveNonBridge removes edge e when the graph stays connected without it,
+// reporting whether it did: it is ConnectedWithout(e) followed by
+// RemoveEdge, except that g is then known to be connected, so a later
+// Connected (or CopyFrom of g) reads the memo instead of sweeping. An e
+// that is not an edge of g, in canonical U < V form, is not removed.
+func (g *Graph) RemoveNonBridge(e Edge) bool {
+	if e.U >= e.V || !g.ConnectedWithout(e) || !g.RemoveEdge(e.U, e.V) {
+		return false
+	}
+	g.conn = 1
+	return true
 }
 
 // noEdge is the sweep's skip argument when it skips no edge: no node
@@ -381,13 +413,18 @@ func (g *Graph) resetSweep() {
 // pushed at most once and the stack never holds more than n nodes. A
 // sparse row (only at n > 512) is walked neighbour by neighbour through the
 // inlined ForEach. skip is left out by marking its far end seen while its
-// near end's row is read. The sweep stops as soon as every node is marked.
-func (g *Graph) sweep(src NodeID, skip Edge) int {
+// near end's row is read. The sweep stops as soon as every node is marked,
+// or once node stop is (stop < 0: never).
+func (g *Graph) sweep(src NodeID, skip Edge, stop NodeID) int {
 	seen, stack := g.seen, g.stack
+	stopWord, stopBit := 0, uint64(0) // stopBit 0 never matches
+	if stop >= 0 {
+		stopWord, stopBit = stop>>6, 1<<(stop&63)
+	}
 	seen[src>>6] |= 1 << (src & 63)
 	stack[0] = src
 	top, count := 1, 1
-	for top > 0 && count < g.n {
+	for top > 0 && count < g.n && seen[stopWord]&stopBit == 0 {
 		top--
 		v := stack[top]
 		hide := -1

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -31,7 +32,9 @@ type Client struct {
 	HTTPClient *http.Client
 	// Timeout, when > 0, caps each request that arrives with no context
 	// deadline; contexts that already carry a deadline are used as-is.
-	// It bounds single requests, never a whole WaitJob poll loop.
+	// It bounds single requests, never a whole WaitJob loop: WaitJob asks
+	// the server to hold each status request for at most half of it, so a
+	// job that outlasts Timeout is still waited for, one request at a time.
 	Timeout time.Duration
 }
 
@@ -179,8 +182,14 @@ func (c *Client) Jobs(ctx context.Context) (JobList, error) {
 	return jl, err
 }
 
-// WaitJob polls a job until it reaches a terminal state (done, failed,
-// canceled) or ctx expires. poll <= 0 defaults to 50ms.
+// WaitJob waits until a job reaches a terminal state (done, failed,
+// canceled) or ctx expires. Each status request is a long poll
+// (GET /v1/jobs/{id}?wait=): the server holds it until the job ends, or for
+// half of the request's own bound (the time left before ctx's deadline,
+// else Timeout) capped at the server's 10 s hold, so the answer always
+// arrives before the bound cuts the request off. WaitJob asks at most once
+// per poll (poll <= 0 defaults to 50ms): a server that ignores wait is
+// polled every poll interval, never in a tight loop.
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (JobStatus, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
@@ -188,8 +197,12 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (Jo
 	t := time.NewTicker(poll)
 	defer t.Stop()
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
+		path := "/v1/jobs/" + id
+		if hold := c.jobHold(ctx); hold >= time.Millisecond {
+			path += "?wait=" + strconv.FormatInt(hold.Milliseconds(), 10) + "ms"
+		}
+		var st JobStatus
+		if _, err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
 			return st, err
 		}
 		switch st.State {
@@ -202,6 +215,18 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (Jo
 		case <-t.C:
 		}
 	}
+}
+
+// jobHold is how long WaitJob asks the server to hold one status request:
+// half the request's bound, at most the server's cap.
+func (c *Client) jobHold(ctx context.Context) time.Duration {
+	if deadline, ok := ctx.Deadline(); ok {
+		return min(maxJobWait, time.Until(deadline)/2)
+	}
+	if c.Timeout > 0 {
+		return min(maxJobWait, c.Timeout/2)
+	}
+	return maxJobWait
 }
 
 // RunStream submits a run request as a JSONL stream (POST /v1/runs?stream=1)

@@ -39,7 +39,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		requests: reg.CounterVec("dynspread_service_http_requests_total",
 			"HTTP requests served, by endpoint pattern.", "endpoint"),
 		latency: reg.HistogramVec("dynspread_service_http_request_seconds",
-			"HTTP request latency by endpoint pattern; streaming endpoints measure the stream's lifetime.",
+			"HTTP request latency by endpoint pattern; streaming endpoints measure the stream's lifetime, and a held GET /v1/jobs/{id}?wait= its hold.",
 			obs.DurationBuckets, "endpoint"),
 	}
 	reg.GaugeFunc("dynspread_service_queue_depth",

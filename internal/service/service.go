@@ -18,7 +18,9 @@
 //	                   /v1/jobs/{id}); ?stream=1 answers chunked JSONL
 //	                   (see stream.go for the protocol and backpressure
 //	                   contract)
-//	GET  /v1/jobs/{id} job status with live completed/total progress
+//	GET  /v1/jobs/{id} job status with live completed/total progress;
+//	                   ?wait=D (a Go duration) holds the answer until the
+//	                   job ends or D (at most 10 s) elapses
 //	GET  /v1/jobs/{id}/stream attach a JSONL stream to a submitted job
 //	GET  /v1/jobs/{id}/rounds per-trial round series of a done recorded job
 //	POST /v1/debug/profile    capture a pprof profile (?kind=cpu|heap,
@@ -608,6 +610,17 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
+// maxJobWait caps the hold of GET /v1/jobs/{id}?wait=. Shutdown answers a
+// held request at once, but an HTTP server stopped before the service's
+// drain begins still waits out the hold, so the cap sits well inside
+// spreadd's 30 s default drain.
+const maxJobWait = 10 * time.Second
+
+// handleJob serves GET /v1/jobs/{id}. With ?wait=<Go duration> it is a long
+// poll: while the job is not terminal the answer is held until the job
+// ends, the wait (capped at maxJobWait) elapses, the client goes away, or
+// Shutdown begins, and then carries the status of that moment. Without
+// wait it answers at once.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -616,6 +629,24 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown job %q", id))
 		return
+	}
+	var wait time.Duration
+	if v := r.URL.Query().Get("wait"); v != "" {
+		var err error
+		if wait, err = time.ParseDuration(v); err != nil || wait < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("service: wait must be a non-negative Go duration, got %q", v))
+			return
+		}
+	}
+	if wait > 0 {
+		t := time.NewTimer(min(wait, maxJobWait))
+		select {
+		case <-j.done:
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.quit:
+		}
+		t.Stop()
 	}
 	writeJSON(w, http.StatusOK, j.Status())
 }
