@@ -86,6 +86,28 @@ func TestAllocGateUnicastFloodingRound(t *testing.T) {
 	}), 100, 200)
 }
 
+// TestAllocGateNoWorkspaceRound: the Topkis trial above through the
+// facade's default, a Config without a Workspace. The execution then runs
+// on a private workspace, so its steady-state rounds allocate nothing
+// either.
+func TestAllocGateNoWorkspaceRound(t *testing.T) {
+	gate(t, "unicast flooding without a workspace", func(rounds int) {
+		rep, err := dynspread.Run(dynspread.Config{
+			N: 8, K: 512,
+			Algorithm: dynspread.AlgTopkis,
+			Adversary: dynspread.AdvStatic,
+			Seed:      7,
+			MaxRounds: rounds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed {
+			t.Fatalf("trial completed within %d rounds; the gate needs steady-state rounds", rounds)
+		}
+	}, 100, 200)
+}
+
 // TestAllocGateStabilityCheckedRound: the σ-edge-stability check reads the
 // engine's per-round diff, so the Topkis trial above stays allocation-free
 // with the check on. The facade Config carries no CheckStability, so the

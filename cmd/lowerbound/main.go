@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if algSpec.Mode != registry.Broadcast {
+	if algSpec.Mode() != registry.Broadcast {
 		fatal(fmt.Errorf("%q is not a broadcast algorithm", algName))
 	}
 	factory, err := algSpec.Broadcast(params)
@@ -77,9 +77,9 @@ func main() {
 	// every round's sample.
 	maxRounds := 8 * (*n) * (*n)
 	rec := sim.NewRecorder(sim.RecorderConfig{Stride: 1, Capacity: maxRounds})
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   factory,
+		Broadcast: factory,
 		Adversary: adv,
 		Seed:      *seed,
 		MaxRounds: maxRounds,

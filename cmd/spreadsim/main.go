@@ -68,7 +68,7 @@ func main() {
 	if *list {
 		fmt.Println("algorithms:")
 		for _, spec := range registry.Algorithms() {
-			fmt.Printf("  %-18s (%s)  %s\n", spec.Name, spec.Mode, spec.Doc)
+			fmt.Printf("  %-18s (%s)  %s\n", spec.Name, spec.Mode(), spec.Doc)
 		}
 		fmt.Println("adversaries:")
 		for _, spec := range registry.Adversaries() {

@@ -129,9 +129,9 @@ func TestAlg1GoldenFutileStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:         assign,
-		Factory:        factory,
+		Unicast:        factory,
 		Adversary:      adversary.Oblivious(churn),
 		Seed:           seed,
 		CheckStability: 3,

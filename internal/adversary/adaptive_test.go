@@ -18,9 +18,9 @@ func TestRequestCutterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   core.NewMultiSource(),
+		Unicast:   core.NewMultiSource(),
 		Adversary: adv,
 		Seed:      1,
 		MaxRounds: 100000,
@@ -73,9 +73,9 @@ func TestFreeEdgeAdversaryInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			adv := NewFreeEdge(sparse, 1, 5)
-			res, err := sim.RunBroadcast(sim.BroadcastConfig{
+			res, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Factory:   core.NewFlooding(0),
+				Broadcast: core.NewFlooding(0),
 				Adversary: adv,
 				Seed:      2,
 			})
@@ -117,9 +117,9 @@ func TestFreeEdgeSparseZeroProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := NewFreeEdge(true, 1, 9)
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   core.NewSilentBroadcast(1, 0),
+		Broadcast: core.NewSilentBroadcast(1, 0),
 		Adversary: adv,
 		MaxRounds: 300,
 	})
@@ -159,13 +159,13 @@ func TestAdaptiveAdversariesRejectOtherMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.RunBroadcast(sim.BroadcastConfig{
-		Assign: assign, Factory: core.NewFlooding(0), Adversary: cutter, MaxRounds: 10,
+	_, err = sim.Run(sim.Config{
+		Assign: assign, Broadcast: core.NewFlooding(0), Adversary: cutter, MaxRounds: 10,
 	})
 	wantRound1(err, cutter.Name())
 	for _, adv := range []sim.Adversary{NewFreeEdge(true, 1, 1), NewFreeEdge(false, 1, 1), NewWeakFreeEdge(1)} {
-		_, err := sim.RunUnicast(sim.UnicastConfig{
-			Assign: assign, Factory: core.NewMultiSource(), Adversary: adv, MaxRounds: 10,
+		_, err := sim.Run(sim.Config{
+			Assign: assign, Unicast: core.NewMultiSource(), Adversary: adv, MaxRounds: 10,
 		})
 		wantRound1(err, adv.Name())
 	}

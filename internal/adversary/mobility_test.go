@@ -47,9 +47,9 @@ func TestRotatingStarSingleSourceCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   core.NewMultiSource(),
+		Unicast:   core.NewMultiSource(),
 		Adversary: Oblivious(star),
 		Seed:      1,
 		MaxRounds: 400 * n * k,
@@ -113,9 +113,9 @@ func TestMobilityDisseminationCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   core.NewMultiSource(),
+		Unicast:   core.NewMultiSource(),
 		Adversary: Oblivious(m),
 		Seed:      2,
 		MaxRounds: 300000,

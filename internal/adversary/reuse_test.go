@@ -43,16 +43,16 @@ func TestRegisteredAdversariesLeaveServedGraphsAlone(t *testing.T) {
 				}
 				var res *sim.Result
 				if mode == registry.Unicast {
-					res, err = sim.RunUnicast(sim.UnicastConfig{
+					res, err = sim.Run(sim.Config{
 						Assign:    assign,
-						Factory:   func(sim.NodeEnv) sim.Protocol { return silentUnicast{} },
+						Unicast:   func(sim.NodeEnv) sim.Protocol { return silentUnicast{} },
 						Adversary: adv,
 						MaxRounds: rounds,
 					})
 				} else {
-					res, err = sim.RunBroadcast(sim.BroadcastConfig{
+					res, err = sim.Run(sim.Config{
 						Assign:    assign,
-						Factory:   func(sim.NodeEnv) sim.BroadcastProtocol { return silentBroadcast{} },
+						Broadcast: func(sim.NodeEnv) sim.BroadcastProtocol { return silentBroadcast{} },
 						Adversary: adv,
 						MaxRounds: rounds,
 					})

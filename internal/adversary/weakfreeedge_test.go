@@ -15,9 +15,9 @@ func TestWeakFreeEdgeFloodingCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := NewWeakFreeEdge(3)
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   core.NewFlooding(0),
+		Broadcast: core.NewFlooding(0),
 		Adversary: adv,
 		Seed:      1,
 		MaxRounds: 4 * n * n,
@@ -46,9 +46,9 @@ func TestWeakFreeEdgeMispredictsRandomized(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := NewWeakFreeEdge(5)
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   core.NewRandomBroadcast(),
+		Broadcast: core.NewRandomBroadcast(),
 		Adversary: adv,
 		Seed:      2,
 		MaxRounds: 6 * n * n,

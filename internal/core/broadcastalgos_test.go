@@ -39,9 +39,9 @@ func TestFloodingCompletesWithinNK(t *testing.T) {
 		adversary.Oblivious(rewire),
 	}
 	for _, adv := range advs {
-		res, err := sim.RunBroadcast(sim.BroadcastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   NewFlooding(0),
+			Broadcast: NewFlooding(0),
 			Adversary: adv,
 			MaxRounds: n*n + n,
 			Seed:      1,
@@ -67,9 +67,9 @@ func TestFloodingAmortizedQuadraticUpperBound(t *testing.T) {
 	// accounting ties out on a concrete run.
 	n := 10
 	assign := gossipAssign(t, n)
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewFlooding(0),
+		Broadcast: NewFlooding(0),
 		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Cycle(n))),
 	})
 	if err != nil {
@@ -93,13 +93,13 @@ func floodingChoices(t *testing.T, n, k, window, rounds int) ([][]token.ID, *sim
 		t.Fatal(err)
 	}
 	var choices [][]token.ID
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewFlooding(window),
+		Broadcast: NewFlooding(window),
 		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Path(n))),
 		MaxRounds: rounds,
-		OnRound: func(_ int, _ graph.Diff, c []token.ID, _ int64) {
-			choices = append(choices, append([]token.ID(nil), c...))
+		OnRound: func(_ int, _ graph.Diff, view *sim.View, _ int64) {
+			choices = append(choices, append([]token.ID(nil), view.Choices...))
 		},
 	})
 	if err != nil {
@@ -155,13 +155,13 @@ func TestFloodingScheduleAfterSkippedRounds(t *testing.T) {
 	}
 	flood := NewFlooding(window)
 	var source []token.ID
-	_, err = sim.RunBroadcast(sim.BroadcastConfig{
+	_, err = sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   func(env sim.NodeEnv) sim.BroadcastProtocol { return everyNth{flood(env), nth} },
+		Broadcast: func(env sim.NodeEnv) sim.BroadcastProtocol { return everyNth{flood(env), nth} },
 		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Path(n))),
 		MaxRounds: rounds,
-		OnRound: func(_ int, _ graph.Diff, c []token.ID, _ int64) {
-			source = append(source, c[0])
+		OnRound: func(_ int, _ graph.Diff, view *sim.View, _ int64) {
+			source = append(source, view.Choices[0])
 		},
 	})
 	if err != nil {
@@ -190,9 +190,9 @@ func TestRandomBroadcastCompletesOnStatic(t *testing.T) {
 	// completes (every token has positive per-round spread probability).
 	n := 8
 	assign := gossipAssign(t, n)
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewRandomBroadcast(),
+		Broadcast: NewRandomBroadcast(),
 		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Complete(n))),
 		Seed:      7,
 		MaxRounds: 20000,
@@ -238,9 +238,9 @@ func TestQuickFloodingWindowInvariant(t *testing.T) {
 			}
 			adv = adversary.Oblivious(rw)
 		}
-		res, err := sim.RunBroadcast(sim.BroadcastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   NewFlooding(0),
+			Broadcast: NewFlooding(0),
 			Adversary: adv,
 			Seed:      seed,
 			MaxRounds: n*k + n,
@@ -262,14 +262,14 @@ func TestSilentBroadcastLimitsSpeakers(t *testing.T) {
 	n := 10
 	assign := gossipAssign(t, n)
 	maxSpeakers := 0
-	res, err := sim.RunBroadcast(sim.BroadcastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewSilentBroadcast(2, 0),
+		Broadcast: NewSilentBroadcast(2, 0),
 		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Complete(n))),
 		MaxRounds: 500,
-		OnRound: func(_ int, _ graph.Diff, choices []token.ID, _ int64) {
+		OnRound: func(_ int, _ graph.Diff, view *sim.View, _ int64) {
 			c := 0
-			for _, ch := range choices {
+			for _, ch := range view.Choices {
 				if ch != token.None {
 					c++
 				}

@@ -72,9 +72,9 @@ func TestMatrixAlgorithmsByAdversaries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := sim.RunUnicast(sim.UnicastConfig{
+				res, err := sim.Run(sim.Config{
 					Assign:    assign,
-					Factory:   alg.factory,
+					Unicast:   alg.factory,
 					Adversary: adv,
 					Seed:      7,
 					MaxRounds: 600000,
@@ -113,9 +113,9 @@ func TestRequestAccountingInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := sim.RunUnicast(sim.UnicastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   NewMultiSource(),
+			Unicast:   NewMultiSource(),
 			Adversary: cutter,
 			Seed:      seed,
 			MaxRounds: 600000,
@@ -144,9 +144,9 @@ func TestCompletenessAnnouncementCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewMultiSource(),
+		Unicast:   NewMultiSource(),
 		Adversary: adversary.Oblivious(rw),
 		Seed:      5,
 		MaxRounds: 600000,
@@ -173,9 +173,9 @@ func TestEngineRejectsWrongSizeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.RunUnicast(sim.UnicastConfig{
+	_, err = sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewMultiSource(),
+		Unicast:   NewMultiSource(),
 		Adversary: wrongSizeAdv{},
 		MaxRounds: 5,
 	})
@@ -200,9 +200,9 @@ func TestSeedsSweepSingleSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.RunUnicast(sim.UnicastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   NewMultiSource(),
+			Unicast:   NewMultiSource(),
 			Adversary: cutter,
 			Seed:      seed,
 			MaxRounds: 600000,
@@ -234,9 +234,9 @@ func TestBroadcastMatrixSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			adv := adversary.NewFreeEdge(sparse, 1, seed)
-			res, err := sim.RunBroadcast(sim.BroadcastConfig{
+			res, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Factory:   NewFlooding(0),
+				Broadcast: NewFlooding(0),
 				Adversary: adv,
 				Seed:      seed,
 				MaxRounds: 4 * n * n,

@@ -22,9 +22,9 @@ func balancedAssign(t *testing.T, n, k, s int) *token.Assignment {
 
 func runMulti(t *testing.T, assign *token.Assignment, adv sim.Adversary, maxRounds int) *sim.Result {
 	t.Helper()
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewMultiSource(),
+		Unicast:   NewMultiSource(),
 		Adversary: adv,
 		MaxRounds: maxRounds,
 		Seed:      3,
@@ -138,9 +138,9 @@ func TestQuickMultiSourceRandomInstances(t *testing.T) {
 			return false
 		}
 		g := graph.RandomConnected(n, n+rng.Intn(n), rng)
-		res, err := sim.RunUnicast(sim.UnicastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   NewMultiSource(),
+			Unicast:   NewMultiSource(),
 			Adversary: staticAdv(g),
 			Seed:      seed,
 		})
@@ -171,9 +171,9 @@ func TestNewMultiSourceWithExplicitOwnership(t *testing.T) {
 		}
 		return NewMultiSourceWith(env, owned)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    a,
-		Factory:   factory,
+		Unicast:   factory,
 		Adversary: staticAdv(graph.Path(4)),
 		Seed:      5,
 	})

@@ -49,9 +49,9 @@ func TestObliviousSinglePhaseFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewOblivious(ObliviousOpts{Seed: 1}),
+		Unicast:   NewOblivious(ObliviousOpts{Seed: 1}),
 		Adversary: staticAdv(graph.Cycle(n)),
 		Seed:      2,
 	})
@@ -78,9 +78,9 @@ func TestObliviousTwoPhaseCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewOblivious(ObliviousOpts{Seed: 3, ForceTwoPhase: true, CF: 0.08}),
+		Unicast:   NewOblivious(ObliviousOpts{Seed: 3, ForceTwoPhase: true, CF: 0.08}),
 		Adversary: adversary.Oblivious(reg),
 		Seed:      4,
 		MaxRounds: 400000,
@@ -106,9 +106,9 @@ func TestObliviousTwoPhaseUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewOblivious(ObliviousOpts{Seed: 5, ForceTwoPhase: true, CF: 0.1}),
+		Unicast:   NewOblivious(ObliviousOpts{Seed: 5, ForceTwoPhase: true, CF: 0.1}),
 		Adversary: adversary.Oblivious(churn),
 		Seed:      6,
 		MaxRounds: 400000,
@@ -133,9 +133,9 @@ func TestObliviousPhase1CapForcesSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewOblivious(ObliviousOpts{Seed: 7, ForceTwoPhase: true, CF: 0.1, Phase1Cap: 2}),
+		Unicast:   NewOblivious(ObliviousOpts{Seed: 7, ForceTwoPhase: true, CF: 0.1, Phase1Cap: 2}),
 		Adversary: adversary.Oblivious(reg),
 		Seed:      8,
 		MaxRounds: 400000,
@@ -159,9 +159,9 @@ func TestObliviousHighDegreeHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &ObliviousStats{}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign: assign,
-		Factory: NewOblivious(ObliviousOpts{
+		Unicast: NewOblivious(ObliviousOpts{
 			Seed: 11, ForceTwoPhase: true, CF: 0.2, CGamma: 0.001, Stats: stats,
 		}),
 		Adversary: staticAdv(graph.Complete(n)),
@@ -199,9 +199,9 @@ func TestObliviousStatsForcedSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign: assign,
-		Factory: NewOblivious(ObliviousOpts{
+		Unicast: NewOblivious(ObliviousOpts{
 			Seed: 13, ForceTwoPhase: true, CF: 0.1, Phase1Cap: 1, Stats: stats,
 		}),
 		Adversary: adversary.Oblivious(reg),
@@ -230,9 +230,9 @@ func TestObliviousRespectsK1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewOblivious(ObliviousOpts{Seed: 9, ForceTwoPhase: true, CF: 0.15}),
+		Unicast:   NewOblivious(ObliviousOpts{Seed: 9, ForceTwoPhase: true, CF: 0.15}),
 		Adversary: adversary.Oblivious(reg),
 		Seed:      10,
 		MaxRounds: 200000,
@@ -263,9 +263,9 @@ func TestObliviousFactoryReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.RunUnicast(sim.UnicastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   f,
+			Unicast:   f,
 			Adversary: adversary.Oblivious(reg),
 			Seed:      4,
 			MaxRounds: 400000,

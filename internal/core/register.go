@@ -14,7 +14,6 @@ func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "single-source",
 		Doc:  "Algorithm 1 (Single-Source-Unicast), run as Multi-Source-Unicast with s = 1: 1-competitive O(n²+nk) messages (Theorem 3.1)",
-		Mode: registry.Unicast,
 		Unicast: func(p registry.Params) (sim.Factory, error) {
 			if p.Sources > 1 {
 				return nil, fmt.Errorf("one source only, got %d; use multi-source for more", p.Sources)
@@ -26,7 +25,6 @@ func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "multi-source",
 		Doc:  "Multi-Source-Unicast: O(n²s+nk) messages, O(nk) rounds (Theorems 3.5/3.6)",
-		Mode: registry.Unicast,
 		Unicast: func(registry.Params) (sim.Factory, error) {
 			return NewMultiSource(), nil
 		},
@@ -34,7 +32,6 @@ func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "oblivious",
 		Doc:  "Algorithm 2 (Oblivious-Multi-Source-Unicast): random-walk centers + dissemination (Theorem 3.8)",
-		Mode: registry.Unicast,
 		Unicast: func(p registry.Params) (sim.Factory, error) {
 			opts, _ := p.Options.(ObliviousOpts)
 			if opts.Seed == 0 {
@@ -46,7 +43,6 @@ func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "spanning-tree",
 		Doc:  "static-network baseline: BFS-tree pipelining, O(n+k) rounds (Introduction)",
-		Mode: registry.Unicast,
 		Unicast: func(registry.Params) (sim.Factory, error) {
 			return NewSpanningTree(), nil
 		},
@@ -54,7 +50,6 @@ func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "topkis",
 		Doc:  "static baseline (Topkis [39]): push an unsent token on every edge every round",
-		Mode: registry.Unicast,
 		Unicast: func(registry.Params) (sim.Factory, error) {
 			return NewTopkis(), nil
 		},
@@ -62,7 +57,6 @@ func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "flooding",
 		Doc:  "naive local-broadcast flooder, O(n²)-amortized upper bound (Section 1)",
-		Mode: registry.Broadcast,
 		Broadcast: func(registry.Params) (sim.BroadcastFactory, error) {
 			return NewFlooding(0), nil
 		},
@@ -70,7 +64,6 @@ func init() {
 	registry.RegisterAlgorithm(registry.Algorithm{
 		Name: "random-broadcast",
 		Doc:  "broadcast a uniformly random held token each round",
-		Mode: registry.Broadcast,
 		Broadcast: func(registry.Params) (sim.BroadcastFactory, error) {
 			return NewRandomBroadcast(), nil
 		},

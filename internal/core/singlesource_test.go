@@ -20,9 +20,9 @@ func singleAssign(t *testing.T, n, k int) *token.Assignment {
 
 func runSingle(t *testing.T, n, k int, adv sim.Adversary, maxRounds int, checkStability int) *sim.Result {
 	t.Helper()
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:         singleAssign(t, n, k),
-		Factory:        NewMultiSource(),
+		Unicast:        NewMultiSource(),
 		Adversary:      adv,
 		MaxRounds:      maxRounds,
 		Seed:           1,
@@ -162,9 +162,9 @@ func TestSingleSourceSourceNotZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    a,
-		Factory:   NewMultiSource(),
+		Unicast:   NewMultiSource(),
 		Adversary: staticAdv(graph.Path(9)),
 		Seed:      2,
 	})
@@ -202,14 +202,14 @@ func TestSingleSourceQuiescentAfterCompletion(t *testing.T) {
 	a := singleAssign(t, n, k)
 	var afterCompletion int64
 	completedAt := -1
-	_, err := sim.RunUnicast(sim.UnicastConfig{
+	_, err := sim.Run(sim.Config{
 		Assign:    a,
-		Factory:   NewMultiSource(),
+		Unicast:   NewMultiSource(),
 		Adversary: staticAdv(graph.Cycle(n)),
 		MaxRounds: 400,
-		OnRound: func(r int, _ graph.Diff, sent []sim.Message, _ int64) {
+		OnRound: func(r int, _ graph.Diff, view *sim.View, _ int64) {
 			if completedAt >= 0 && r > completedAt+1 {
-				afterCompletion += int64(len(sent))
+				afterCompletion += int64(len(view.LastSent))
 			}
 		},
 	})

@@ -26,9 +26,9 @@ func TestSpanningTreeCompletesLinearRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.RunUnicast(sim.UnicastConfig{
+			res, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Factory:   NewSpanningTree(),
+				Unicast:   NewSpanningTree(),
 				Adversary: staticAdv(tc.g),
 				Seed:      1,
 				MaxRounds: 10 * (n + k),
@@ -64,9 +64,9 @@ func TestSpanningTreeAmortizedMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewSpanningTree(),
+		Unicast:   NewSpanningTree(),
 		Adversary: staticAdv(graph.Complete(n)),
 		Seed:      1,
 	})
@@ -89,9 +89,9 @@ func TestSpanningTreeMultiRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewSpanningTree(),
+		Unicast:   NewSpanningTree(),
 		Adversary: staticAdv(graph.Complete(n)),
 		Seed:      3,
 		MaxRounds: 500,

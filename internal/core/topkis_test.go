@@ -29,9 +29,9 @@ func TestTopkisLinearRoundsOnStatic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sim.RunUnicast(sim.UnicastConfig{
+			res, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Factory:   NewTopkis(),
+				Unicast:   NewTopkis(),
 				Adversary: staticAdv(tc.g),
 				MaxRounds: 20 * (n + k),
 			})
@@ -54,9 +54,9 @@ func TestTopkisGossip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewTopkis(),
+		Unicast:   NewTopkis(),
 		Adversary: staticAdv(graph.Cycle(n)),
 	})
 	if err != nil {
@@ -78,9 +78,9 @@ func TestTopkisMessageHungryVsAlgorithm1(t *testing.T) {
 	}
 	g := graph.Complete(n)
 	run := func(f sim.Factory) *sim.Result {
-		res, err := sim.RunUnicast(sim.UnicastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   f,
+			Unicast:   f,
 			Adversary: staticAdv(g),
 		})
 		if err != nil {
@@ -111,9 +111,9 @@ func TestTopkisUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunUnicast(sim.UnicastConfig{
+	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Factory:   NewTopkis(),
+		Unicast:   NewTopkis(),
 		Adversary: adversary.Oblivious(churn),
 		MaxRounds: 100 * n * k,
 	})
@@ -186,15 +186,15 @@ func TestTopkisCursorMatchesScanFromZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		var log []sim.Message
-		res, err := sim.RunUnicast(sim.UnicastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:          assign,
-			Factory:         f,
+			Unicast:         f,
 			Adversary:       adv,
 			Seed:            3,
 			ArrivalSchedule: sched,
 			MaxRounds:       5000,
-			OnRound: func(_ int, _ graph.Diff, sent []sim.Message, _ int64) {
-				log = append(log, sent...)
+			OnRound: func(_ int, _ graph.Diff, view *sim.View, _ int64) {
+				log = append(log, view.LastSent...)
 			},
 		})
 		if err != nil {
@@ -259,15 +259,15 @@ func TestTopkisAllocsPerNode(t *testing.T) {
 	}
 	adv := staticAdv(graph.Complete(n))
 	allocs := func(f sim.Factory) float64 {
-		cfg := sim.UnicastConfig{
+		cfg := sim.Config{
 			Assign:    assign,
-			Factory:   f,
+			Unicast:   f,
 			Adversary: adv,
 			MaxRounds: 4 * (n + k),
 			Workspace: sim.NewWorkspace(),
 		}
 		run := func() {
-			if _, err := sim.RunUnicast(cfg); err != nil {
+			if _, err := sim.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -35,14 +35,14 @@ func E11FutileRounds(cfg Config) (*tablefmt.Table, error) {
 		}
 		stats := core.NewSingleSourceStats()
 		learnedAt := make(map[int]int64)
-		res, err := sim.RunUnicast(sim.UnicastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:         assign,
-			Factory:        core.NewMultiSourceWithOpts(core.SingleSourceOpts{Stats: stats}),
+			Unicast:        core.NewMultiSourceWithOpts(core.SingleSourceOpts{Stats: stats}),
 			Adversary:      adversary.Oblivious(churn),
 			Seed:           cfg.Seed,
 			CheckStability: 3,
 			MaxRounds:      100 * n * k,
-			OnRound: func(r int, _ graph.Diff, _ []sim.Message, learned int64) {
+			OnRound: func(r int, _ graph.Diff, _ *sim.View, learned int64) {
 				learnedAt[r] = learned
 			},
 		})

@@ -38,9 +38,9 @@ func E12Adaptivity(cfg Config) (*tablefmt.Table, error) {
 		} {
 			// Strongly adaptive.
 			strong := adversary.NewFreeEdge(true, 1, cfg.Seed+int64(n))
-			res, err := sim.RunBroadcast(sim.BroadcastConfig{
+			res, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Factory:   c.factory,
+				Broadcast: c.factory,
 				Adversary: strong,
 				Seed:      cfg.Seed,
 				MaxRounds: 6 * n * n,
@@ -56,9 +56,9 @@ func E12Adaptivity(cfg Config) (*tablefmt.Table, error) {
 
 			// Weakly adaptive.
 			weak := adversary.NewWeakFreeEdge(cfg.Seed + int64(n) + 1)
-			res2, err := sim.RunBroadcast(sim.BroadcastConfig{
+			res2, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Factory:   c.factory,
+				Broadcast: c.factory,
 				Adversary: weak,
 				Seed:      cfg.Seed,
 				MaxRounds: 6 * n * n,

@@ -35,9 +35,9 @@ func E1LowerBound(cfg Config) (*tablefmt.Table, error) {
 				return nil, err
 			}
 			adv := adversary.NewFreeEdge(true, 1, cfg.Seed+int64(1000*n+trial))
-			res, err := sim.RunBroadcast(sim.BroadcastConfig{
+			res, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Factory:   core.NewFlooding(0),
+				Broadcast: core.NewFlooding(0),
 				Adversary: adv,
 				Seed:      cfg.Seed + int64(trial),
 				MaxRounds: 4 * n * n,
@@ -91,9 +91,9 @@ func E2FreeGraph(cfg Config) (*tablefmt.Table, error) {
 		}
 		// Dense broadcasting: flooding.
 		adv := adversary.NewFreeEdge(true, 1, cfg.Seed+int64(n))
-		res, err := sim.RunBroadcast(sim.BroadcastConfig{
+		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   core.NewFlooding(0),
+			Broadcast: core.NewFlooding(0),
 			Adversary: adv,
 			Seed:      cfg.Seed,
 			MaxRounds: 4 * n * n,
@@ -112,9 +112,9 @@ func E2FreeGraph(cfg Config) (*tablefmt.Table, error) {
 			thr = 1
 		}
 		adv2 := adversary.NewFreeEdge(true, 1, cfg.Seed+int64(2*n))
-		res2, err := sim.RunBroadcast(sim.BroadcastConfig{
+		res2, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Factory:   core.NewSilentBroadcast(thr, 0),
+			Broadcast: core.NewSilentBroadcast(thr, 0),
 			Adversary: adv2,
 			Seed:      cfg.Seed,
 			MaxRounds: 50 * n,

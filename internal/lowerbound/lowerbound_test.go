@@ -20,9 +20,9 @@ func buildView(t *testing.T, n, k int, holders []int, choices []token.ID) *sim.V
 	}
 	var captured *sim.View
 	adv := captureAdv{out: &captured}
-	_, err = sim.RunBroadcast(sim.BroadcastConfig{
+	_, err = sim.Run(sim.Config{
 		Assign: assign,
-		Factory: func(env sim.NodeEnv) sim.BroadcastProtocol {
+		Broadcast: func(env sim.NodeEnv) sim.BroadcastProtocol {
 			return fixedChoice{c: choices[env.ID]}
 		},
 		Adversary: adv,
@@ -167,9 +167,9 @@ func TestFreeGraphMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		var captured *sim.View
-		_, err = sim.RunBroadcast(sim.BroadcastConfig{
+		_, err = sim.Run(sim.Config{
 			Assign: assign,
-			Factory: func(env sim.NodeEnv) sim.BroadcastProtocol {
+			Broadcast: func(env sim.NodeEnv) sim.BroadcastProtocol {
 				return fixedChoice{c: choices[env.ID]}
 			},
 			Adversary: captureAdv{out: &captured},

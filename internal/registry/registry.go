@@ -108,12 +108,23 @@ type Algorithm struct {
 	Name string
 	// Doc is a one-line description shown by CLI listings.
 	Doc string
-	// Mode is the single communication mode the algorithm runs in.
-	Mode Mode
-	// Unicast builds the protocol factory; set iff Mode == Unicast.
-	Unicast func(Params) (sim.Factory, error)
-	// Broadcast builds the broadcast factory; set iff Mode == Broadcast.
+	// Unicast builds a unicast algorithm's protocol factory and Broadcast a
+	// local-broadcast algorithm's. Exactly one is set; it fixes Mode.
+	Unicast   func(Params) (sim.Factory, error)
 	Broadcast func(Params) (sim.BroadcastFactory, error)
+}
+
+// Mode reports the communication mode the algorithm runs in: the mode of
+// each builder it sets.
+func (a Algorithm) Mode() Mode {
+	var m Mode
+	if a.Unicast != nil {
+		m |= Unicast
+	}
+	if a.Broadcast != nil {
+		m |= Broadcast
+	}
+	return m
 }
 
 // Adversary describes one registered dynamic-network adversary.
@@ -138,17 +149,14 @@ var (
 )
 
 // RegisterAlgorithm adds spec to the registry. It panics on an empty or
-// duplicate name or on a builder/mode mismatch — registration runs from
-// init functions, where a bad spec is a programming error.
+// duplicate name or unless exactly one builder is set — registration runs
+// from init functions, where a bad spec is a programming error.
 func RegisterAlgorithm(spec Algorithm) {
 	if spec.Name == "" {
 		panic("registry: algorithm with empty name")
 	}
-	if spec.Mode != Unicast && spec.Mode != Broadcast {
-		panic(fmt.Sprintf("registry: algorithm %q: mode must be exactly Unicast or Broadcast, got %v", spec.Name, spec.Mode))
-	}
-	if (spec.Mode == Unicast) != (spec.Unicast != nil) || (spec.Mode == Broadcast) != (spec.Broadcast != nil) {
-		panic(fmt.Sprintf("registry: algorithm %q: mode %v does not match its builders", spec.Name, spec.Mode))
+	if m := spec.Mode(); m != Unicast && m != Broadcast {
+		panic(fmt.Sprintf("registry: algorithm %q: set exactly one of the Unicast and Broadcast builders, got mode %v", spec.Name, m))
 	}
 	mu.Lock()
 	defer mu.Unlock()

@@ -15,13 +15,13 @@ func fakeAdvBuilder(Params) (sim.Adversary, error)              { return nil, ni
 
 func TestRegisterAndLookupAlgorithm(t *testing.T) {
 	RegisterAlgorithm(Algorithm{
-		Name: "test-alg", Doc: "test", Mode: Unicast, Unicast: fakeUnicastBuilder,
+		Name: "test-alg", Doc: "test", Unicast: fakeUnicastBuilder,
 	})
 	spec, err := LookupAlgorithm("test-alg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Mode != Unicast || spec.Unicast == nil {
+	if spec.Mode() != Unicast || spec.Unicast == nil {
 		t.Fatalf("bad spec %+v", spec)
 	}
 	found := false
@@ -46,22 +46,29 @@ func TestLookupUnknownNamesKnown(t *testing.T) {
 }
 
 func TestRegisterPanicsOnDuplicate(t *testing.T) {
-	RegisterAlgorithm(Algorithm{Name: "dup-alg", Mode: Broadcast, Broadcast: fakeBroadcastBuilder})
+	RegisterAlgorithm(Algorithm{Name: "dup-alg", Broadcast: fakeBroadcastBuilder})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration must panic")
 		}
 	}()
-	RegisterAlgorithm(Algorithm{Name: "dup-alg", Mode: Broadcast, Broadcast: fakeBroadcastBuilder})
+	RegisterAlgorithm(Algorithm{Name: "dup-alg", Broadcast: fakeBroadcastBuilder})
 }
 
-func TestRegisterPanicsOnModeBuilderMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mode/builder mismatch must panic")
-		}
-	}()
-	RegisterAlgorithm(Algorithm{Name: "broken-alg", Mode: Unicast, Broadcast: fakeBroadcastBuilder})
+func TestRegisterPanicsUnlessOneBuilder(t *testing.T) {
+	for _, spec := range []Algorithm{
+		{Name: "both-builders-alg", Unicast: fakeUnicastBuilder, Broadcast: fakeBroadcastBuilder},
+		{Name: "no-builder-alg"},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registering mode %v must panic", spec.Name, spec.Mode())
+				}
+			}()
+			RegisterAlgorithm(spec)
+		}()
+	}
 }
 
 func TestRegisterAdversaryModeMask(t *testing.T) {
@@ -87,8 +94,8 @@ func TestRegisterAdversaryModeMask(t *testing.T) {
 // builtin name lists themselves are pinned where the builtins are linked in
 // (internal/service's catalog test).
 func TestListingsSorted(t *testing.T) {
-	RegisterAlgorithm(Algorithm{Name: "zz-order-probe", Mode: Unicast, Unicast: fakeUnicastBuilder})
-	RegisterAlgorithm(Algorithm{Name: "aa-order-probe", Mode: Unicast, Unicast: fakeUnicastBuilder})
+	RegisterAlgorithm(Algorithm{Name: "zz-order-probe", Unicast: fakeUnicastBuilder})
+	RegisterAlgorithm(Algorithm{Name: "aa-order-probe", Unicast: fakeUnicastBuilder})
 	algs := Algorithms()
 	if !sort.SliceIsSorted(algs, func(i, j int) bool { return algs[i].Name < algs[j].Name }) {
 		t.Fatalf("Algorithms() not sorted: %v", names(algs, func(a Algorithm) string { return a.Name }))

@@ -255,6 +255,15 @@ func (s *Server) worker() {
 		case <-s.quit:
 			return
 		case j := <-s.queue:
+			// select picks at random among ready cases, so a worker that
+			// frees up during the drain can take a job still queued when
+			// Shutdown began: it cancels that job as the drain does.
+			select {
+			case <-s.quit:
+				s.drop(j, context.Canceled)
+				return
+			default:
+			}
 			s.busy.Add(1)
 			s.runJob(j)
 			s.busy.Add(-1)
@@ -358,6 +367,14 @@ func (s *Server) submit(specs []wire.TrialSpec, record *wire.RecordSpec, tctx co
 // release balances submit's jobWG.Add, exactly once per job.
 func (s *Server) release(j *job) { j.release.Do(s.jobWG.Done) }
 
+// drop ends a job that never ran, with err as its cause: the queue refused
+// it, or Shutdown began while it was queued.
+func (s *Server) drop(j *job, err error) {
+	j.cancel(err)
+	s.release(j)
+	s.retire(j)
+}
+
 // enqueue hands a job to the queue workers. Holding the mutex while sending
 // (non-blocking) makes "closed" and "in the queue" mutually exclusive:
 // after Shutdown sets closed no job can slip into the queue behind the
@@ -431,9 +448,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for {
 			select {
 			case j := <-s.queue:
-				j.cancel(context.Canceled)
-				s.release(j)
-				s.retire(j)
+				s.drop(j, context.Canceled)
 			default:
 				// enqueue is gated by closed under the mutex, so the queue
 				// stays empty from here on and jobWG can only shrink.
@@ -600,9 +615,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	// the state the job was accepted in.
 	accepted := j.Status()
 	if err := s.enqueue(j); err != nil {
-		j.cancel(err)
-		s.release(j)
-		s.retire(j)
+		s.drop(j, err)
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -749,7 +762,7 @@ type CatalogAdversary struct {
 func BuildCatalog() Catalog {
 	var c Catalog
 	for _, a := range registry.Algorithms() {
-		c.Algorithms = append(c.Algorithms, CatalogAlgorithm{Name: a.Name, Mode: a.Mode, Doc: a.Doc})
+		c.Algorithms = append(c.Algorithms, CatalogAlgorithm{Name: a.Name, Mode: a.Mode(), Doc: a.Doc})
 	}
 	for _, a := range registry.Adversaries() {
 		c.Adversaries = append(c.Adversaries, CatalogAdversary{Name: a.Name, Modes: a.Modes, Doc: a.Doc})

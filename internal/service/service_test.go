@@ -513,6 +513,49 @@ func TestServiceShutdownCancelsInFlight(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestShutdownCancelsQueuedJob: a job still queued when Shutdown begins is
+// canceled, even when the lone worker frees up during the drain with the
+// job still in the queue. A select with both quit and the queue ready picks
+// one at random, so the scenario runs 40 times.
+func TestShutdownCancelsQueuedJob(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		gate := make(chan struct{})
+		started := make(chan struct{}, 2)
+		runner := func(_ context.Context, specs []wire.TrialSpec, _ *wire.RecordSpec, _ func(int, wire.TrialResult)) ([]wire.TrialResult, error) {
+			started <- struct{}{}
+			<-gate
+			return make([]wire.TrialResult, len(specs)), nil
+		}
+		srv := New(Config{JobWorkers: 1, Runner: runner})
+		queue := func(seed int64) *job {
+			j, err := srv.submit([]wire.TrialSpec{{N: 8, K: 4, Algorithm: "single-source", Adversary: "static", Seed: seed}}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.enqueue(j); err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}
+		running := queue(1)
+		<-started
+		queued := queue(2)
+		drained := make(chan error, 1)
+		go func() { drained <- srv.Shutdown(context.Background()) }()
+		<-srv.quit
+		close(gate)
+		if err := <-drained; err != nil {
+			t.Fatal(err)
+		}
+		if st := running.Status(); st.State != JobDone {
+			t.Fatalf("run %d: running job ended %q, want done", i, st.State)
+		}
+		if st := queued.Status(); st.State != JobCanceled {
+			t.Fatalf("run %d: queued job ended %q, want canceled", i, st.State)
+		}
+	}
+}
+
 func seeds(n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {

@@ -31,9 +31,7 @@ func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, j *job) {
 	sub := j.subscribe(s.cfg.StreamBuffer)
 	if err := s.enqueue(j); err != nil {
 		j.unsubscribe(sub)
-		j.cancel(err)
-		s.release(j)
-		s.retire(j)
+		s.drop(j, err)
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}

@@ -46,15 +46,15 @@ func (p *bFloodProto) Arrive(_ int, t token.ID) { p.know.Add(t) }
 
 func TestArrivalScheduleAllZeroMatchesNil(t *testing.T) {
 	assign := singleSource(t, 8, 5, 0)
-	base, err := RunUnicast(UnicastConfig{
-		Assign: assign, Factory: newPushProto,
+	base, err := Run(Config{
+		Assign: assign, Unicast: newPushProto,
 		Adversary: staticAdv{graph.Path(8)}, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := RunUnicast(UnicastConfig{
-		Assign: assign, Factory: newPushProto,
+	zero, err := Run(Config{
+		Assign: assign, Unicast: newPushProto,
 		Adversary: staticAdv{graph.Path(8)}, Seed: 1,
 		ArrivalSchedule: make([]int, 5),
 	})
@@ -66,15 +66,15 @@ func TestArrivalScheduleAllZeroMatchesNil(t *testing.T) {
 	}
 
 	bassign := gossip(t, 6)
-	bbase, err := RunBroadcast(BroadcastConfig{
-		Assign: bassign, Factory: newBFloodProto,
+	bbase, err := Run(Config{
+		Assign: bassign, Broadcast: newBFloodProto,
 		Adversary: staticAdv{graph.Cycle(6)}, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bzero, err := RunBroadcast(BroadcastConfig{
-		Assign: bassign, Factory: newBFloodProto,
+	bzero, err := Run(Config{
+		Assign: bassign, Broadcast: newBFloodProto,
 		Adversary: staticAdv{graph.Cycle(6)}, Seed: 3,
 		ArrivalSchedule: make([]int, 6),
 	})
@@ -91,14 +91,14 @@ func TestArrivalScheduleStreamsUnicast(t *testing.T) {
 	assign := singleSource(t, n, k, 0)
 	sched := []int{0, 3, 7, 7}
 	firstSeen := map[token.ID]int{}
-	res, err := RunUnicast(UnicastConfig{
-		Assign: assign, Factory: newPushProto,
+	res, err := Run(Config{
+		Assign: assign, Unicast: newPushProto,
 		Adversary:       staticAdv{graph.Path(n)},
 		Seed:            1,
 		ArrivalSchedule: sched,
-		OnRound: func(r int, _ graph.Diff, sent []Message, _ int64) {
-			for i := range sent {
-				if tok := sent[i].carriedToken(); tok != token.None {
+		OnRound: func(r int, _ graph.Diff, view *View, _ int64) {
+			for i := range view.LastSent {
+				if tok := view.LastSent[i].carriedToken(); tok != token.None {
 					if _, ok := firstSeen[tok]; !ok {
 						firstSeen[tok] = r
 					}
@@ -133,8 +133,8 @@ func TestArrivalScheduleStreamsBroadcast(t *testing.T) {
 	assign := gossip(t, n)
 	// Every node's token arrives at a different round.
 	sched := []int{0, 2, 4, 6, 8}
-	res, err := RunBroadcast(BroadcastConfig{
-		Assign: assign, Factory: newBFloodProto,
+	res, err := Run(Config{
+		Assign: assign, Broadcast: newBFloodProto,
 		Adversary:       staticAdv{graph.Cycle(n)},
 		Seed:            2,
 		ArrivalSchedule: sched,
@@ -156,8 +156,8 @@ func TestArrivalScheduleStreamsBroadcast(t *testing.T) {
 func TestArrivalScheduleErrors(t *testing.T) {
 	assign := singleSource(t, 4, 3, 0)
 	run := func(sched []int, factory Factory) error {
-		_, err := RunUnicast(UnicastConfig{
-			Assign: assign, Factory: factory,
+		_, err := Run(Config{
+			Assign: assign, Unicast: factory,
 			Adversary:       staticAdv{graph.Path(4)},
 			MaxRounds:       50,
 			ArrivalSchedule: sched,

@@ -46,9 +46,9 @@ func TestDeliveryOrderInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	protos := make([]*recordProto, n)
-	_, err = RunUnicast(UnicastConfig{
+	_, err = Run(Config{
 		Assign: assign,
-		Factory: func(env NodeEnv) Protocol {
+		Unicast: func(env NodeEnv) Protocol {
 			p := &recordProto{env: env}
 			protos[env.ID] = p
 			return p
@@ -102,9 +102,9 @@ func TestInboxMutationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunUnicast(UnicastConfig{
+	_, err = Run(Config{
 		Assign: assign,
-		Factory: func(env NodeEnv) Protocol {
+		Unicast: func(env NodeEnv) Protocol {
 			return &mutateProto{recordProto{env: env}}
 		},
 		Adversary: staticAdv{graph.Star(n)},
@@ -181,18 +181,18 @@ func TestBroadcastLearnedMatchesPerEdgeReference(t *testing.T) {
 		got := make([][]token.ID, n)
 		adv := &freshGraphAdv{rng: rng}
 		var delivered int64
-		res, err := RunBroadcast(BroadcastConfig{
+		res, err := Run(Config{
 			Assign:    assign,
-			Factory:   func(env NodeEnv) BroadcastProtocol { return &learnedProto{env: env, got: got} },
+			Broadcast: func(env NodeEnv) BroadcastProtocol { return &learnedProto{env: env, got: got} },
 			Adversary: adv,
 			Seed:      seed,
 			MaxRounds: 12,
-			OnRound: func(r int, _ graph.Diff, choices []token.ID, learned int64) {
+			OnRound: func(r int, _ graph.Diff, view *View, learned int64) {
 				var round int64
 				for u := 0; u < n; u++ {
 					var want []token.ID
 					for v := 0; v < n; v++ {
-						c := choices[v]
+						c := view.Choices[v]
 						if c == token.None || !adv.last.HasEdge(v, u) || holds[u][c] {
 							continue
 						}

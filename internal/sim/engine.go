@@ -10,9 +10,9 @@ import (
 	"dynspread/internal/token"
 )
 
-// This file holds the single round engine shared by both communication
-// modes. One execution is: setup (knowledge sets, per-node protocol
-// instances) and then, per round,
+// This file holds the engine's one entry point, Run, and the round loop both
+// communication modes share. One execution is: setup (knowledge sets,
+// per-node protocol instances) and then, per round,
 //
 //	commit → adversary graph → validate → diff → exchange → observe
 //
@@ -22,10 +22,11 @@ import (
 // graph on the shared View (the mode keeps its Choices or LastSent current),
 // diff is the round's topology change E⁺_r/E⁻_r against the previous round's
 // graph — computed once and read by TC accounting, the σ-stability check and
-// the OnRound hooks alike — and exchange is the post-graph half (unicast:
+// the OnRound hook alike — exchange is the post-graph half (unicast:
 // BeginRound/Send/validate/deliver; broadcast: deliver the committed
-// broadcasts to the round's neighbors). RunUnicast and RunBroadcast are thin
-// wrappers that plug their engineMode into runEngine.
+// broadcasts to the round's neighbors), and observe hands the finished round
+// to Config.OnRound and the Recorder. The factory set in Config picks the
+// engineMode that supplies commit and exchange.
 
 // maxRoundCap bounds every round cap the engine will accept or derive.
 // It is far above any instance a simulation can actually execute, while
@@ -62,24 +63,74 @@ func DefaultMaxRounds(n, k int) int {
 	return r
 }
 
-// engineConfig is the mode-independent part of an execution configuration.
-type engineConfig struct {
-	assign         *token.Assignment
-	maxRounds      int
-	seed           int64
-	checkStability int
-	ws             *Workspace
-	arrivals       []int
-	rec            *Recorder
-	adversary      Adversary
+// Config configures one execution. Exactly one of Unicast and Broadcast must
+// be set: the factory that is set selects the communication mode.
+type Config struct {
+	Assign *token.Assignment
+	// Unicast builds the nodes' protocols for a unicast execution
+	// (Section 3): each round every node learns its round-start neighbors,
+	// sends point-to-point messages, and receives its inbox.
+	Unicast Factory
+	// Broadcast builds the nodes' protocols for a local-broadcast execution
+	// (Section 2): every node first commits the token it will locally
+	// broadcast (or ⊥); the strongly adaptive adversary then wires the
+	// round's connected graph with full knowledge of those choices; finally
+	// every broadcast is delivered to the chosen neighbors. Each local
+	// broadcast counts as one message (Definition 1.1).
+	Broadcast BroadcastFactory
+	Adversary Adversary
+	// MaxRounds caps the execution; 0 selects DefaultMaxRounds.
+	MaxRounds int
+	// Seed derives all node randomness (each node gets an independent
+	// stream).
+	Seed int64
+	// CheckStability, when > 0, verifies that the adversary's sequence is
+	// σ-edge-stable and fails the run otherwise. This guards experiments
+	// whose theorems assume 3-edge stability.
+	CheckStability int
+	// ArrivalSchedule, when non-nil, streams the token supply: entry t is
+	// the round token t is injected at its source (0 = present before round
+	// 1, the classic instance). Len must equal K. nil reproduces the
+	// all-tokens-at-round-0 semantics bit for bit. Late arrivals require the
+	// protocol to implement TokenArriver.
+	ArrivalSchedule []int
+	// OnRound, if non-nil, observes every round after delivery: the round
+	// number, the round's topology change against the previous round's
+	// graph (the empty graph before round 1), the execution's View, and the
+	// number of token-learning events the round produced. In a unicast
+	// execution v.LastSent holds the messages sent this round; in a
+	// broadcast execution v.Choices holds the round's broadcasts. For
+	// tracing. d and v are only valid for the duration of the callback.
+	OnRound func(r int, d graph.Diff, v *View, learned int64)
+	// Workspace, if non-nil, supplies reusable buffers (see Workspace); a
+	// nil one gets a private workspace for this execution.
+	Workspace *Workspace
+	// Recorder, if non-nil, attaches a flight recorder: the engine resets it
+	// at the start of the execution and fills its ring with per-round
+	// samples (see Recorder). Like Workspace, one recorder serves a worker's
+	// sequential trials.
+	Recorder *Recorder
+}
+
+// Run executes the configured protocol against the adversary until every
+// node holds every token, MaxRounds elapses, or a model violation occurs
+// (which returns an error).
+func Run(cfg Config) (*Result, error) {
+	if cfg.Workspace == nil {
+		cfg.Workspace = NewWorkspace()
+	}
+	switch {
+	case cfg.Unicast != nil && cfg.Broadcast == nil:
+		return runEngine(cfg, &unicastMode{factory: cfg.Unicast, ws: cfg.Workspace})
+	case cfg.Broadcast != nil && cfg.Unicast == nil:
+		return runEngine(cfg, &broadcastMode{factory: cfg.Broadcast, ws: cfg.Workspace})
+	}
+	return nil, fmt.Errorf("sim: exactly one of Config.Unicast and Config.Broadcast must be set")
 }
 
 // engineMode plugs one communication mode into the shared round loop. Every
 // method may touch the engineState the mode was bound to.
 type engineMode interface {
-	// check validates the mode-specific configuration (nil factory) before
-	// any setup happens.
-	check() error
 	// bind hands the mode the freshly initialized shared state; the mode
 	// sets up its per-node buffers and its part of the view here.
 	bind(st *engineState)
@@ -90,9 +141,6 @@ type engineMode interface {
 	// exchange runs the post-graph half of round r on graph g, doing all
 	// per-message accounting; it returns the number of token-learning events.
 	exchange(r int, g *graph.Graph) (learned int64, err error)
-	// observe reports the finished round and its topology change d to the
-	// caller's OnRound hook.
-	observe(r int, d graph.Diff, learned int64)
 	// arriver returns node v's protocol as a TokenArriver, or nil if the
 	// protocol does not support streaming token arrival.
 	arriver(v graph.NodeID) TokenArriver
@@ -186,26 +234,23 @@ func (st *engineState) complete() bool {
 // stays provably construct-free.
 //
 //dynspread:hotpath
-func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
-	if cfg.assign == nil {
+func runEngine(cfg Config, mode engineMode) (*Result, error) {
+	if cfg.Assign == nil {
 		return nil, fmt.Errorf("sim: nil assignment")
 	}
-	if err := mode.check(); err != nil {
-		return nil, err
-	}
-	if cfg.adversary == nil {
+	if cfg.Adversary == nil {
 		return nil, fmt.Errorf("sim: nil adversary")
 	}
-	adv := cfg.adversary
-	n, k := cfg.assign.N(), cfg.assign.K()
+	adv := cfg.Adversary
+	n, k := cfg.Assign.N(), cfg.Assign.K()
 	if n < 2 {
 		return nil, fmt.Errorf("sim: need n >= 2 nodes, got %d", n)
 	}
-	late, lastArrival, err := buildArrivals(cfg.arrivals, k)
+	late, lastArrival, err := buildArrivals(cfg.ArrivalSchedule, k)
 	if err != nil {
 		return nil, err
 	}
-	maxRounds := cfg.maxRounds
+	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		// Late arrivals shift the whole dissemination: the cap must be
 		// generous past the LAST injection, not past round 0. The sum
@@ -222,18 +267,18 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 		return nil, fmt.Errorf("sim: max rounds %d is below the last scheduled token arrival (round %d)", maxRounds, lastArrival)
 	}
 
-	st := &engineState{n: n, k: k, know: cfg.ws.knowFor(n, k), holders: cfg.ws.holdersFor(k)}
+	st := &engineState{n: n, k: k, know: cfg.Workspace.knowFor(n, k), holders: cleared(&cfg.Workspace.holders, k)}
 	st.view = View{N: n, K: k, know: st.know}
 	mode.bind(st)
-	rngs := cfg.ws.nodeRngsFor(n, cfg.seed)
-	infoOf := cfg.assign.Info
+	rngs := cfg.Workspace.nodeRngsFor(n, cfg.Seed)
+	infoOf := cfg.Assign.Info
 	for v := 0; v < n; v++ {
 		//dynspread:allow hotpath -- cold: one-time per-node setup before the round loop
-		initial := append([]token.ID(nil), cfg.assign.TokensOf(v)...)
+		initial := append([]token.ID(nil), cfg.Assign.TokensOf(v)...)
 		if len(late) > 0 {
 			kept := initial[:0]
 			for _, t := range initial {
-				if cfg.arrivals[t] == 0 {
+				if cfg.ArrivalSchedule[t] == 0 {
 					//dynspread:allow hotpath -- cold: in-place filter during setup, capacity already owned
 					kept = append(kept, t)
 				}
@@ -247,7 +292,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			ID:         v,
 			N:          n,
 			K:          k,
-			NumSources: cfg.assign.NumSources(),
+			NumSources: cfg.Assign.NumSources(),
 			Initial:    initial,
 			Know:       Knowledge{st.know[v]},
 			InfoOf:     infoOf,
@@ -259,7 +304,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 	// Fail fast: every source receiving a late token must understand
 	// injections, otherwise the run could silently never complete.
 	for _, a := range late {
-		src := cfg.assign.Info(a.tok).Source
+		src := cfg.Assign.Info(a.tok).Source
 		if mode.arriver(src) == nil {
 			return nil, fmt.Errorf("sim: token %d arrives at round %d but the protocol at node %d does not implement sim.TokenArriver (algorithm does not support streaming arrivals)",
 				a.tok, a.round, src)
@@ -267,14 +312,14 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 	}
 
 	var stability *graph.StabilityTracker
-	if cfg.checkStability > 0 {
-		stability = graph.NewStabilityTracker(cfg.checkStability)
+	if cfg.CheckStability > 0 {
+		stability = graph.NewStabilityTracker(cfg.CheckStability)
 	}
-	if cfg.rec != nil {
+	if cfg.Recorder != nil {
 		// Baselines are taken AFTER setup so round 1's window deltas start
 		// from the post-setup state (initial insertions and workspace-reuse
 		// representation switches never pollute the series).
-		cfg.rec.start(st)
+		cfg.Recorder.start(st)
 	}
 
 	// prev is the previous round's graph and prevMut its Mutations count
@@ -282,7 +327,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 	// below has read it.
 	prev := graph.New(n)
 	prevMut := prev.Mutations()
-	diff := cfg.ws.diffBuf()
+	diff := &cfg.Workspace.diff
 	if st.complete() { // degenerate: k == 0 or everyone starts complete
 		return &Result{Completed: true, Rounds: 0, Metrics: st.metrics}, nil
 	}
@@ -294,7 +339,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 		for next < len(late) && late[next].round == r {
 			a := late[next]
 			next++
-			src := cfg.assign.Info(a.tok).Source
+			src := cfg.Assign.Info(a.tok).Source
 			st.learn(src, a.tok)
 			mode.arriver(src).Arrive(r, a.tok)
 			injected++
@@ -320,7 +365,7 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			if !stability.OK() {
 				v := stability.Violations()[0]
 				return nil, fmt.Errorf("sim: adversary %q violated %d-edge stability: edge %v inserted round %d, gone round %d",
-					adv.Name(), cfg.checkStability, v.E, v.InsertedAt, v.RemovedAt)
+					adv.Name(), cfg.CheckStability, v.E, v.InsertedAt, v.RemovedAt)
 			}
 		}
 		st.metrics.TC += int64(len(diff.Inserted))
@@ -331,20 +376,22 @@ func runEngine(cfg engineConfig, mode engineMode) (*Result, error) {
 			return nil, err
 		}
 		st.metrics.Rounds = r
-		mode.observe(r, *diff, learned)
-		if cfg.rec != nil {
-			cfg.rec.observeRound(r, injected)
+		if cfg.OnRound != nil {
+			cfg.OnRound(r, *diff, &st.view, learned)
+		}
+		if cfg.Recorder != nil {
+			cfg.Recorder.observeRound(r, injected)
 		}
 		prev, prevMut = g, g.Mutations()
 		if st.complete() {
-			if cfg.rec != nil {
-				cfg.rec.finish(r)
+			if cfg.Recorder != nil {
+				cfg.Recorder.finish(r)
 			}
 			return &Result{Completed: true, Rounds: r, Metrics: st.metrics}, nil
 		}
 	}
-	if cfg.rec != nil {
-		cfg.rec.finish(maxRounds)
+	if cfg.Recorder != nil {
+		cfg.Recorder.finish(maxRounds)
 	}
 	return &Result{Completed: false, Rounds: maxRounds, Metrics: st.metrics}, nil
 }

@@ -47,9 +47,9 @@ func TestWorkspaceReuseMatchesFreshBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunUnicast(UnicastConfig{
+		res, err := Run(Config{
 			Assign:    assign,
-			Factory:   newPushProto,
+			Unicast:   newPushProto,
 			Adversary: staticAdv{graph.Cycle(8)},
 			Seed:      3,
 			Workspace: w,
@@ -70,9 +70,9 @@ func TestWorkspaceReuseMatchesFreshBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RunBroadcast(BroadcastConfig{
+		if _, err := Run(Config{
 			Assign:    assign,
-			Factory:   newFloodB,
+			Broadcast: newFloodB,
 			Adversary: staticAdv{graph.Complete(6)},
 			Seed:      int64(i),
 			Workspace: ws,
@@ -102,9 +102,9 @@ func (a *togglingAdv) NextGraph(v *View) *graph.Graph {
 // empty diff (the identity short-cut saw prev == g and reported TC 4,
 // Removals 0 for an edge inserted five times and removed four).
 func TestEngineRejectsRewrittenServedGraph(t *testing.T) {
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    singleSource(t, 5, 2, 0),
-		Factory:   func(NodeEnv) Protocol { return silentProto{} },
+		Unicast:   func(NodeEnv) Protocol { return silentProto{} },
 		Adversary: &togglingAdv{},
 		MaxRounds: 10,
 	})

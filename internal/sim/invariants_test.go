@@ -13,9 +13,9 @@ import (
 // unicast payload tallies move.
 func TestBroadcastMetricsInvariants(t *testing.T) {
 	assign := gossip(t, 8)
-	res, err := RunBroadcast(BroadcastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newFloodB,
+		Broadcast: newFloodB,
 		Adversary: staticAdv{graph.Cycle(8)},
 		Seed:      5,
 	})
@@ -38,9 +38,9 @@ func TestBroadcastMetricsInvariants(t *testing.T) {
 // protocol the matching tally equals Messages exactly.
 func TestUnicastMetricsInvariants(t *testing.T) {
 	assign := singleSource(t, 8, 5, 0)
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newPushProto,
+		Unicast:   newPushProto,
 		Adversary: staticAdv{graph.Path(8)},
 		Seed:      5,
 	})
@@ -66,8 +66,8 @@ func TestUnicastMetricsInvariants(t *testing.T) {
 func TestArrivalExactlyAtMaxRounds(t *testing.T) {
 	const cap = 9
 	assign := singleSource(t, 2, 2, 0)
-	res, err := RunUnicast(UnicastConfig{
-		Assign: assign, Factory: newPushProto,
+	res, err := Run(Config{
+		Assign: assign, Unicast: newPushProto,
 		Adversary:       staticAdv{graph.Path(2)},
 		MaxRounds:       cap,
 		ArrivalSchedule: []int{0, cap},
@@ -91,13 +91,13 @@ func TestAllTokensLateBurst(t *testing.T) {
 		sched[i] = R // Burst{Round: R}.Rounds(k, seed) materializes to this
 	}
 	var before int64
-	res, err := RunUnicast(UnicastConfig{
-		Assign: assign, Factory: newPushProto,
+	res, err := Run(Config{
+		Assign: assign, Unicast: newPushProto,
 		Adversary:       staticAdv{graph.Path(2)},
 		ArrivalSchedule: sched,
-		OnRound: func(r int, _ graph.Diff, sent []Message, _ int64) {
+		OnRound: func(r int, _ graph.Diff, view *View, _ int64) {
 			if r < R {
-				before += int64(len(sent))
+				before += int64(len(view.LastSent))
 			}
 		},
 	})
@@ -181,16 +181,16 @@ func TestHoldersExactBroadcast(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()
 			rounds := 0
-			res, err := RunBroadcast(BroadcastConfig{
+			res, err := Run(Config{
 				Assign:          gossip(t, n),
-				Factory:         tc.factory,
+				Broadcast:       tc.factory,
 				Adversary:       staticAdv{g},
 				ArrivalSchedule: tc.sched,
 				Workspace:       ws,
-				OnRound: func(r int, _ graph.Diff, choices []token.ID, _ int64) {
+				OnRound: func(r int, _ graph.Diff, view *View, _ int64) {
 					rounds++
 					checkHolders(t, ws, r)
-					for v, c := range choices {
+					for v, c := range view.Choices {
 						if c == token.None {
 							continue
 						}
@@ -227,18 +227,18 @@ func TestHoldersExactUnicast(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := NewWorkspace()
 			rounds := 0
-			res, err := RunUnicast(UnicastConfig{
+			res, err := Run(Config{
 				Assign:          singleSource(t, n, k, 3),
-				Factory:         newPushProto,
+				Unicast:         newPushProto,
 				Adversary:       staticAdv{graph.Cycle(n)},
 				ArrivalSchedule: tc.sched,
 				Workspace:       ws,
-				OnRound: func(r int, _ graph.Diff, sent []Message, _ int64) {
+				OnRound: func(r int, _ graph.Diff, view *View, _ int64) {
 					rounds++
 					checkHolders(t, ws, r)
-					for i := range sent {
-						if tok := sent[i].carriedToken(); tok != token.None && !ws.know[sent[i].To].Contains(tok) {
-							t.Fatalf("round %d: token %d delivered to %d, which does not hold it", r, tok, sent[i].To)
+					for i := range view.LastSent {
+						if tok := view.LastSent[i].carriedToken(); tok != token.None && !ws.know[view.LastSent[i].To].Contains(tok) {
+							t.Fatalf("round %d: token %d delivered to %d, which does not hold it", r, tok, view.LastSent[i].To)
 						}
 					}
 				},

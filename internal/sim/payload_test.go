@@ -37,9 +37,9 @@ func TestPiggybackedPayloadsCountOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   func(env NodeEnv) Protocol { return &piggyProto{env: env} },
+		Unicast:   func(env NodeEnv) Protocol { return &piggyProto{env: env} },
 		Adversary: staticAdv{graph.Path(3)},
 		MaxRounds: 3,
 	})
@@ -72,9 +72,9 @@ func TestControlPayloadCounted(t *testing.T) {
 			return []Message{ControlMsg(0, 1, ControlPayload{Kind: CtrlTreeInvite})}
 		}}
 	}
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   factory,
+		Unicast:   factory,
 		Adversary: staticAdv{graph.Path(3)},
 		MaxRounds: 2,
 	})

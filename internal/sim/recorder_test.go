@@ -10,9 +10,9 @@ import (
 // and returns the result.
 func runRecorded(t *testing.T, rec *Recorder, n, k int) *Result {
 	t.Helper()
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    singleSource(t, n, k, 0),
-		Factory:   newPushProto,
+		Unicast:   newPushProto,
 		Adversary: staticAdv{graph.Path(n)},
 		Seed:      1,
 		Recorder:  rec,
@@ -193,9 +193,9 @@ func TestRecorderReuse(t *testing.T) {
 func TestRecorderBroadcast(t *testing.T) {
 	const n, k = 6, 6
 	rec := NewRecorder(RecorderConfig{Stride: 1, Capacity: 128})
-	res, err := RunBroadcast(BroadcastConfig{
+	res, err := Run(Config{
 		Assign:    gossip(t, n),
-		Factory:   newFloodB,
+		Broadcast: newFloodB,
 		Adversary: staticAdv{graph.Cycle(n)},
 		Seed:      3,
 		Recorder:  rec,

@@ -94,9 +94,9 @@ func (r rngRun) check(t *testing.T, ws *Workspace) {
 		}
 		return p
 	}
-	if _, err := RunUnicast(UnicastConfig{
+	if _, err := Run(Config{
 		Assign:    singleSource(t, r.n, 1, 0),
-		Factory:   factory,
+		Unicast:   factory,
 		Adversary: fixedAdv{graph.Path(r.n)},
 		MaxRounds: 1,
 		Seed:      r.seed,
@@ -204,16 +204,16 @@ func TestEngineSetupAllocsIndependentOfN(t *testing.T) {
 		t.Skip("allocation counts are not exact under -race (see raceEnabled)")
 	}
 	allocs := func(n int) float64 {
-		cfg := UnicastConfig{
+		cfg := Config{
 			Assign:    singleSource(t, n, 4, 0),
-			Factory:   func(NodeEnv) Protocol { return silentProto{} },
+			Unicast:   func(NodeEnv) Protocol { return silentProto{} },
 			Adversary: fixedAdv{graph.Path(n)},
 			MaxRounds: 1,
 			Seed:      7,
 			Workspace: NewWorkspace(),
 		}
 		run := func() {
-			if _, err := RunUnicast(cfg); err != nil {
+			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -87,9 +87,9 @@ func gossip(t *testing.T, n int) *token.Assignment {
 
 func TestRunUnicastCompletesOnStaticGraph(t *testing.T) {
 	assign := singleSource(t, 8, 5, 0)
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newPushProto,
+		Unicast:   newPushProto,
 		Adversary: staticAdv{graph.Path(8)},
 		Seed:      1,
 	})
@@ -116,9 +116,9 @@ func TestRunUnicastCompletesOnStaticGraph(t *testing.T) {
 
 func TestRunUnicastGossipAllSources(t *testing.T) {
 	assign := gossip(t, 6)
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newPushProto,
+		Unicast:   newPushProto,
 		Adversary: staticAdv{graph.Cycle(6)},
 		Seed:      2,
 	})
@@ -137,9 +137,9 @@ func TestRunUnicastMaxRounds(t *testing.T) {
 	// A silent protocol never completes; MaxRounds must stop the run
 	// without error.
 	assign := singleSource(t, 4, 2, 0)
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   func(env NodeEnv) Protocol { return silentProto{} },
+		Unicast:   func(env NodeEnv) Protocol { return silentProto{} },
 		Adversary: staticAdv{graph.Path(4)},
 		MaxRounds: 17,
 	})
@@ -169,9 +169,9 @@ func (b badProto) Send(int) []Message { return b.msg() }
 func runBad(t *testing.T, msg func() []Message) error {
 	t.Helper()
 	assign := singleSource(t, 4, 2, 0)
-	_, err := RunUnicast(UnicastConfig{
+	_, err := Run(Config{
 		Assign: assign,
-		Factory: func(env NodeEnv) Protocol {
+		Unicast: func(env NodeEnv) Protocol {
 			if env.ID == 0 {
 				return badProto{msg: msg}
 			}
@@ -235,9 +235,9 @@ func TestUnicastViolations(t *testing.T) {
 func TestUnicastTokenForwardingEnforced(t *testing.T) {
 	// Node 1 (no tokens) tries to send token 0.
 	assign := singleSource(t, 4, 2, 0)
-	_, err := RunUnicast(UnicastConfig{
+	_, err := Run(Config{
 		Assign: assign,
-		Factory: func(env NodeEnv) Protocol {
+		Unicast: func(env NodeEnv) Protocol {
 			if env.ID == 1 {
 				return badProto{msg: func() []Message {
 					return []Message{TokenMsg(1, 0, TokenPayload{ID: 0})}
@@ -262,9 +262,9 @@ func (disconnectingAdv) NextGraph(v *View) *graph.Graph {
 
 func TestUnicastRejectsDisconnectedAdversary(t *testing.T) {
 	assign := singleSource(t, 4, 2, 0)
-	_, err := RunUnicast(UnicastConfig{
+	_, err := Run(Config{
 		Assign:    assign,
-		Factory:   func(env NodeEnv) Protocol { return silentProto{} },
+		Unicast:   func(env NodeEnv) Protocol { return silentProto{} },
 		Adversary: disconnectingAdv{},
 		MaxRounds: 5,
 	})
@@ -277,9 +277,9 @@ func TestUnicastStabilityCheck(t *testing.T) {
 	// An adversary that flips an edge every round violates σ=3.
 	assign := singleSource(t, 4, 2, 0)
 	flip := flipAdv{}
-	_, err := RunUnicast(UnicastConfig{
+	_, err := Run(Config{
 		Assign:         assign,
-		Factory:        func(env NodeEnv) Protocol { return silentProto{} },
+		Unicast:        func(env NodeEnv) Protocol { return silentProto{} },
 		Adversary:      &flip,
 		MaxRounds:      10,
 		CheckStability: 3,
@@ -301,28 +301,34 @@ func (a *flipAdv) NextGraph(v *View) *graph.Graph {
 	return g
 }
 
-func TestUnicastConfigErrors(t *testing.T) {
+// TestConfigErrors: Run rejects every malformed Config before any setup,
+// with an error naming what is wrong.
+func TestConfigErrors(t *testing.T) {
 	assign := singleSource(t, 4, 2, 0)
-	if _, err := RunUnicast(UnicastConfig{}); err == nil {
-		t.Fatal("nil everything accepted")
-	}
-	if _, err := RunUnicast(UnicastConfig{Assign: assign}); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-	if _, err := RunUnicast(UnicastConfig{Assign: assign, Factory: newPushProto}); err == nil {
-		t.Fatal("nil adversary accepted")
-	}
+	adv := staticAdv{graph.Path(4)}
 	small := singleSource(t, 1, 1, 0)
-	if _, err := RunUnicast(UnicastConfig{Assign: small, Factory: newPushProto, Adversary: staticAdv{graph.New(1)}}); err == nil {
-		t.Fatal("n=1 accepted")
+	for _, tc := range []struct {
+		name, want string
+		cfg        Config
+	}{
+		{"nil everything", "exactly one of", Config{}},
+		{"no factory", "exactly one of", Config{Assign: assign, Adversary: adv}},
+		{"both factories", "exactly one of", Config{Assign: assign, Unicast: newPushProto, Broadcast: newFloodB, Adversary: adv}},
+		{"nil assignment", "nil assignment", Config{Unicast: newPushProto, Adversary: adv}},
+		{"nil adversary", "nil adversary", Config{Assign: assign, Broadcast: newFloodB}},
+		{"n = 1", "n >= 2", Config{Assign: small, Unicast: newPushProto, Adversary: staticAdv{graph.New(1)}}},
+	} {
+		if _, err := Run(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 func TestUnicastCompetitiveAccounting(t *testing.T) {
 	assign := singleSource(t, 6, 4, 0)
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newPushProto,
+		Unicast:   newPushProto,
 		Adversary: staticAdv{graph.Cycle(6)},
 	})
 	if err != nil {
@@ -345,13 +351,13 @@ func TestUnicastOnRoundHook(t *testing.T) {
 	rounds := 0
 	var sentTotal int
 	var inserted, removed int64
-	res, err := RunUnicast(UnicastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newPushProto,
+		Unicast:   newPushProto,
 		Adversary: &flipAdv{},
-		OnRound: func(r int, d graph.Diff, sent []Message, learned int64) {
+		OnRound: func(r int, d graph.Diff, view *View, learned int64) {
 			rounds++
-			sentTotal += len(sent)
+			sentTotal += len(view.LastSent)
 			inserted += int64(len(d.Inserted))
 			removed += int64(len(d.Removed))
 		},
@@ -417,9 +423,9 @@ func (p *floodBProto) Deliver(r int, learned []token.ID) {
 
 func TestRunBroadcastCompletes(t *testing.T) {
 	assign := gossip(t, 8)
-	res, err := RunBroadcast(BroadcastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newFloodB,
+		Broadcast: newFloodB,
 		Adversary: staticAdv{graph.Cycle(8)},
 		Seed:      3,
 	})
@@ -439,9 +445,9 @@ func TestRunBroadcastCompletes(t *testing.T) {
 
 func TestRunBroadcastTokenForwarding(t *testing.T) {
 	assign := singleSource(t, 4, 2, 0)
-	_, err := RunBroadcast(BroadcastConfig{
+	_, err := Run(Config{
 		Assign: assign,
-		Factory: func(env NodeEnv) BroadcastProtocol {
+		Broadcast: func(env NodeEnv) BroadcastProtocol {
 			return choiceProto{c: 0} // nodes != 0 don't hold token 0
 		},
 		Adversary: staticAdv{graph.Path(4)},
@@ -459,9 +465,9 @@ func (p choiceProto) Deliver(int, []token.ID) {}
 
 func TestRunBroadcastSilentHitsMaxRounds(t *testing.T) {
 	assign := singleSource(t, 4, 2, 0)
-	res, err := RunBroadcast(BroadcastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   func(env NodeEnv) BroadcastProtocol { return choiceProto{c: token.None} },
+		Broadcast: func(env NodeEnv) BroadcastProtocol { return choiceProto{c: token.None} },
 		Adversary: staticAdv{graph.Path(4)},
 		MaxRounds: 9,
 	})
@@ -476,11 +482,11 @@ func TestRunBroadcastSilentHitsMaxRounds(t *testing.T) {
 func TestBroadcastOnRoundLearningCount(t *testing.T) {
 	assign := gossip(t, 6)
 	var total int64
-	res, err := RunBroadcast(BroadcastConfig{
+	res, err := Run(Config{
 		Assign:    assign,
-		Factory:   newFloodB,
+		Broadcast: newFloodB,
 		Adversary: staticAdv{graph.Complete(6)},
-		OnRound: func(r int, _ graph.Diff, _ []token.ID, learned int64) {
+		OnRound: func(r int, _ graph.Diff, _ *View, learned int64) {
 			total += learned
 		},
 	})
@@ -514,9 +520,9 @@ func TestViewKnows(t *testing.T) {
 			}
 		}
 	}}
-	if _, err := RunUnicast(UnicastConfig{
+	if _, err := Run(Config{
 		Assign:    assign,
-		Factory:   func(env NodeEnv) Protocol { return silentProto{} },
+		Unicast:   func(env NodeEnv) Protocol { return silentProto{} },
 		Adversary: probe,
 		MaxRounds: 2,
 	}); err != nil {

@@ -7,67 +7,15 @@ import (
 	"dynspread/internal/token"
 )
 
-// UnicastConfig configures one unicast execution.
-type UnicastConfig struct {
-	Assign    *token.Assignment
-	Factory   Factory
-	Adversary Adversary
-	// MaxRounds caps the execution; 0 selects DefaultMaxRounds.
-	MaxRounds int
-	// Seed derives all node randomness (each node gets an independent
-	// stream).
-	Seed int64
-	// CheckStability, when > 0, verifies that the adversary's sequence is
-	// σ-edge-stable and fails the run otherwise. This guards experiments
-	// whose theorems assume 3-edge stability.
-	CheckStability int
-	// ArrivalSchedule, when non-nil, streams the token supply: entry t is
-	// the round token t is injected at its source (0 = present before round
-	// 1, the classic instance). Len must equal K. nil reproduces the
-	// all-tokens-at-round-0 semantics bit for bit. Late arrivals require the
-	// protocol to implement TokenArriver.
-	ArrivalSchedule []int
-	// OnRound, if non-nil, observes every round after delivery: the round
-	// number, the round's topology change against the previous round's
-	// graph (the empty graph before round 1), the messages sent, and the
-	// number of token-learning events the round produced. For tracing. The
-	// diff d and the sent slice are only valid for the duration of the
-	// callback.
-	OnRound func(r int, d graph.Diff, sent []Message, learned int64)
-	// Workspace, if non-nil, supplies reusable buffers (see Workspace).
-	Workspace *Workspace
-	// Recorder, if non-nil, attaches a flight recorder: the engine resets it
-	// at the start of the execution and fills its ring with per-round
-	// samples (see Recorder). Like Workspace, one recorder serves a worker's
-	// sequential trials.
-	Recorder *Recorder
-}
-
-// RunUnicast executes the configured protocol against the adversary until
-// every node holds every token, MaxRounds elapses, or a model violation
-// occurs (which returns an error). It is a thin wrapper plugging the unicast
-// mode into the shared round engine.
-func RunUnicast(cfg UnicastConfig) (*Result, error) {
-	return runEngine(engineConfig{
-		assign:         cfg.Assign,
-		maxRounds:      cfg.MaxRounds,
-		seed:           cfg.Seed,
-		checkStability: cfg.CheckStability,
-		ws:             cfg.Workspace,
-		arrivals:       cfg.ArrivalSchedule,
-		rec:            cfg.Recorder,
-		adversary:      cfg.Adversary,
-	}, &unicastMode{cfg: cfg})
-}
-
 // unicastMode is the unicast half of the engine: nodes learn their
 // round-start neighbors, send point-to-point messages (validated against the
 // graph, the bandwidth limit, and the token-forwarding rule), and receive
 // their inbox sorted by (To, From) for determinism.
 type unicastMode struct {
-	cfg    UnicastConfig
-	st     *engineState
-	protos []Protocol
+	factory Factory
+	ws      *Workspace
+	st      *engineState
+	protos  []Protocol
 	// sends[v] is the slice node v's Send returned this round, read where
 	// the protocol left it (see Protocol). sortBuf and lastSent ping-pong
 	// between rounds: each round's delivery-sorted messages become
@@ -77,26 +25,19 @@ type unicastMode struct {
 	sends    [][]Message
 	sortBuf  []Message
 	lastSent []Message
-	// counts is the counting-sort bucket array (len n+1).
+	// counts holds the counting-sort buckets, n+1 of them in a round.
 	counts []int
-}
-
-func (m *unicastMode) check() error {
-	if m.cfg.Factory == nil {
-		return fmt.Errorf("sim: nil factory")
-	}
-	return nil
 }
 
 func (m *unicastMode) bind(st *engineState) {
 	m.st = st
-	m.protos = m.cfg.Workspace.protocolsFor(st.n)
-	m.sends = m.cfg.Workspace.sendsFor(st.n)
-	m.sortBuf, m.lastSent, m.counts = m.cfg.Workspace.unicastBuffers()
+	m.protos = cleared(&m.ws.protosU, st.n)
+	m.sends = cleared(&m.ws.sends, st.n)
+	m.sortBuf, m.lastSent, m.counts = m.ws.sendA[:0], m.ws.sendB[:0], m.ws.counts[:0]
 }
 
 func (m *unicastMode) newProto(env NodeEnv) error {
-	p := m.cfg.Factory(env)
+	p := m.factory(env)
 	if p == nil {
 		return fmt.Errorf("sim: factory returned nil protocol for node %d", env.ID)
 	}
@@ -136,20 +77,13 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 	}
 
 	// The counting sort's buckets are counted as the sends are validated.
-	counts := m.counts
-	if cap(counts) < n+1 {
-		counts = make([]int, n+1)
-	} else {
-		counts = counts[:n+1]
-		clear(counts)
-	}
-	m.counts = counts
+	counts := cleared(&m.counts, n+1)
 	total := 0
 	// Bandwidth check (at most one message per directed edge per round):
 	// validate pins msg.From == v and the loop visits senders in order, so
 	// stamps[to] == v+1 marks "v already sent to to this round" — a flat
 	// array probe where a map[{from,to}]bool used to hash on the hot path.
-	stamps := m.cfg.Workspace.sendStampsFor(n)
+	stamps := cleared(&m.ws.sendStamps, n)
 	for v := 0; v < n; v++ {
 		out := m.protos[v].Send(r)
 		// Each message is checked and counted where Send left it; the sort
@@ -246,13 +180,6 @@ func (m *unicastMode) exchange(r int, g *graph.Graph) (int64, error) {
 	// holding the round-before-last's sends is the next sort target.
 	m.sortBuf, m.lastSent = m.lastSent[:0], sorted
 	m.st.view.LastSent = sorted
-	m.cfg.Workspace.storeUnicastBuffers(m.sortBuf, m.lastSent, m.counts)
+	m.ws.sendA, m.ws.sendB, m.ws.counts = m.sortBuf, m.lastSent, m.counts
 	return learned, nil
-}
-
-//dynspread:hotpath
-func (m *unicastMode) observe(r int, d graph.Diff, learned int64) {
-	if m.cfg.OnRound != nil {
-		m.cfg.OnRound(r, d, m.lastSent, learned)
-	}
 }

@@ -10,13 +10,14 @@ import (
 )
 
 // View is the read-only execution state handed to adversaries of either mode
-// when they pick the next round's graph. A strongly adaptive adversary may use
-// all of it; an oblivious adversary must ignore everything except Round and N
-// (the adversary package's Oblivious adapter enforces this by construction —
-// it pre-commits to a sequence that depends only on its own seed).
+// when they pick the next round's graph, and to Config.OnRound after each
+// round. A strongly adaptive adversary may use all of it; an oblivious
+// adversary must ignore everything except Round and N (the adversary
+// package's Oblivious adapter enforces this by construction — it pre-commits
+// to a sequence that depends only on its own seed).
 //
-// All accessors return snapshots or read-only data; adversaries must not
-// mutate anything reachable from a View.
+// All accessors return snapshots or read-only data; adversaries and hooks
+// must not mutate anything reachable from a View.
 type View struct {
 	// Round is the round whose graph is being chosen (1-based).
 	Round int
@@ -25,9 +26,10 @@ type View struct {
 	// K is the number of tokens.
 	K int
 	// LastSent holds the messages sent (and delivered) in the previous
-	// round; nil before round 1 and in broadcast mode. Read-only. This is
-	// what lets a strongly adaptive adversary cut edges that carry pending
-	// request/response exchanges.
+	// round when the adversary reads it, and in the current round when
+	// OnRound does; nil before round 1 and in broadcast mode. Read-only.
+	// This is what lets a strongly adaptive adversary cut edges that carry
+	// pending request/response exchanges.
 	LastSent []Message
 	// Choices holds the round's committed local broadcasts, which the
 	// Section 2 adversary sees before wiring the graph: Choices[v] is the

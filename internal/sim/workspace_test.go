@@ -90,8 +90,8 @@ func TestWorkspaceReuseKeepsResultsIdentical(t *testing.T) {
 	}
 	ws := NewWorkspace()
 	run := func(a *token.Assignment, g *graph.Graph) *Result {
-		res, err := RunUnicast(UnicastConfig{
-			Assign: a, Factory: newPushProto,
+		res, err := Run(Config{
+			Assign: a, Unicast: newPushProto,
 			Adversary: staticAdv{g}, Seed: 1, Workspace: ws,
 		})
 		if err != nil {

@@ -47,8 +47,8 @@ type Trial struct {
 	Replay *trace.GraphTrace
 	// Arrivals, when non-nil, is the engine-level token arrival schedule
 	// (entry t = round token t is injected at its source; see
-	// sim.UnicastConfig.ArrivalSchedule). Scenario trials materialize it
-	// from the scenario's Schedule when unset.
+	// sim.Config.ArrivalSchedule). Scenario trials materialize it from the
+	// scenario's Schedule when unset.
 	Arrivals []int
 	// Seed derives all randomness of the trial.
 	Seed int64
@@ -58,7 +58,7 @@ type Trial struct {
 	Sigma int
 	// CheckStability, when > 0, makes the execution verify the adversary is
 	// σ-edge-stable, in either communication mode (see
-	// sim.UnicastConfig.CheckStability).
+	// sim.Config.CheckStability).
 	CheckStability int
 	// Options and AdvOptions carry algorithm- and adversary-specific
 	// options (see registry.Params).
@@ -316,9 +316,9 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 		if adv, err = registry.LookupAdversary(t.Adversary); err != nil {
 			return fail(err)
 		}
-		if !adv.Modes.Has(alg.Mode) {
+		if !adv.Modes.Has(alg.Mode()) {
 			return fail(fmt.Errorf("adversary %q serves %v executions, not %v algorithms like %q",
-				t.Adversary, adv.Modes, alg.Mode, t.Algorithm))
+				t.Adversary, adv.Modes, alg.Mode(), t.Algorithm))
 		}
 		a, err = adv.New(p)
 	} else if t.Replay.N != t.N {
@@ -329,51 +329,29 @@ func RunTrialRecorded(t Trial, ws *sim.Workspace, rec *sim.Recorder) (Result, er
 	if err != nil {
 		return fail(fmt.Errorf("adversary %q: %w", t.dynamics(), err))
 	}
-	var res *sim.Result
-	switch alg.Mode {
-	case registry.Unicast:
-		factory, ferr := alg.Unicast(p)
-		if ferr != nil {
-			return fail(fmt.Errorf("algorithm %q: %w", t.Algorithm, ferr))
-		}
-		cfg := sim.UnicastConfig{
-			Assign:          assign,
-			Factory:         factory,
-			Adversary:       a,
-			MaxRounds:       t.MaxRounds,
-			Seed:            t.Seed,
-			CheckStability:  t.CheckStability,
-			ArrivalSchedule: t.Arrivals,
-			Workspace:       ws,
-			Recorder:        rec,
-		}
-		if hook := t.OnDelta; hook != nil {
-			cfg.OnRound = func(_ int, d graph.Diff, _ []sim.Message, _ int64) { hook(d) }
-		}
-		res, err = sim.RunUnicast(cfg)
-	case registry.Broadcast:
-		factory, ferr := alg.Broadcast(p)
-		if ferr != nil {
-			return fail(fmt.Errorf("algorithm %q: %w", t.Algorithm, ferr))
-		}
-		cfg := sim.BroadcastConfig{
-			Assign:          assign,
-			Factory:         factory,
-			Adversary:       a,
-			MaxRounds:       t.MaxRounds,
-			Seed:            t.Seed,
-			CheckStability:  t.CheckStability,
-			ArrivalSchedule: t.Arrivals,
-			Workspace:       ws,
-			Recorder:        rec,
-		}
-		if hook := t.OnDelta; hook != nil {
-			cfg.OnRound = func(_ int, d graph.Diff, _ []token.ID, _ int64) { hook(d) }
-		}
-		res, err = sim.RunBroadcast(cfg)
-	default:
-		err = fmt.Errorf("algorithm %q has unsupported mode %v", t.Algorithm, alg.Mode)
+	cfg := sim.Config{
+		Assign:          assign,
+		Adversary:       a,
+		MaxRounds:       t.MaxRounds,
+		Seed:            t.Seed,
+		CheckStability:  t.CheckStability,
+		ArrivalSchedule: t.Arrivals,
+		Workspace:       ws,
+		Recorder:        rec,
 	}
+	switch alg.Mode() {
+	case registry.Unicast:
+		cfg.Unicast, err = alg.Unicast(p)
+	case registry.Broadcast:
+		cfg.Broadcast, err = alg.Broadcast(p)
+	}
+	if err != nil {
+		return fail(fmt.Errorf("algorithm %q: %w", t.Algorithm, err))
+	}
+	if hook := t.OnDelta; hook != nil {
+		cfg.OnRound = func(_ int, d graph.Diff, _ *sim.View, _ int64) { hook(d) }
+	}
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return fail(err)
 	}
