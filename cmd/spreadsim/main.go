@@ -77,7 +77,7 @@ func main() {
 		fmt.Println("scenarios:")
 		for _, spec := range scenario.Scenarios() {
 			fmt.Printf("  %-18s n=%-5d k=%-5d s=%-4d %-14s arrivals=%-34s alg=%s\n",
-				spec.Name, spec.N, spec.K, spec.NumSources(), spec.DynamicsName(), spec.ScheduleName(), spec.DefaultAlgorithm)
+				spec.Name, spec.N, spec.K, spec.NumSources(), spec.Adversary, spec.ScheduleName(), spec.DefaultAlgorithm)
 			fmt.Printf("  %-18s %s\n", "", spec.Doc)
 		}
 		return

@@ -206,12 +206,6 @@ func run(cfg Config, onDelta func(graph.Diff)) (*TrialResult, error) {
 			advName = string(AdvStatic)
 		}
 	}
-	var opts any = cfg.Oblivious
-	if cfg.Scenario != "" && cfg.Oblivious == (core.ObliviousOpts{}) {
-		// Let the scenario's algorithm options apply unless the caller set
-		// explicit ones.
-		opts = nil
-	}
 	r, err := sweep.RunTrialRecorded(sweep.Trial{
 		Scenario: string(cfg.Scenario),
 		N:        cfg.N, K: cfg.K, Sources: cfg.Sources,
@@ -221,7 +215,7 @@ func run(cfg Config, onDelta func(graph.Diff)) (*TrialResult, error) {
 		Seed:      cfg.Seed,
 		MaxRounds: cfg.MaxRounds,
 		Sigma:     cfg.Sigma,
-		Options:   opts,
+		Options:   cfg.Oblivious,
 		OnDelta:   onDelta,
 	}, cfg.Workspace, cfg.Recorder)
 	if err != nil {

@@ -35,6 +35,7 @@ var testOnlyExports = map[string]string{
 	"dynspread/internal/graph.Cycle":                           "a topology fixture of the sim, core, walk and adversary tests",
 	"dynspread/internal/graph.Star":                            "a topology fixture of the sim and core tests",
 	"dynspread/internal/graph.Complete":                        "a topology fixture of the sim and core tests",
+	"dynspread/internal/trace.(*GraphTrace).NumRounds":         "the trace length the root golden-scenario and trace fuzz tests and the trace tests check",
 }
 
 func TestNoTestOnlyExports(t *testing.T) {

@@ -14,7 +14,7 @@ func TestRequestCutterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv, err := NewRequestCutter(10, 0, 0.5, 42)
+	adv, err := NewRequestCutter(10, 0.5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,65 +45,57 @@ func TestRequestCutterRun(t *testing.T) {
 }
 
 func TestRequestCutterValidation(t *testing.T) {
-	if _, err := NewRequestCutter(1, 0, 0.5, 0); err == nil {
+	if _, err := NewRequestCutter(1, 0.5, 0); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := NewRequestCutter(5, 0, 1.0, 0); err == nil {
+	if _, err := NewRequestCutter(5, 1.0, 0); err == nil {
 		t.Fatal("cutProb=1 accepted")
 	}
-	adv, err := NewRequestCutter(5, 3, -1, 0)
+	adv, err := NewRequestCutter(5, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adv.Name() == "" {
-		t.Fatal("empty name")
+	if got, want := adv.Name(), "request-cutter(p=0.60)"; got != want {
+		t.Fatalf("cutProb <= 0 named %q, want the default's %q", got, want)
 	}
 }
 
 func TestFreeEdgeAdversaryInvariants(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
-		}
-		t.Run(name, func(t *testing.T) {
-			n := 16
-			assign, err := token.Gossip(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			adv := NewFreeEdge(sparse, 1, 5)
-			res, err := sim.Run(sim.Config{
-				Assign:    assign,
-				Broadcast: core.NewFlooding(0),
-				Adversary: adv,
-				Seed:      2,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Completed {
-				t.Fatalf("flooding did not complete in %d rounds", res.Rounds)
-			}
-			if !adv.SetupOK() {
-				t.Fatal("Φ(0) > 0.8nk")
-			}
-			st := adv.Stats()
-			if st.BoundViolations != 0 {
-				t.Fatalf("ΔΦ exceeded 2(ℓ−1) in %d rounds", st.BoundViolations)
-			}
-			if st.MaxComponents < 1 {
-				t.Fatal("no component stats")
-			}
-			if st.InitialPhi <= 0 || st.InitialPhi > int64(n*n) {
-				t.Fatalf("InitialPhi = %d", st.InitialPhi)
-			}
-			// The adversary must slow flooding down relative to a static
-			// graph (where nk rounds always suffice); sanity floor only.
-			if res.Rounds < n {
-				t.Fatalf("suspiciously fast: %d rounds", res.Rounds)
-			}
-		})
+	n := 16
+	assign, err := token.Gossip(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := NewFreeEdge(5)
+	res, err := sim.Run(sim.Config{
+		Assign:    assign,
+		Broadcast: core.NewFlooding(),
+		Adversary: adv,
+		Seed:      2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("flooding did not complete in %d rounds", res.Rounds)
+	}
+	if !adv.SetupOK() {
+		t.Fatal("Φ(0) > 0.8nk")
+	}
+	st := adv.Stats()
+	if st.BoundViolations != 0 {
+		t.Fatalf("ΔΦ exceeded 2(ℓ−1) in %d rounds", st.BoundViolations)
+	}
+	if st.MaxComponents < 1 {
+		t.Fatal("no component stats")
+	}
+	if st.InitialPhi <= 0 || st.InitialPhi > int64(n*n) {
+		t.Fatalf("InitialPhi = %d", st.InitialPhi)
+	}
+	// The adversary must slow flooding down relative to a static
+	// graph (where nk rounds always suffice); sanity floor only.
+	if res.Rounds < n {
+		t.Fatalf("suspiciously fast: %d rounds", res.Rounds)
 	}
 }
 
@@ -116,10 +108,10 @@ func TestFreeEdgeSparseZeroProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := NewFreeEdge(true, 1, 9)
+	adv := NewFreeEdge(9)
 	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Broadcast: core.NewSilentBroadcast(1, 0),
+		Broadcast: core.NewSilentBroadcast(1),
 		Adversary: adv,
 		MaxRounds: 300,
 	})
@@ -155,15 +147,15 @@ func TestAdaptiveAdversariesRejectOtherMode(t *testing.T) {
 			t.Fatalf("err = %v, want it to contain %q", err, want)
 		}
 	}
-	cutter, err := NewRequestCutter(6, 0, 0.5, 1)
+	cutter, err := NewRequestCutter(6, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = sim.Run(sim.Config{
-		Assign: assign, Broadcast: core.NewFlooding(0), Adversary: cutter, MaxRounds: 10,
+		Assign: assign, Broadcast: core.NewFlooding(), Adversary: cutter, MaxRounds: 10,
 	})
 	wantRound1(err, cutter.Name())
-	for _, adv := range []sim.Adversary{NewFreeEdge(true, 1, 1), NewFreeEdge(false, 1, 1), NewWeakFreeEdge(1)} {
+	for _, adv := range []sim.Adversary{NewFreeEdge(1), NewWeakFreeEdge(1)} {
 		_, err := sim.Run(sim.Config{
 			Assign: assign, Unicast: core.NewMultiSource(), Adversary: adv, MaxRounds: 10,
 		})

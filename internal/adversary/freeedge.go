@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"fmt"
 	"math/rand"
 
 	"dynspread/internal/graph"
@@ -18,14 +17,11 @@ import (
 // limits the per-round potential growth to 2(ℓ−1) — and to 0 in rounds with
 // few broadcasters (Lemma 2.2).
 //
-// Dense mode serves every free edge (the paper's construction verbatim);
-// sparse mode serves only a spanning forest of the free graph, which has the
-// identical potential guarantee and is much cheaper at large n.
+// Where the paper's construction serves every free edge, it serves a
+// spanning forest of the free graph: the forest has the same components,
+// hence the same potential guarantee, and is much cheaper at large n.
 type FreeEdge struct {
-	name    string
-	rng     *rand.Rand
-	sparse  bool
-	sparseC float64 // Lemma 2.2 constant for the sparse-round classifier
+	rng *rand.Rand
 
 	inst    *lowerbound.Instance
 	setupOK bool
@@ -57,30 +53,20 @@ type FreeEdgeStats struct {
 	SparseThreshold int
 }
 
-// NewFreeEdge returns the adversary. sparse selects the spanning-forest
-// serving mode. c is the Lemma 2.2 constant used to classify rounds as
-// "sparse" in the recorded stats (c <= 0 selects 1).
-func NewFreeEdge(sparse bool, c float64, seed int64) *FreeEdge {
-	if c <= 0 {
-		c = 1
-	}
-	mode := "dense"
-	if sparse {
-		mode = "sparse"
-	}
+// NewFreeEdge returns the adversary. Its stats classify a round as sparse
+// when it has at most lowerbound.SparseThreshold(n) broadcasters.
+func NewFreeEdge(seed int64) *FreeEdge {
 	a := &FreeEdge{
-		name:    fmt.Sprintf("free-edge(%s)", mode),
 		rng:     rand.New(rand.NewSource(seed)),
-		sparse:  sparse,
 		prevPhi: -1,
 	}
 	a.stats.SparseThreshold = -1
-	a.sparseC = c
 	return a
 }
 
-// Name implements sim.Adversary.
-func (a *FreeEdge) Name() string { return a.name }
+// Name implements sim.Adversary. It keeps the "(sparse)" suffix that
+// results and stored records carry.
+func (a *FreeEdge) Name() string { return "free-edge(sparse)" }
 
 // SetupOK reports whether the sampled K' sets satisfied Φ(0) ≤ 0.8nk (the
 // probabilistic-method event of Theorem 2.3). Valid after the first round.
@@ -121,18 +107,8 @@ func (a *FreeEdge) NextGraph(view *sim.View) *graph.Graph {
 
 	g := a.served.next(n)
 	g.Reset()
-	if a.sparse {
-		for _, e := range forest {
-			g.AddEdge(e[0], e[1])
-		}
-	} else {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if a.inst.Free(view, u, v) {
-					g.AddEdge(u, v)
-				}
-			}
-		}
+	for _, e := range forest {
+		g.AddEdge(e[0], e[1])
 	}
 	joinComponents(g, dsu)
 
@@ -151,7 +127,7 @@ func (a *FreeEdge) NextGraph(view *sim.View) *graph.Graph {
 // Φ(0) ≤ 0.8nk as the probabilistic method requires.
 func (a *FreeEdge) setup(view *sim.View) {
 	n, k := view.N, view.K
-	a.stats.SparseThreshold = lowerbound.SparseThreshold(n, a.sparseC)
+	a.stats.SparseThreshold = lowerbound.SparseThreshold(n)
 	var last *lowerbound.Instance
 	for attempt := 0; attempt < 100; attempt++ {
 		inst, err := lowerbound.Sample(n, k, a.rng)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRotatingStarShape(t *testing.T) {
-	s, err := NewRotatingStar(6, 1)
+	s, err := NewRotatingStar(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,19 +18,13 @@ func TestRotatingStarShape(t *testing.T) {
 	if g1.M() != 5 || len(g1.NeighborsShared(0)) != 5 {
 		t.Fatalf("round 1: M=%d deg(0)=%d", g1.M(), len(g1.NeighborsShared(0)))
 	}
-	g2 := s.Graph(2)
-	if len(g2.NeighborsShared(1)) != 5 {
-		t.Fatalf("round 2 center should be 1, deg = %d", len(g2.NeighborsShared(1)))
+	// Each center holds for two rounds, and the rotation wraps after n.
+	for _, c := range []struct{ r, center int }{{2, 0}, {3, 1}, {4, 1}, {12, 5}, {13, 0}} {
+		if deg := len(s.Graph(c.r).NeighborsShared(c.center)); deg != 5 {
+			t.Fatalf("round %d: center should be %d, its degree is %d", c.r, c.center, deg)
+		}
 	}
-	// Period 3: center advances every 3 rounds.
-	p, err := NewRotatingStar(6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Graph(1).NeighborsShared(0)) != 5 || len(p.Graph(3).NeighborsShared(0)) != 5 || len(p.Graph(4).NeighborsShared(1)) != 5 {
-		t.Fatal("period rotation wrong")
-	}
-	if _, err := NewRotatingStar(1, 1); err == nil {
+	if _, err := NewRotatingStar(1); err == nil {
 		t.Fatal("n=1 accepted")
 	}
 }
@@ -43,7 +37,7 @@ func TestRotatingStarSingleSourceCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	star, err := NewRotatingStar(n, 2)
+	star, err := NewRotatingStar(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +60,7 @@ func TestRotatingStarSingleSourceCompletes(t *testing.T) {
 }
 
 func TestMobilityConnectedSequence(t *testing.T) {
-	m, err := NewMobility(20, MobilityOpts{}, 5)
+	m, err := NewMobility(20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,15 +85,16 @@ func TestMobilityConnectedSequence(t *testing.T) {
 }
 
 func TestMobilityDefaultsAndErrors(t *testing.T) {
-	if _, err := NewMobility(1, MobilityOpts{}, 0); err == nil {
+	if _, err := NewMobility(1, 0); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	m, err := NewMobility(10, MobilityOpts{World: 2, Radius: 0.5, Speed: 0.1}, 1)
+	m, err := NewMobility(10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name() == "" {
-		t.Fatal("empty name")
+	// Radius √(6/(π·10)) keeps the expected degree near 6.
+	if got, want := m.Name(), "mobility(r=0.437,v=0.020)"; got != want {
+		t.Fatalf("name %q, want %q", got, want)
 	}
 }
 
@@ -109,7 +104,7 @@ func TestMobilityDisseminationCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMobility(n, MobilityOpts{}, 9)
+	m, err := NewMobility(n, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

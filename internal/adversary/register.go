@@ -32,11 +32,9 @@ type StaticOpts struct {
 }
 
 // RequestCutterOpts is the registry.Params.AdvOptions type understood by the
-// "request-cutter" entry. Zero fields select the registry defaults
-// (BaseEdges 2n, CutProb 0.6).
+// "request-cutter" entry. CutProb <= 0 selects NewRequestCutter's default.
 type RequestCutterOpts struct {
-	BaseEdges int
-	CutProb   float64
+	CutProb float64
 }
 
 // RewireOpts is the registry.Params.AdvOptions type understood by the
@@ -89,11 +87,11 @@ func buildRegular(p registry.Params) (Sequence, error) {
 }
 
 func buildRotatingStar(p registry.Params) (Sequence, error) {
-	return NewRotatingStar(p.N, 2)
+	return NewRotatingStar(p.N)
 }
 
 func buildMobility(p registry.Params) (Sequence, error) {
-	return NewMobility(p.N, MobilityOpts{}, p.Seed+108)
+	return NewMobility(p.N, p.Seed+108)
 }
 
 func init() {
@@ -145,10 +143,7 @@ func init() {
 		Modes: registry.Unicast,
 		New: func(p registry.Params) (sim.Adversary, error) {
 			opts, _ := p.AdvOptions.(RequestCutterOpts)
-			if opts.CutProb <= 0 {
-				opts.CutProb = 0.6
-			}
-			return NewRequestCutter(p.N, opts.BaseEdges, opts.CutProb, p.Seed+106)
+			return NewRequestCutter(p.N, opts.CutProb, p.Seed+106)
 		},
 	})
 	registry.RegisterAdversary(registry.Adversary{
@@ -156,7 +151,7 @@ func init() {
 		Doc:   "Section 2 strongly adaptive local-broadcast lower-bound adversary",
 		Modes: registry.Broadcast,
 		New: func(p registry.Params) (sim.Adversary, error) {
-			return NewFreeEdge(true, 1, p.Seed+107), nil
+			return NewFreeEdge(p.Seed + 107), nil
 		},
 	})
 }

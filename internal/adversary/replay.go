@@ -17,8 +17,9 @@ import (
 // a completed run against a slower algorithm still terminate meaningfully.
 //
 // Replay adversaries are not registered in the component registry — they
-// need a trace, not a seed — and are instead reached through the scenario
-// layer (trace-backed dynamics) and the spreadsim -replay flag.
+// need a trace, not a seed — and are instead reached through
+// sweep.Trial.Replay, dynspread's Config.Replay and the spreadsim -replay
+// flag.
 
 // ReplayName is the self-reported adversary name of trace replays.
 const ReplayName = "trace-replay"

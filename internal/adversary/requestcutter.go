@@ -36,28 +36,20 @@ type RequestCutter struct {
 	cuts int64
 }
 
-// NewRequestCutter builds the adversary over n nodes. baseEdges is the edge
-// count of the evolving graph (default 2n); cutProb in [0,1) is the
-// per-hot-edge cut probability (default 0.7 when <= 0).
-func NewRequestCutter(n, baseEdges int, cutProb float64, seed int64) (*RequestCutter, error) {
+// NewRequestCutter builds the adversary over n nodes, on an evolving graph
+// of 2n edges (all n(n−1)/2 pairs when n <= 4). cutProb in [0,1) is the
+// per-hot-edge cut probability (default 0.6 when <= 0).
+func NewRequestCutter(n int, cutProb float64, seed int64) (*RequestCutter, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("adversary: request cutter needs n >= 2, got %d", n)
 	}
 	if cutProb <= 0 {
-		cutProb = 0.7
+		cutProb = 0.6
 	}
 	if cutProb >= 1 {
 		return nil, fmt.Errorf("adversary: cutProb must be < 1 for termination, got %g", cutProb)
 	}
-	if baseEdges <= 0 {
-		baseEdges = 2 * n
-	}
-	if baseEdges < n-1 {
-		baseEdges = n - 1
-	}
-	if maxM := n * (n - 1) / 2; baseEdges > maxM {
-		baseEdges = maxM
-	}
+	baseEdges := min(2*n, n*(n-1)/2)
 	rng := rand.New(rand.NewSource(seed))
 	return &RequestCutter{
 		name:    fmt.Sprintf("request-cutter(p=%.2f)", cutProb),

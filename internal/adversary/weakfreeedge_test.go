@@ -17,7 +17,7 @@ func TestWeakFreeEdgeFloodingCompletes(t *testing.T) {
 	adv := NewWeakFreeEdge(3)
 	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Broadcast: core.NewFlooding(0),
+		Broadcast: core.NewFlooding(),
 		Adversary: adv,
 		Seed:      1,
 		MaxRounds: 4 * n * n,

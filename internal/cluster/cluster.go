@@ -60,14 +60,12 @@ type Config struct {
 	ShardSize int
 	// Backoff is the deterministic per-shard retry schedule: attempt i
 	// sleeps Backoff[min(i, len-1)] before re-dispatch. Defaults to
-	// {0, 100ms, 400ms, 1s}.
+	// {0, 100ms, 400ms, 1s}. A shard that fails 4 × len(Workers) dispatch
+	// attempts fails the run.
 	Backoff []time.Duration
 	// FailureLimit is the number of CONSECUTIVE failures after which a
 	// worker is marked dead and stops receiving shards (default 3).
 	FailureLimit int
-	// MaxShardAttempts caps total dispatch attempts of one shard before the
-	// run fails (default 4 × len(Workers)).
-	MaxShardAttempts int
 	// Poll is the least time between two status requests for one shard
 	// (default 25ms). Each request is held by the worker until the shard's
 	// job ends (see RequestTimeout), so a result arrives as soon as it is
@@ -107,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailureLimit <= 0 {
 		c.FailureLimit = 3
-	}
-	if c.MaxShardAttempts <= 0 {
-		c.MaxShardAttempts = 4 * len(c.Workers)
 	}
 	if c.Poll <= 0 {
 		c.Poll = 25 * time.Millisecond
@@ -405,7 +400,7 @@ func (c *Coordinator) dispatch(ctx context.Context, plan []wire.ShardRequest, de
 						lg.Warn("shard dispatch failed, retrying",
 							"worker", c.cfg.Workers[w], "shard", sa.shard.Shard,
 							"attempt", sa.attempt, "error", err.Error())
-						if sa.attempt >= c.cfg.MaxShardAttempts {
+						if sa.attempt >= 4*len(c.cfg.Workers) {
 							fail(fmt.Errorf("cluster: shard %d/%d failed %d times, giving up: %w", sa.shard.Shard, sa.shard.Shards, sa.attempt, err))
 							return
 						}

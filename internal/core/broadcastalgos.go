@@ -6,10 +6,10 @@ import (
 )
 
 // Flooding is the paper's naive local-broadcast algorithm: "each node
-// broadcasts each token for n rounds". Time is divided into windows of
-// WindowLen rounds; in window w every node holding token (w mod k) broadcasts
-// it. Because every round's graph is connected, at least one edge crosses
-// the knower/non-knower cut, so each window fully spreads its token and the
+// broadcasts each token for n rounds". Time is divided into windows of n
+// rounds; in window w every node holding token (w mod k) broadcasts it.
+// Because every round's graph is connected, at least one edge crosses the
+// knower/non-knower cut, so each window fully spreads its token and the
 // whole dissemination finishes within nk rounds using at most n broadcasts
 // per round — the O(n²) amortized-messages upper bound of Section 1. A node
 // keeps no set of its own: it reads K_v from env.Know.
@@ -23,16 +23,11 @@ type Flooding struct {
 	windowEnd int
 }
 
-// NewFlooding returns the flooding factory. windowLen <= 0 selects n (the
-// value the correctness argument needs; smaller values are exposed for
-// ablation only).
-func NewFlooding(windowLen int) sim.BroadcastFactory {
+// NewFlooding returns the flooding factory, with windows of n rounds: the
+// length the correctness argument needs.
+func NewFlooding() sim.BroadcastFactory {
 	return func(env sim.NodeEnv) sim.BroadcastProtocol {
-		w := windowLen
-		if w <= 0 {
-			w = env.N
-		}
-		return &Flooding{env: env, windowLen: w}
+		return &Flooding{env: env, windowLen: env.N}
 	}
 }
 
@@ -130,8 +125,8 @@ type SilentBroadcast struct {
 
 // NewSilentBroadcast returns the factory; broadcasters is the number of
 // nodes allowed to broadcast (IDs 0..broadcasters-1).
-func NewSilentBroadcast(broadcasters, windowLen int) sim.BroadcastFactory {
-	flood := NewFlooding(windowLen)
+func NewSilentBroadcast(broadcasters int) sim.BroadcastFactory {
+	flood := NewFlooding()
 	return func(env sim.NodeEnv) sim.BroadcastProtocol {
 		return &SilentBroadcast{inner: flood(env), id: env.ID, broadcasters: broadcasters}
 	}

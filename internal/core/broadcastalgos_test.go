@@ -41,7 +41,7 @@ func TestFloodingCompletesWithinNK(t *testing.T) {
 	for _, adv := range advs {
 		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Broadcast: NewFlooding(0),
+			Broadcast: NewFlooding(),
 			Adversary: adv,
 			MaxRounds: n*n + n,
 			Seed:      1,
@@ -69,7 +69,7 @@ func TestFloodingAmortizedQuadraticUpperBound(t *testing.T) {
 	assign := gossipAssign(t, n)
 	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Broadcast: NewFlooding(0),
+		Broadcast: NewFlooding(),
 		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Cycle(n))),
 	})
 	if err != nil {
@@ -83,10 +83,11 @@ func TestFloodingAmortizedQuadraticUpperBound(t *testing.T) {
 	}
 }
 
-// floodingChoices runs flooding with the given window on a static path,
-// all k tokens starting at node 0, for at most rounds rounds, and returns
-// the committed choices of every round (choices[r-1][v]).
-func floodingChoices(t *testing.T, n, k, window, rounds int) ([][]token.ID, *sim.Result) {
+// floodingChoices runs flooding on a static path, all k tokens arriving at
+// node 0 (at the given rounds; nil = all at round 0), for at most rounds
+// rounds, and returns the committed choices of every round
+// (choices[r-1][v]).
+func floodingChoices(t *testing.T, n, k, rounds int, arrivals []int) ([][]token.ID, *sim.Result) {
 	t.Helper()
 	assign, err := token.SingleSource(n, k, 0)
 	if err != nil {
@@ -94,10 +95,11 @@ func floodingChoices(t *testing.T, n, k, window, rounds int) ([][]token.ID, *sim
 	}
 	var choices [][]token.ID
 	res, err := sim.Run(sim.Config{
-		Assign:    assign,
-		Broadcast: NewFlooding(window),
-		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Path(n))),
-		MaxRounds: rounds,
+		Assign:          assign,
+		Broadcast:       NewFlooding(),
+		Adversary:       adversary.Oblivious(adversary.NewStatic(graph.Path(n))),
+		MaxRounds:       rounds,
+		ArrivalSchedule: arrivals,
 		OnRound: func(_ int, _ graph.Diff, view *sim.View, _ int64) {
 			choices = append(choices, append([]token.ID(nil), view.Choices...))
 		},
@@ -109,14 +111,16 @@ func floodingChoices(t *testing.T, n, k, window, rounds int) ([][]token.ID, *sim
 }
 
 func TestFloodingWindowSchedule(t *testing.T) {
-	// On a path of 8 a window of 4 rounds carries each token 4 hops, so
-	// the schedule wraps around (round 13) before anyone completes.
-	choices, res := floodingChoices(t, 8, 3, 4, 13)
-	if res.Completed || len(choices) != 13 {
-		t.Fatalf("completed=%v after %d observed rounds, want 13 incomplete rounds", res.Completed, len(choices))
+	// On a path of 8 each window of n = 8 rounds carries its token across.
+	// Token 2 reaches the source only at round 25, after its window, so the
+	// schedule wraps around (round 25) before anyone completes.
+	choices, res := floodingChoices(t, 8, 3, 25, []int{0, 0, 25})
+	if res.Completed || len(choices) != 25 {
+		t.Fatalf("completed=%v after %d observed rounds, want 25 incomplete rounds", res.Completed, len(choices))
 	}
-	// Window 0 (rounds 1..4): token 0; window 1: token 1; window 3: token 0.
-	for _, c := range []struct{ r, want int }{{1, 0}, {4, 0}, {5, 1}, {9, 2}, {13, 0}} {
+	// Window 0 (rounds 1..8): token 0; window 1: token 1; window 2: token
+	// 2, which the source does not hold yet; window 3: token 0.
+	for _, c := range []struct{ r, want int }{{1, 0}, {8, 0}, {9, 1}, {17, token.None}, {24, token.None}, {25, 0}} {
 		if got := choices[c.r-1][0]; got != c.want {
 			t.Fatalf("round %d: source chose %d, want %d", c.r, got, c.want)
 		}
@@ -144,16 +148,16 @@ func (p everyNth) Choose(r int) token.ID {
 func (p everyNth) Deliver(r int, learned []token.ID) { p.inner.Deliver(r, learned) }
 
 // TestFloodingScheduleAfterSkippedRounds: flooding keeps its window's token
-// between calls, so a node asked only every 5th round, with windows of 2
-// rounds, passes whole windows between calls and must still choose the
-// token of the window r falls in.
+// between calls, so a node asked only every 11th round, with windows of
+// n = 8 rounds, passes whole windows between calls and must still choose
+// the token of the window r falls in.
 func TestFloodingScheduleAfterSkippedRounds(t *testing.T) {
-	const n, k, window, nth, rounds = 8, 3, 2, 5, 40
+	const n, k, nth, rounds = 8, 3, 11, 44
 	assign, err := token.SingleSource(n, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flood := NewFlooding(window)
+	flood := NewFlooding()
 	var source []token.ID
 	_, err = sim.Run(sim.Config{
 		Assign:    assign,
@@ -171,14 +175,14 @@ func TestFloodingScheduleAfterSkippedRounds(t *testing.T) {
 		t.Fatalf("observed %d rounds, want %d", len(source), rounds)
 	}
 	for r := nth; r <= rounds; r += nth {
-		if got, want := source[r-1], ((r-1)/window)%k; got != want {
-			t.Fatalf("round %d: source chose %d, want window %d's token %d", r, got, (r-1)/window, want)
+		if got, want := source[r-1], ((r-1)/n)%k; got != want {
+			t.Fatalf("round %d: source chose %d, want window %d's token %d", r, got, (r-1)/n, want)
 		}
 	}
 }
 
 func TestFloodingZeroTokens(t *testing.T) {
-	choices, res := floodingChoices(t, 4, 0, 0, 10)
+	choices, res := floodingChoices(t, 4, 0, 10, nil)
 	if !res.Completed || res.Rounds != 0 || res.Metrics.Broadcasts != 0 || len(choices) != 0 {
 		t.Fatalf("k=0 should be silent: completed=%v rounds=%d broadcasts=%d observed=%d",
 			res.Completed, res.Rounds, res.Metrics.Broadcasts, len(choices))
@@ -240,7 +244,7 @@ func TestQuickFloodingWindowInvariant(t *testing.T) {
 		}
 		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Broadcast: NewFlooding(0),
+			Broadcast: NewFlooding(),
 			Adversary: adv,
 			Seed:      seed,
 			MaxRounds: n*k + n,
@@ -264,7 +268,7 @@ func TestSilentBroadcastLimitsSpeakers(t *testing.T) {
 	maxSpeakers := 0
 	res, err := sim.Run(sim.Config{
 		Assign:    assign,
-		Broadcast: NewSilentBroadcast(2, 0),
+		Broadcast: NewSilentBroadcast(2),
 		Adversary: adversary.Oblivious(adversary.NewStatic(graph.Complete(n))),
 		MaxRounds: 500,
 		OnRound: func(_ int, _ graph.Diff, view *sim.View, _ int64) {

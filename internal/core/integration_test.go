@@ -54,7 +54,7 @@ func TestMatrixAlgorithmsByAdversaries(t *testing.T) {
 			return adversary.Oblivious(r), nil
 		}},
 		{"request-cutter", func(seed int64) (sim.Adversary, error) {
-			return adversary.NewRequestCutter(n, 0, 0.4, seed)
+			return adversary.NewRequestCutter(n, 0.4, seed)
 		}},
 	}
 	for _, alg := range algos {
@@ -109,7 +109,7 @@ func TestRequestAccountingInvariant(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cutter, err := adversary.NewRequestCutter(n, 0, 0.5, seed)
+		cutter, err := adversary.NewRequestCutter(n, 0.5, seed)
 		if err != nil {
 			return false
 		}
@@ -196,7 +196,7 @@ func TestSeedsSweepSingleSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cutter, err := adversary.NewRequestCutter(n, 0, 0.6, seed)
+		cutter, err := adversary.NewRequestCutter(n, 0.6, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,28 +228,26 @@ func TestBroadcastMatrixSeeds(t *testing.T) {
 	}
 	n := 12
 	for seed := int64(0); seed < 6; seed++ {
-		for _, sparse := range []bool{false, true} {
-			assign, err := token.Gossip(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			adv := adversary.NewFreeEdge(sparse, 1, seed)
-			res, err := sim.Run(sim.Config{
-				Assign:    assign,
-				Broadcast: NewFlooding(0),
-				Adversary: adv,
-				Seed:      seed,
-				MaxRounds: 4 * n * n,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Completed {
-				t.Fatalf("seed %d sparse=%v: incomplete", seed, sparse)
-			}
-			if adv.Stats().BoundViolations != 0 {
-				t.Fatalf("seed %d sparse=%v: potential bound violated", seed, sparse)
-			}
+		assign, err := token.Gossip(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv := adversary.NewFreeEdge(seed)
+		res, err := sim.Run(sim.Config{
+			Assign:    assign,
+			Broadcast: NewFlooding(),
+			Adversary: adv,
+			Seed:      seed,
+			MaxRounds: 4 * n * n,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("seed %d: incomplete", seed)
+		}
+		if adv.Stats().BoundViolations != 0 {
+			t.Fatalf("seed %d: potential bound violated", seed)
 		}
 	}
 }

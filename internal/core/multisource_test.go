@@ -94,7 +94,7 @@ func TestMultiSourceChurnStable(t *testing.T) {
 func TestMultiSourceCompetitiveBound(t *testing.T) {
 	// Theorem 3.5: Messages − TC ≤ c(n²s + nk) under the request cutter.
 	n, k, s := 12, 10, 3
-	adv, err := adversary.NewRequestCutter(n, 0, 0.5, 13)
+	adv, err := adversary.NewRequestCutter(n, 0.5, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMultiSourceCompetitiveBound(t *testing.T) {
 
 func TestMultiSourceTokenOncePerNode(t *testing.T) {
 	n, k, s := 10, 8, 4
-	adv, err := adversary.NewRequestCutter(n, 0, 0.5, 31)
+	adv, err := adversary.NewRequestCutter(n, 0.5, 31)
 	if err != nil {
 		t.Fatal(err)
 	}

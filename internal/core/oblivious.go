@@ -17,10 +17,10 @@ type ObliviousOpts struct {
 	// adversary is oblivious, so sharing a seed across nodes is sound.
 	Seed int64
 	// CF scales the center parameter f = CF·n^{1/2}·k^{1/4}·log^{5/4} n
-	// (clamped to [1, n]); CS scales the phase-1 trigger threshold
-	// s0 = CS·n^{2/3}·log^{5/3} n; CGamma scales the high-degree threshold
-	// γ = CGamma·(n·log n)/f. All default to 1 when <= 0.
-	CF, CS, CGamma float64
+	// (clamped to [1, n]); CGamma scales the high-degree threshold
+	// γ = CGamma·(n·log n)/f. Both default to 1 when <= 0. The phase-1
+	// trigger threshold is s0 = n^{2/3}·log^{5/3} n.
+	CF, CGamma float64
 	// Phase1Cap caps phase 1's length; 0 selects the paper's formula
 	// ℓ = k^{1/4}·n^{5/2}·log^{9/4} n. Phase 1 also ends early as soon as
 	// every token has reached a center. That exit is a simulation shortcut,
@@ -72,19 +72,16 @@ type ObliviousParams struct {
 
 // ResolveObliviousParams computes the Algorithm 2 parameters.
 func ResolveObliviousParams(n, k, s int, opts ObliviousOpts) ObliviousParams {
-	cf, cs, cg := opts.CF, opts.CS, opts.CGamma
+	cf, cg := opts.CF, opts.CGamma
 	if cf <= 0 {
 		cf = 1
-	}
-	if cs <= 0 {
-		cs = 1
 	}
 	if cg <= 0 {
 		cg = 1
 	}
 	lg := logn(n)
 	var p ObliviousParams
-	p.S0 = cs * math.Pow(float64(n), 2.0/3.0) * math.Pow(lg, 5.0/3.0)
+	p.S0 = math.Pow(float64(n), 2.0/3.0) * math.Pow(lg, 5.0/3.0)
 	p.TwoPhase = opts.ForceTwoPhase || float64(s) > p.S0
 	f := cf * math.Sqrt(float64(n)) * math.Pow(float64(k), 0.25) * math.Pow(lg, 1.25)
 	if f < 1 {

@@ -58,7 +58,7 @@ func init() {
 		Name: "flooding",
 		Doc:  "naive local-broadcast flooder, O(n²)-amortized upper bound (Section 1)",
 		Broadcast: func(registry.Params) (sim.BroadcastFactory, error) {
-			return NewFlooding(0), nil
+			return NewFlooding(), nil
 		},
 	})
 	registry.RegisterAlgorithm(registry.Algorithm{

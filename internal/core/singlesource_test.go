@@ -104,7 +104,7 @@ func TestSingleSourceRewire(t *testing.T) {
 
 func TestSingleSourceRequestCutter(t *testing.T) {
 	n, k := 14, 9
-	adv, err := adversary.NewRequestCutter(n, 0, 0.6, 77)
+	adv, err := adversary.NewRequestCutter(n, 0.6, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSingleSourceTokenMessagesExactlyOncePerNode(t *testing.T) {
 	// Even under heavy churn each node receives each token at most once
 	// (requests are only re-sent for tokens that never arrived).
 	n, k := 10, 6
-	adv, err := adversary.NewRequestCutter(n, 0, 0.5, 3)
+	adv, err := adversary.NewRequestCutter(n, 0.5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,10 @@ func E1LowerBound(cfg Config) (*tablefmt.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			adv := adversary.NewFreeEdge(true, 1, cfg.Seed+int64(1000*n+trial))
+			adv := adversary.NewFreeEdge(cfg.Seed + int64(1000*n+trial))
 			res, err := sim.Run(sim.Config{
 				Assign:    assign,
-				Broadcast: core.NewFlooding(0),
+				Broadcast: core.NewFlooding(),
 				Adversary: adv,
 				Seed:      cfg.Seed + int64(trial),
 				MaxRounds: 4 * n * n,
@@ -90,10 +90,10 @@ func E2FreeGraph(cfg Config) (*tablefmt.Table, error) {
 			return nil, err
 		}
 		// Dense broadcasting: flooding.
-		adv := adversary.NewFreeEdge(true, 1, cfg.Seed+int64(n))
+		adv := adversary.NewFreeEdge(cfg.Seed + int64(n))
 		res, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Broadcast: core.NewFlooding(0),
+			Broadcast: core.NewFlooding(),
 			Adversary: adv,
 			Seed:      cfg.Seed,
 			MaxRounds: 4 * n * n,
@@ -108,13 +108,10 @@ func E2FreeGraph(cfg Config) (*tablefmt.Table, error) {
 		// Sparse broadcasting: at most the Lemma 2.2 threshold may speak;
 		// the free graph must stay connected (ℓ=1 ⇒ zero progress).
 		thr := st.SparseThreshold
-		if thr < 1 {
-			thr = 1
-		}
-		adv2 := adversary.NewFreeEdge(true, 1, cfg.Seed+int64(2*n))
+		adv2 := adversary.NewFreeEdge(cfg.Seed + int64(2*n))
 		res2, err := sim.Run(sim.Config{
 			Assign:    assign,
-			Broadcast: core.NewSilentBroadcast(thr, 0),
+			Broadcast: core.NewSilentBroadcast(thr),
 			Adversary: adv2,
 			Seed:      cfg.Seed,
 			MaxRounds: 50 * n,

@@ -131,10 +131,10 @@ func (in *Instance) FreeGraph(view *sim.View) (*unionfind.DSU, [][2]int) {
 	return dsu, forest
 }
 
-// SparseThreshold returns n/(c·log2 n) — the broadcaster budget below which
-// Lemma 2.2 guarantees (w.h.p.) that the free graph is connected. c is the
-// lemma's constant; the experiments use small c since simulated n is modest.
-func SparseThreshold(n int, c float64) int {
+// SparseThreshold returns n/⌊log2 n⌋: Lemma 2.2's broadcaster budget
+// n/(c·log2 n), below which the free graph is connected w.h.p., taken at
+// c = 1 because simulated n is modest. It is at least 1 for n >= 2.
+func SparseThreshold(n int) int {
 	if n < 2 {
 		return 0
 	}
@@ -142,9 +142,5 @@ func SparseThreshold(n int, c float64) int {
 	for x := n; x > 1; x >>= 1 {
 		lg++
 	}
-	th := int(float64(n) / (c * float64(lg)))
-	if th < 1 {
-		th = 1
-	}
-	return th
+	return int(float64(n) / float64(lg))
 }

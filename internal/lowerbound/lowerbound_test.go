@@ -211,16 +211,10 @@ func TestFreeGraphMatchesBruteForce(t *testing.T) {
 }
 
 func TestSparseThreshold(t *testing.T) {
-	if got := SparseThreshold(1, 1); got != 0 {
+	if got := SparseThreshold(1); got != 0 {
 		t.Fatalf("n=1: %d", got)
 	}
-	if got := SparseThreshold(1024, 1); got != 102 {
-		t.Fatalf("n=1024 c=1: %d (log2 = 10)", got)
-	}
-	if got := SparseThreshold(1024, 2); got != 51 {
-		t.Fatalf("n=1024 c=2: %d", got)
-	}
-	if got := SparseThreshold(4, 100); got != 1 {
-		t.Fatal("floor of 1 not applied")
+	if got := SparseThreshold(1024); got != 102 {
+		t.Fatalf("n=1024: %d (log2 = 10)", got)
 	}
 }

@@ -2,22 +2,19 @@
 // registry kind next to algorithms and adversaries. A scenario bundles
 // everything that describes a workload except the algorithm under test: the
 // instance shape (n, k, source count), the dynamics (a registered adversary
-// by name, or a recorded trace replayed verbatim), and the token arrival
-// schedule (burst, uniform rate, Poisson-like, or explicit — nil means the
-// classic all-tokens-at-round-0 instance). Scenarios are registered by name
-// from init functions, resolved by the sweep layer's trial runner, selected
-// through the dynspread facade (Config.Scenario) and the spreadsim
-// -scenario flag, and crossed against algorithms and seeds by sweep.Grid's
-// Scenarios axis — so a new workload, including one backed by a real
-// temporal-graph trace, is a one-file change just like a new algorithm.
+// by name), and the token arrival schedule (burst, uniform rate,
+// Poisson-like, or explicit — nil means the classic all-tokens-at-round-0
+// instance). Scenarios are registered by name from init functions, resolved
+// by the sweep layer's trial runner, selected through the dynspread facade
+// (Config.Scenario) and the spreadsim -scenario flag, and crossed against
+// algorithms and seeds by sweep.Grid's Scenarios axis — so a new workload is
+// a one-file change just like a new algorithm.
 package scenario
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"dynspread/internal/trace"
 )
 
 // Spec describes one registered workload.
@@ -32,12 +29,8 @@ type Spec struct {
 	// DefaultAlgorithm is the registry name of the algorithm the scenario is
 	// normally run with; trial runners use it when no algorithm is given.
 	DefaultAlgorithm string
-	// Adversary names the registered dynamics of the workload. Exactly one
-	// of Adversary and Trace must be set.
+	// Adversary names the registered dynamics of the workload (required).
 	Adversary string
-	// Trace, when non-nil, makes the dynamics a verbatim replay of a
-	// recorded per-round edge-event stream instead of a live adversary.
-	Trace *trace.GraphTrace
 	// Schedule streams the token supply; nil injects every token at round 0.
 	Schedule Schedule
 	// Sigma is the edge-stability parameter for churn-style dynamics
@@ -45,10 +38,6 @@ type Spec struct {
 	Sigma int
 	// MaxRounds caps executions of the scenario (0 = engine default).
 	MaxRounds int
-	// Options and AdvOptions carry algorithm- and adversary-specific options
-	// (see registry.Params).
-	Options    any
-	AdvOptions any
 }
 
 // NumSources returns the effective source count (Sources defaulted to 1).
@@ -57,14 +46,6 @@ func (s Spec) NumSources() int {
 		return 1
 	}
 	return s.Sources
-}
-
-// DynamicsName renders the workload's dynamics for listings and reports.
-func (s Spec) DynamicsName() string {
-	if s.Trace != nil {
-		return fmt.Sprintf("trace-replay(%d rounds)", s.Trace.NumRounds())
-	}
-	return s.Adversary
 }
 
 // ScheduleName renders the arrival schedule for listings.
@@ -98,9 +79,9 @@ func (s Spec) ArrivalRounds(seed int64) ([]int, error) {
 }
 
 // Info is the JSON-serializable catalog entry for a scenario, as served by
-// spreadd's /v1/catalog. It carries the derived listing strings (dynamics,
-// schedule) instead of the live Trace/Schedule values, so it marshals
-// cleanly and stays stable across seeds.
+// spreadd's /v1/catalog. It carries the schedule's listing string instead
+// of the live Schedule value, so it marshals cleanly and stays stable
+// across seeds.
 type Info struct {
 	Name             string `json:"name"`
 	Doc              string `json:"doc"`
@@ -123,7 +104,7 @@ func (s Spec) Info() Info {
 		K:                s.K,
 		Sources:          s.NumSources(),
 		DefaultAlgorithm: s.DefaultAlgorithm,
-		Dynamics:         s.DynamicsName(),
+		Dynamics:         s.Adversary,
 		Schedule:         s.ScheduleName(),
 		Sigma:            s.Sigma,
 		MaxRounds:        s.MaxRounds,
@@ -144,16 +125,8 @@ func (s Spec) validate() error {
 	if src := s.NumSources(); src > s.N || s.K < src {
 		return fmt.Errorf("scenario %q: sources=%d out of range for n=%d, k=%d", s.Name, src, s.N, s.K)
 	}
-	if (s.Adversary == "") == (s.Trace == nil) {
-		return fmt.Errorf("scenario %q: exactly one of Adversary and Trace must be set", s.Name)
-	}
-	if s.Trace != nil {
-		if err := s.Trace.Validate(); err != nil {
-			return fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		if s.Trace.N != s.N {
-			return fmt.Errorf("scenario %q: trace has n=%d, scenario has n=%d", s.Name, s.Trace.N, s.N)
-		}
+	if s.Adversary == "" {
+		return fmt.Errorf("scenario %q: no adversary", s.Name)
 	}
 	if s.Schedule != nil {
 		// A probe materialization catches shape errors at registration

@@ -3,8 +3,6 @@ package scenario
 import (
 	"strings"
 	"testing"
-
-	"dynspread/internal/trace"
 )
 
 func TestRegisterLookupScenarios(t *testing.T) {
@@ -51,7 +49,7 @@ func TestSpecInfoDerivation(t *testing.T) {
 	if info.Name != "token-stream" || info.N != spec.N || info.K != spec.K {
 		t.Fatalf("info = %+v", info)
 	}
-	if info.Sources != spec.NumSources() || info.Dynamics != spec.DynamicsName() || info.Schedule != spec.ScheduleName() {
+	if info.Sources != spec.NumSources() || info.Dynamics != spec.Adversary || info.Schedule != spec.ScheduleName() {
 		t.Fatalf("derived fields wrong: %+v", info)
 	}
 	if info.DefaultAlgorithm != spec.DefaultAlgorithm || info.Doc == "" {
@@ -95,20 +93,9 @@ func TestRegisterScenarioRejectsInvalidSpecs(t *testing.T) {
 		s.Sources = 9
 		RegisterScenario(s)
 	})
-	expectPanic(t, "exactly one", func() {
+	expectPanic(t, "no adversary", func() {
 		s := base
 		s.Adversary = ""
-		RegisterScenario(s)
-	})
-	expectPanic(t, "exactly one", func() {
-		s := base
-		s.Trace = &trace.GraphTrace{N: 8}
-		RegisterScenario(s)
-	})
-	expectPanic(t, "trace has n=4", func() {
-		s := base
-		s.Adversary = ""
-		s.Trace = &trace.GraphTrace{N: 4}
 		RegisterScenario(s)
 	})
 	expectPanic(t, "explicit schedule has 2 entries", func() {

@@ -99,9 +99,6 @@ type Config struct {
 	// a stream whose consumer falls this far behind drops to summary mode
 	// (default 256). See stream.go for the backpressure contract.
 	StreamBuffer int
-	// StreamSummaryInterval is the cadence of "summary" keep-alive/progress
-	// lines on result streams (default 1s).
-	StreamSummaryInterval time.Duration
 	// Tracer, when non-nil, records a span tree per job — root "job" span
 	// with "queue-wait" and "run" children, trial spans underneath (from the
 	// sweep layer), all exposed on GET /v1/traces/{id}. Requests arriving
@@ -158,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StreamBuffer <= 0 {
 		c.StreamBuffer = 256
-	}
-	if c.StreamSummaryInterval <= 0 {
-		c.StreamSummaryInterval = time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)

@@ -24,6 +24,10 @@ import (
 // submitted job: results from the attach point forward (an already-terminal
 // job answers with its header and "done" immediately).
 
+// streamSummaryInterval is the cadence of "summary" keep-alive/progress
+// lines on result streams.
+const streamSummaryInterval = time.Second
+
 // streamRun is the ?stream=1 arm of handleRuns: the job always takes the
 // queue path (a synchronous response cannot stream), with the subscriber
 // attached before enqueueing so no result can slip by unobserved.
@@ -88,7 +92,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, sub *
 		}
 	}
 	ctx := r.Context()
-	ticker := time.NewTicker(s.cfg.StreamSummaryInterval)
+	ticker := time.NewTicker(streamSummaryInterval)
 	defer ticker.Stop()
 
 	// Lossless mode: relay every buffered result as it arrives, with summary

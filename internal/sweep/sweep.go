@@ -5,8 +5,8 @@
 // thousands of trials allocates far less than calling the engine cold per
 // trial. Algorithms, adversaries, and scenarios are resolved by name through
 // their registries, so anything registered anywhere in the program is
-// sweepable — including workloads with streaming token arrivals and
-// trace-replay dynamics.
+// sweepable — including workloads with streaming token arrivals, and runs
+// that replay a recorded trace as their dynamics.
 package sweep
 
 import (
@@ -30,7 +30,7 @@ import (
 type Trial struct {
 	// Scenario, when non-empty, resolves a registered workload: the scenario
 	// supplies N/K/Sources, the dynamics, the arrival schedule, and defaults
-	// for Algorithm/Sigma/MaxRounds/Options. A scenario trial must leave
+	// for Algorithm/Sigma/MaxRounds. A scenario trial must leave
 	// N/K/Sources zero — or repeat the scenario's own shape exactly, so a
 	// RESOLVED trial (as returned in Result.Trial or a service TrialResult)
 	// can be fed back in verbatim. Algorithm and Adversary may be set to
@@ -93,7 +93,7 @@ func (t Trial) dynamics() string {
 
 // resolveScenario expands a scenario trial into a concrete one. Precedence
 // for the dynamics: an explicit Replay, then an explicit Adversary override,
-// then the scenario's own trace or adversary.
+// then the scenario's own adversary.
 func resolveScenario(t Trial) (Trial, error) {
 	if t.Scenario == "" {
 		return t, nil
@@ -117,19 +117,12 @@ func resolveScenario(t Trial) (Trial, error) {
 	}
 	if t.Replay == nil && t.Adversary == "" {
 		t.Adversary = spec.Adversary
-		t.Replay = spec.Trace
 	}
 	if t.Sigma == 0 {
 		t.Sigma = spec.Sigma
 	}
 	if t.MaxRounds == 0 {
 		t.MaxRounds = spec.MaxRounds
-	}
-	if t.Options == nil {
-		t.Options = spec.Options
-	}
-	if t.AdvOptions == nil {
-		t.AdvOptions = spec.AdvOptions
 	}
 	if t.Arrivals == nil {
 		arr, err := spec.ArrivalRounds(t.Seed)

@@ -88,11 +88,10 @@ type TrialSpec struct {
 	// the scenario's own schedule for scenario trials.
 	Arrivals []int `json:"arrivals,omitempty"`
 	// Replay, in a RESOLVED spec, records that the execution's dynamics were
-	// a recorded graph trace replayed verbatim rather than a live adversary.
-	// The trace itself is not part of the wire schema, so a spec with Replay
-	// set cannot be (re)submitted — replays run in-process via Config.Replay
-	// or through a trace-backed scenario (whose resolved specs stay
-	// submittable: the scenario name reconstructs the trace).
+	// a recorded graph trace replayed verbatim rather than a live adversary,
+	// scenario runs included. The trace itself is not part of the wire
+	// schema, so a spec with Replay set cannot be (re)submitted — replays run
+	// in-process via Config.Replay.
 	Replay bool `json:"replay,omitempty"`
 }
 
@@ -254,11 +253,10 @@ func SpecFromTrial(t sweep.Trial) TrialSpec {
 		Arrivals:       t.Arrivals,
 	}
 	if t.Replay != nil {
-		// The dynamics were a verbatim trace, not the named adversary.
+		// The dynamics were a verbatim trace, not the named adversary, and
+		// the spec cannot reproduce them.
 		s.Adversary = ""
-		// Only a bare replay is irreproducible from the spec; a trace-backed
-		// scenario reconstructs its trace by name.
-		s.Replay = t.Scenario == ""
+		s.Replay = true
 	}
 	return s.Normalized()
 }
@@ -595,7 +593,7 @@ func RunSpecsWith(pm *sweep.PoolMetrics, tr *tracing.Tracer, parallelism int) fu
 		trials := make([]sweep.Trial, len(specs))
 		for i, s := range specs {
 			if s.Replay {
-				return nil, fmt.Errorf("dynspread: spec %d replays a recorded trace, which is not part of the wire schema (use Config.Replay in-process, or a trace-backed scenario)", i)
+				return nil, fmt.Errorf("dynspread: spec %d replays a recorded trace, which is not part of the wire schema (use Config.Replay in-process)", i)
 			}
 			if err := s.Validate(); err != nil {
 				return nil, fmt.Errorf("%w (spec %d)", err, i)

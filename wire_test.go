@@ -252,6 +252,35 @@ func TestRunRecordedReplayReproduces(t *testing.T) {
 	}
 }
 
+// TestScenarioReplaySpecIsNotResubmittable: a scenario run whose dynamics
+// were an explicit replay resolves to a spec with a replay marker and no
+// adversary, like a bare replay, so resubmitting it is refused instead of
+// running the scenario's own live adversary.
+func TestScenarioReplaySpecIsNotResubmittable(t *testing.T) {
+	_, gt, err := dynspread.RunRecorded(dynspread.Config{
+		N: 24, K: 48,
+		Algorithm: dynspread.AlgTopkis,
+		Adversary: dynspread.AdvRewire,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dynspread.Run(dynspread.Config{Scenario: dynspread.ScenTokenStream, Replay: gt, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Adversary != "trace-replay" {
+		t.Fatalf("adversary = %q", res.Adversary)
+	}
+	if res.Trial.Scenario != "token-stream" || res.Trial.Adversary != "" || !res.Trial.Replay {
+		t.Fatalf("scenario replay trial misdescribes its dynamics: %+v", res.Trial)
+	}
+	if _, err := dynspread.RunSpecs(context.Background(), []dynspread.TrialSpec{res.Trial}, 1, nil); err == nil || !strings.Contains(err.Error(), "replay") {
+		t.Fatalf("scenario replay spec resubmission not rejected: %v", err)
+	}
+}
+
 // TestReplayFailureNamesTraceReplay: in either mode, a replay whose trace
 // fails validation reports the trace-replay dynamics, not an empty name.
 func TestReplayFailureNamesTraceReplay(t *testing.T) {
